@@ -241,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source = mon.add_mutually_exclusive_group(required=True)
     source.add_argument("--trace", help="token file ('-' for stdin)")
     source.add_argument("--lasso", help="lasso literal 'prefix tokens ; period tokens'")
-    mon.add_argument("--budget", type=int, default=1000,
-                     help="search budget per step (reserved for enumerated constraints)")
     mon.add_argument("--format", choices=("json", "text"), default="json")
     mon.set_defaults(func=cmd_monitor)
 

@@ -8,15 +8,18 @@ into the fault.
 
 This module provides the finite, table-driven detector, a generic stepping
 handle for detectors whose state spaces are not finite tables, the
-automaton representation of a violation language, and the language-level
-step (fault on membership, otherwise take the symbol derivative) that makes
-prefix-free sets themselves behave as detector states.
+automaton representation of a violation language (with the subset
+construction and prefix-pair search that the spec and machine compilers
+share), and the language-level step (fault on membership, otherwise take
+the symbol derivative) that makes prefix-free sets themselves behave as
+detector states.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
+from .bisim import _refine
 from .sequences import (
     Alphabet,
     EpsilonViolation,
@@ -24,27 +27,10 @@ from .sequences import (
     Word,
     _require_same_alphabet,
     derivative_set,
+    is_token,
     require_prefix_free,
 )
-from .systems import FAULT
-
-
-class _Unknown:
-    """Singleton marker: a budgeted detector could not decide this step."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
+from .systems import FAULT, UNKNOWN
 
 
 class BudgetExhausted(RuntimeError):
@@ -290,58 +276,8 @@ class RegularPrefixFreeSet:
 
     def minimized(self) -> "RegularPrefixFreeSet":
         """Language-equal automaton with merged states and canonical names
-        (breadth-first from the initial state)."""
-        reachable = [self.initial]
-        seen = {self.initial}
-        i = 0
-        while i < len(reachable):
-            q = reachable[i]
-            i += 1
-            for n in self.alphabet:
-                t = self.transitions[(q, n)]
-                if t not in seen:
-                    seen.add(t)
-                    reachable.append(t)
-        if self.accept not in seen:
-            reachable.append(self.accept)  # keep the automaton well formed
-        block = {q: (q == self.accept) for q in reachable}
-        while True:
-            sig = {
-                q: (block[q], tuple(block[self.transitions[(q, n)]] for n in self.alphabet))
-                if q != self.accept
-                else (True,)
-                for q in reachable
-            }
-            fresh = {}
-            renumber = {}
-            for q in reachable:
-                renumber.setdefault(sig[q], len(renumber))
-                fresh[q] = renumber[sig[q]]
-            if fresh == block:
-                break
-            block = fresh
-        names = {}
-        order = [self.initial]
-        names[block[self.initial]] = "r0"
-        i = 0
-        while i < len(order):
-            q = order[i]
-            i += 1
-            for n in self.alphabet:
-                t = self.transitions[(q, n)]
-                if block[t] not in names:
-                    names[block[t]] = f"r{len(names)}"
-                    order.append(t)
-        if block[self.accept] not in names:
-            names[block[self.accept]] = f"r{len(names)}"
-        new_states = sorted(set(names.values()), key=lambda s: int(s[1:]))
-        table = {}
-        for q in reachable:
-            for n in self.alphabet:
-                table[(names[block[q]], n)] = names[block[self.transitions[(q, n)]]]
-        return RegularPrefixFreeSet(
-            self.alphabet, new_states, names[block[self.initial]], names[block[self.accept]], table
-        )
+        (breadth first from the initial state, the accepting state last)."""
+        return anamorphism_regular(*canonical_form(*detector_from_regular(self)))
 
     def __repr__(self) -> str:
         return f"RegularPrefixFreeSet({len(self.states)} states over {list(self.alphabet.symbols)})"
@@ -417,6 +353,65 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     for n in a.alphabet:
         table[(accept, n)] = accept
     return RegularPrefixFreeSet(a.alphabet, states, index[x], accept, table)
+
+
+def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
+    """Read a violation-language automaton as a detector, the inverse of
+    :func:`anamorphism_regular`: every state but the accepting one is a
+    detector state, and a step into the accepting state faults."""
+    table = {
+        (q, n): FAULT if t == p.accept else t
+        for (q, n), t in p.transitions.items()
+        if q != p.accept
+    }
+    return FiniteDetector(p.alphabet, [q for q in p.states if q != p.accept], table), p.initial
+
+
+def subset_automaton(initial: frozenset, alphabet: Alphabet, move) -> tuple[list, dict]:
+    """Reachable subset automaton: the subsets in breadth-first order from
+    ``initial`` and the total table ``(subset, n) -> move(subset, n)``."""
+    order = [initial]
+    seen = {initial}
+    table = {}
+    for subset in order:  # grows while it is walked
+        for n in alphabet:
+            target = table[(subset, n)] = move(subset, n)
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return order, table
+
+
+def first_prefix_pair(order: list, table: Mapping, alphabet: Alphabet, accepting):
+    """Shortest witness that an automaton's language is not prefix-free: an
+    accepted word ``u`` and an accepted proper extension ``uv``, or None.
+
+    ``order`` must be breadth first from the initial state ``order[0]``;
+    ``u`` is a shortest accepted word that extends to another accepted
+    word, and ``uv`` its shortest such extension.
+    """
+    shortest: dict = {order[0]: ()}
+    for q in order:
+        for n in alphabet:
+            shortest.setdefault(table[(q, n)], shortest[q] + (n,))
+    for q in order:
+        if not accepting(q):
+            continue
+        frontier = [(q, ())]
+        seen = {q}
+        while frontier:
+            nxt = []
+            for cur, syms in frontier:
+                for n in alphabet:
+                    target = table[(cur, n)]
+                    if accepting(target):
+                        u = shortest[q]
+                        return Word(alphabet, u), Word(alphabet, u + syms + (n,))
+                    if target not in seen:
+                        seen.add(target)
+                        nxt.append((target, syms + (n,)))
+            frontier = nxt
+    return None
 
 
 def final_step(p, n: str):
@@ -505,51 +500,24 @@ def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
     canonical forms have identical tables.
     """
     a.require_state(init)
+    rows = {init: tuple(a.step(init, n) for n in a.alphabet)}
     reachable = [init]
-    seen = {init}
-    i = 0
-    while i < len(reachable):
-        q = reachable[i]
-        i += 1
-        for n in a.alphabet:
-            t = a.step(q, n)
-            if t is not FAULT and t not in seen:
-                seen.add(t)
+    for q in reachable:  # grows while it is walked
+        for t in rows[q]:
+            if t is not FAULT and t not in rows:
+                rows[t] = tuple(a.step(t, n) for n in a.alphabet)
                 reachable.append(t)
-    block = {q: frozenset(n for n in a.alphabet if a.step(q, n) is FAULT) for q in reachable}
-    while True:
-        sig = {}
-        for q in reachable:
-            succ = tuple(
-                None if a.step(q, n) is FAULT else block[a.step(q, n)] for n in a.alphabet
-            )
-            sig[q] = (block[q], succ)
-        renumber = {}
-        fresh = {}
-        for q in reachable:
-            renumber.setdefault(sig[q], len(renumber))
-            fresh[q] = renumber[sig[q]]
-        if fresh == block:
-            break
-        block = fresh
+    block = _refine(reachable, lambda q: tuple(t is FAULT for t in rows[q]), rows.__getitem__)
     names = {block[init]: "s0"}
-    order = [init]
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for n in a.alphabet:
-            t = a.step(q, n)
+    for q in reachable:  # breadth first, so the names follow the same order
+        for t in rows[q]:
             if t is not FAULT and block[t] not in names:
                 names[block[t]] = f"s{len(names)}"
-                order.append(t)
-    states = sorted(set(names.values()), key=lambda s: int(s[1:]))
     table = {}
     for q in reachable:
-        for n in a.alphabet:
-            t = a.step(q, n)
+        for n, t in zip(a.alphabet, rows[q]):
             table[(names[block[q]], n)] = FAULT if t is FAULT else names[block[t]]
-    return FiniteDetector(a.alphabet, states, table), "s0"
+    return FiniteDetector(a.alphabet, list(names.values()), table), "s0"
 
 
 def detector_to_text(a: FiniteDetector) -> str:
@@ -559,8 +527,7 @@ def detector_to_text(a: FiniteDetector) -> str:
     state identifiers should go through :func:`canonical_form` first.
     """
     for x in a.states:
-        if not isinstance(x, str) or not x or any(c.isspace() for c in x) \
-                or set(x) & {":", ";", "#"} or "->" in x:
+        if not is_token(x):
             raise ValueError(f"state {x!r} is not serializable; canonicalize the detector first")
     lines = [
         "states: " + " ".join(a.states),

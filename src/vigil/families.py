@@ -24,6 +24,8 @@ from .detector import (
     DetectorHandle,
     FiniteDetector,
     SetHandle,
+    first_prefix_pair,
+    subset_automaton,
 )
 from .sequences import (
     Alphabet,
@@ -33,6 +35,7 @@ from .sequences import (
     Word,
     concat,
     derivative_set,
+    is_token,
     require_prefix_free,
     slice_range,
 )
@@ -46,7 +49,7 @@ class EilenbergMachine:
     nondeterministic moves are permitted, epsilon moves are not.
     """
 
-    __slots__ = ("alphabet", "states", "transitions", "initial", "final")
+    __slots__ = ("alphabet", "states", "transitions", "initial", "final", "_moves")
 
     def __init__(
         self,
@@ -62,11 +65,13 @@ class EilenbergMachine:
             raise ValueError("duplicate machine states")
         members = set(self.states)
         transitions = frozenset(transitions)
+        self._moves: dict = {}  # (state, symbol) -> successor states
         for q, n, r in transitions:
             if q not in members or r not in members:
                 raise ValueError(f"transition ({q!r}, {n!r}, {r!r}) leaves the state set")
             if n not in alphabet:
                 raise ValueError(f"transition symbol {n!r} is not in the alphabet")
+            self._moves.setdefault((q, n), set()).add(r)
         self.transitions = transitions
         self.initial = frozenset(initial)
         self.final = frozenset(final)
@@ -74,7 +79,7 @@ class EilenbergMachine:
             raise ValueError("initial and final sets must consist of machine states")
 
     def successors(self, subset: frozenset, n: str) -> frozenset:
-        return frozenset(r for q, m, r in self.transitions if m == n and q in subset)
+        return frozenset(r for q in subset for r in self._moves.get((q, n), ()))
 
     def accepts(self, u: Word) -> bool:
         subset = self.initial
@@ -103,25 +108,6 @@ class EilenbergMachine:
         return FiniteWordSet(self.alphabet, found)
 
 
-def _determinize(m: EilenbergMachine) -> tuple[list, dict]:
-    """Reachable subset automaton of a machine: ordered subset list and a
-    total transition table (the empty subset is its own sink)."""
-    order = [m.initial]
-    seen = {m.initial}
-    table = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
-        for n in m.alphabet:
-            target = m.successors(subset, n)
-            table[(subset, n)] = target
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-    return order, table
-
-
 def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, frozenset]:
     """Determinize a machine into a detector that faults exactly when the
     word read so far is accepted.
@@ -134,38 +120,14 @@ def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, frozenset]
     """
     if m.initial & m.final:
         raise EpsilonViolation("the machine accepts the empty word")
-    order, table = _determinize(m)
+    order, table = subset_automaton(m.initial, m.alphabet, m.successors)
 
     def accepting(subset: frozenset) -> bool:
         return bool(subset & m.final)
 
-    # exact prefix-freeness: no accepted word may extend to another one
-    shortest: dict = {m.initial: ()}
-    for subset in order:  # order is breadth-first, so paths found are shortest
-        for n in m.alphabet:
-            target = table[(subset, n)]
-            if target not in shortest:
-                shortest[target] = shortest[subset] + (n,)
-    for subset in order:
-        if not accepting(subset):
-            continue
-        # breadth-first search for a nonempty continuation into acceptance
-        frontier = [(subset, ())]
-        seen = {subset}
-        while frontier:
-            nxt = []
-            for cur, syms in frontier:
-                for n in m.alphabet:
-                    target = table[(cur, n)]
-                    if accepting(target):
-                        u = Word(m.alphabet, shortest[subset])
-                        uv = Word(m.alphabet, shortest[subset] + syms + (n,))
-                        raise PrefixFreeViolation(u, uv)
-                    if target not in seen:
-                        seen.add(target)
-                        nxt.append((target, syms + (n,)))
-            frontier = nxt
-
+    pair = first_prefix_pair(order, table, m.alphabet, accepting)
+    if pair is not None:
+        raise PrefixFreeViolation(*pair)
     det_states = [s for s in order if not accepting(s)]
     det_table = {}
     for subset in det_states:
@@ -410,8 +372,7 @@ def machine_to_text(m: EilenbergMachine) -> str:
     """Serialize a machine (see :func:`machine_from_text`); states must be
     token-shaped strings."""
     for x in m.states:
-        if not isinstance(x, str) or not x or any(ch.isspace() for ch in x) \
-                or set(x) & {":", ";", "#"} or "->" in x:
+        if not is_token(x):
             raise ValueError(f"machine state {x!r} is not serializable")
     order = {x: i for i, x in enumerate(m.states)}
     lines = [

@@ -26,8 +26,8 @@ from .detector import (
     anamorphism_regular,
     final_step,
 )
-from .sequences import LassoStream, Word, _require_same_alphabet, slice_from, slice_range
-from .systems import FAULT, SSystem, TSystem
+from .sequences import LassoStream, Word, _require_same_alphabet, slice_range
+from .systems import FAULT, OK, SSystem, TSystem
 
 
 @dataclass(frozen=True)
@@ -81,34 +81,48 @@ def join_map(f: Mapping, g: Mapping) -> dict:
     return {(x, y): (f[x], g[y]) for x in f for y in g}
 
 
+def _run_lasso(s: LassoStream, start, step, key) -> MonitorVerdict:
+    """Run ``step(state, symbol)`` along a lasso from ``start`` until it
+    faults or a (position, ``key(state)``) pair repeats.
+
+    Positions index ``prefix + period``; after the last one the stream goes
+    on at ``len(prefix)``.  The lasso is canonical, so distinct positions
+    are distinct suffixes of the stream and a repeated pair proves that the
+    run never faults.
+    """
+    symbols = s.prefix.symbols + s.period.symbols
+    loop = len(s.prefix)
+    pos = 0
+    cur = start
+    visited = {(0, key(start))}
+    m = 0
+    while True:
+        target = step(cur, symbols[pos])
+        m += 1
+        if target is FAULT:
+            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
+        pos = pos + 1 if pos + 1 < len(symbols) else loop
+        seen = (pos, key(target))
+        if seen in visited:
+            return CertifiedSafe()
+        visited.add(seen)
+        cur = target
+
+
 def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     """Exact verdict of a finite detector on a lasso stream.
 
-    The pair (current suffix, detector state) ranges over a finite set, so
-    either some step faults — yielding the minimal bad prefix — or a pair
-    repeats, certifying that no prefix ever faults.  Only finite detectors
-    can certify safety; drive a handle-backed detector with
+    The pair (position in the lasso, detector state) ranges over a finite
+    set, so either some step faults — yielding the minimal bad prefix — or
+    a pair repeats, certifying that no prefix ever faults.  Only finite
+    detectors can certify safety; drive a handle-backed detector with
     :func:`monitor_online` instead.
     """
     if not isinstance(a, FiniteDetector):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
     a.require_state(x)
-    suffix = s
-    cur = x
-    visited = {(suffix, cur)}
-    m = 0
-    while True:
-        symbol = suffix.at(0)
-        target = a.step(cur, symbol)
-        m += 1
-        if target is FAULT:
-            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
-        suffix = slice_from(suffix, 1)
-        if (suffix, target) in visited:
-            return CertifiedSafe()
-        visited.add((suffix, target))
-        cur = target
+    return _run_lasso(s, x, a.step, lambda q: q)
 
 
 def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
@@ -120,22 +134,6 @@ def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
 class MonitorClosedError(RuntimeError):
     """A terminal verdict was already reported; the monitor takes no more
     symbols."""
-
-
-class _Ok:
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OK"
-
-
-OK = _Ok()
 
 
 @dataclass(frozen=True)
@@ -204,21 +202,7 @@ def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorV
     state, stepping by membership-then-derivative on the automaton
     representation."""
     _require_same_alphabet(p.alphabet, s.alphabet)
-    suffix = s
-    cur = p
-    visited = {(cur.initial, suffix)}
-    m = 0
-    while True:
-        symbol = suffix.at(0)
-        target = final_step(cur, symbol)
-        m += 1
-        if target is FAULT:
-            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
-        suffix = slice_from(suffix, 1)
-        if (target.initial, suffix) in visited:
-            return CertifiedSafe()
-        visited.add((target.initial, suffix))
-        cur = target
+    return _run_lasso(s, p, final_step, lambda q: q.initial)
 
 
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):

@@ -38,13 +38,14 @@ class EpsilonViolation(ValueError):
     sense (violation languages never contain the empty word)."""
 
 
-def _check_token(symbol: str) -> None:
-    if not isinstance(symbol, str) or not symbol:
-        raise ValueError(f"alphabet symbol must be a nonempty string, got {symbol!r}")
-    if any(ch.isspace() for ch in symbol) or set(symbol) & {";", ":", "#"} or "->" in symbol:
-        raise ValueError(
-            f"alphabet symbol {symbol!r} may not contain whitespace, ';', ':', '#' or '->'"
-        )
+def is_token(text) -> bool:
+    """Whether ``text`` can stand as one token of the text formats (symbols,
+    state names): a nonempty string without whitespace, ';', ':', '#' or
+    '->'."""
+    return (
+        isinstance(text, str) and bool(text) and not any(ch.isspace() for ch in text)
+        and not set(text) & {";", ":", "#"} and "->" not in text
+    )
 
 
 class Alphabet:
@@ -60,7 +61,12 @@ class Alphabet:
     def __init__(self, symbols: Iterable[str]):
         symbols = tuple(symbols)
         for s in symbols:
-            _check_token(s)
+            if not is_token(s):
+                if not isinstance(s, str) or not s:
+                    raise ValueError(f"alphabet symbol must be a nonempty string, got {s!r}")
+                raise ValueError(
+                    f"alphabet symbol {s!r} may not contain whitespace, ';', ':', '#' or '->'"
+                )
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"duplicate alphabet symbols in {symbols!r}")
         if len(symbols) < 2:
@@ -318,11 +324,7 @@ def is_prefix_free(a: FiniteWordSet) -> bool:
     The empty word is a proper prefix of every nonempty word, so a
     prefix-free set containing it can only be the singleton of it.
     """
-    for w in a.words:
-        for m in range(len(w)):
-            if Word(a.alphabet, w.symbols[:m]) in a:
-                return False
-    return True
+    return _find_prefix_pair(a) is None
 
 
 def _find_prefix_pair(a: FiniteWordSet) -> tuple[Word, Word] | None:

@@ -28,8 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detector import FiniteDetector, RegularPrefixFreeSet, canonical_form
-from .families import EilenbergMachine, machine_to_detector
+from .detector import (
+    FiniteDetector,
+    RegularPrefixFreeSet,
+    canonical_form,
+    detector_from_regular,
+    first_prefix_pair,
+    subset_automaton,
+)
 from .sequences import Alphabet, EpsilonViolation
 
 
@@ -301,8 +307,8 @@ class _Nfa:
         raise TypeError(f"not a pattern node: {node!r}")
 
     def closure(self, states) -> frozenset:
-        stack = list(states)
         seen = set(states)
+        stack = list(seen)
         while stack:
             q = stack.pop()
             for r in self.eps.get(q, ()):
@@ -310,6 +316,10 @@ class _Nfa:
                     seen.add(r)
                     stack.append(r)
         return frozenset(seen)
+
+    def move(self, subset, n: str) -> frozenset:
+        """The ε-closure of the ``n``-successors of a subset."""
+        return self.closure(r for q in subset for r in self.sym.get((q, n), ()))
 
 
 def _pattern_dfa(pattern, alphabet: Alphabet):
@@ -321,22 +331,7 @@ def _pattern_dfa(pattern, alphabet: Alphabet):
     nfa = _Nfa()
     start, end = nfa.fragment(pattern)
     initial = nfa.closure({start})
-    order = [initial]
-    seen = {initial}
-    table = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
-        for n in alphabet:
-            moved = set()
-            for q in subset:
-                moved |= nfa.sym.get((q, n), set())
-            target = nfa.closure(moved)
-            table[(subset, n)] = target
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
+    order, table = subset_automaton(initial, alphabet, nfa.move)
     return order, table, initial, (lambda subset: end in subset)
 
 
@@ -380,42 +375,16 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
 def pattern_is_prefix_free(spec: ConstraintSpec) -> bool:
     """Whether the spec's pattern language is already prefix-free, i.e.
     kernelization does not change it."""
-    order, table, initial, accepting = _pattern_dfa(spec.pattern, spec.alphabet)
-    for subset in order:
-        if not accepting(subset):
-            continue
-        frontier = [subset]
-        seen = {subset}
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for n in spec.alphabet:
-                    target = table[(cur, n)]
-                    if accepting(target):
-                        return False
-                    if target not in seen:
-                        seen.add(target)
-                        nxt.append(target)
-            frontier = nxt
-    return True
+    order, table, _, accepting = _pattern_dfa(spec.pattern, spec.alphabet)
+    return first_prefix_pair(order, table, spec.alphabet, accepting) is None
 
 
 def compile(spec: ConstraintSpec) -> tuple[FiniteDetector, str]:
     """Compile a spec to its canonical detector.
 
-    The pattern is kernelized to its minimal bad prefixes, read back as an
-    acceptor, determinized into a detector, and minimized; the returned
-    initial state is ``"s0"``.
+    The pattern is kernelized to its minimal bad prefixes, the kernel
+    automaton is read as a detector (entering its accepting state faults),
+    and that detector is minimized; the returned initial state is ``"s0"``.
     """
     kernel = prefix_free_kernel(spec.pattern, spec.alphabet)
-    transitions = [
-        (q, n, kernel.transitions[(q, n)])
-        for q in kernel.states
-        if q != kernel.accept
-        for n in spec.alphabet
-    ]
-    machine = EilenbergMachine(
-        spec.alphabet, kernel.states, transitions, [kernel.initial], [kernel.accept]
-    )
-    det, init = machine_to_detector(machine)
-    return canonical_form(det, init)
+    return canonical_form(*detector_from_regular(kernel))

@@ -13,28 +13,31 @@ computable by cycle detection.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 from .sequences import Alphabet, LassoStream, Word, _require_same_alphabet
 
 
-class _Fault:
-    """Singleton marker for the fault outcome of a step."""
+class _Marker(enum.Enum):
+    """Singleton outcome markers: a step faulted (``FAULT``), a budgeted
+    detector could not decide a step (``UNKNOWN``), a fed symbol completed
+    no violation (``OK``)."""
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    FAULT = "FAULT"
+    UNKNOWN = "UNKNOWN"
+    OK = "OK"
 
     def __repr__(self) -> str:
-        return "FAULT"
+        return self.value
+
+    __str__ = __repr__
 
 
-FAULT = _Fault()
+FAULT = _Marker.FAULT
+UNKNOWN = _Marker.UNKNOWN
+OK = _Marker.OK
 
 
 def _check_states(states: Iterable[Hashable]) -> tuple:

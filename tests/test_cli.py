@@ -221,10 +221,11 @@ class TestExitCodeContract:
         assert verdict_exit_code("unknown") == 3
 
     def test_usage_error_is_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["monitor"])
-        assert err.value.code == 2
-        capsys.readouterr()
+        for argv in (["monitor"], ["monitor", "x.vgl", "--trace", "-", "--budget", "5"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            capsys.readouterr()
 
     def test_unknown_command_is_2(self, capsys):
         with pytest.raises(SystemExit) as err:

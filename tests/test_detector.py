@@ -1,5 +1,7 @@
 """Finite detectors, violation languages, language-level stepping."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -463,5 +465,11 @@ class TestHandles:
 
 
 def test_unknown_singleton_repr():
-    assert repr(UNKNOWN) == "UNKNOWN"
-    assert repr(FAULT) == "FAULT"
+    from vigil.monitor import OK
+
+    for marker, text in ((UNKNOWN, "UNKNOWN"), (FAULT, "FAULT"), (OK, "OK")):
+        assert repr(marker) == text
+        assert marker is copy.copy(marker)
+        assert marker is copy.deepcopy(marker)
+        assert marker is pickle.loads(pickle.dumps(marker))
+        assert bool(marker)

@@ -66,6 +66,20 @@ def oracle_verdict(det, x, s: LassoStream):
     return Violation(prefix_len=hit, bad_prefix=slice_range(s, 0, hit), ana_value=hit - 1)
 
 
+def long_lasso_cases(rng, count: int):
+    """Lassos of up to 12 + 40 symbols against detectors of up to 8 states
+    with few faults, so that many runs go round the period more than once."""
+    al = binary()
+    for _ in range(count):
+        det = random_detector(rng, al, rng.randint(1, 8), fault_prob=rng.choice([0.02, 0.1, 0.3]))
+        yield det, rng.choice(det.states), random_lasso(rng, al, max_prefix=12, max_period=40)
+
+
+def wrapped(verdict, s: LassoStream) -> bool:
+    """Whether the run that gave ``verdict`` read past the end of the period."""
+    return not isinstance(verdict, Violation) or verdict.prefix_len > len(s.prefix) + len(s.period)
+
+
 class TestVerdictTypes:
     def test_violation_pins_the_off_by_one(self, ab):
         with pytest.raises(ValueError, match="prefix_len - 1"):
@@ -192,6 +206,12 @@ class TestMonitorLasso:
             x = rng.choice(det.states)
             s = random_lasso(rng, al)
             assert monitor_lasso(det, x, s) == oracle_verdict(det, x, s)
+        went_round = 0
+        for det, x, s in long_lasso_cases(rng, 200):
+            verdict = monitor_lasso(det, x, s)
+            assert verdict == oracle_verdict(det, x, s)
+            went_round += wrapped(verdict, s)
+        assert went_round >= 50
 
     def test_agrees_with_product_termination_time(self):
         rng = random.Random(131)
@@ -332,6 +352,12 @@ class TestTransferToUniversal:
             s = random_lasso(rng, al)
             direct, via_language = transfer_to_universal(det, x, s)
             assert direct == via_language
+        went_round = 0
+        for det, x, s in long_lasso_cases(rng, 100):
+            direct, via_language = transfer_to_universal(det, x, s)
+            assert direct == via_language == oracle_verdict(det, x, s)
+            went_round += wrapped(direct, s)
+        assert went_round >= 25
 
 
 class TestBehaviouralInvariance:

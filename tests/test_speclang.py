@@ -8,10 +8,12 @@ from vigil.detector import (
     FAULT,
     canonical_form,
     detector_from_explicit_set,
+    detector_to_text,
     minimal_violation_words,
 )
+from vigil.families import EilenbergMachine, machine_to_detector
 from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
-from vigil.sequences import EpsilonViolation, FiniteWordSet, Word, is_prefix_free
+from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
 from vigil.speclang import (
     Alt,
     ConstraintSpec,
@@ -269,3 +271,37 @@ class TestCompile:
                 assert isinstance(verdict, Violation)
                 assert verdict.prefix_len == expected
             checked += 1
+
+    def test_same_detector_as_the_machine_route(self):
+        """Compiling straight from the kernel gives the same detector table
+        as reading the kernel back as a machine, determinizing it, and
+        taking the canonical form."""
+
+        def via_machine(spec):
+            kernel = prefix_free_kernel(spec.pattern, spec.alphabet)
+            transitions = [
+                (q, n, kernel.transitions[(q, n)])
+                for q in kernel.states
+                if q != kernel.accept
+                for n in spec.alphabet
+            ]
+            machine = EilenbergMachine(
+                spec.alphabet, kernel.states, transitions, [kernel.initial], [kernel.accept]
+            )
+            return canonical_form(*machine_to_detector(machine))
+
+        rng = random.Random(239)
+        specs = [
+            parse("alphabet a b; violation (a|b)* a " + "(a|b) " * k + "b b b b;")
+            for k in range(9)
+        ]
+        while len(specs) < 9 + 120:
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            ast = random_ast(rng, al, rng.randint(0, 5))
+            if not regex_matches(ast, ()):
+                specs.append(ConstraintSpec("r", al, ast))
+        for spec in specs:
+            det, init = compile(spec)
+            want, want_init = via_machine(spec)
+            assert init == want_init
+            assert detector_to_text(det) == detector_to_text(want)
