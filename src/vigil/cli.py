@@ -13,6 +13,7 @@ Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 from .bisim import bisimilar
 from .detector import minimal_violation_words
 from .families import check_universal_family
-from .monitor import FeedUnknown, FeedViolation, Violation, monitor_lasso, monitor_online
+from .monitor import OK, FeedViolation, Violation, monitor_lasso, monitor_online
 from .sequences import Alphabet, FiniteWordSet
 from . import speclang
 
@@ -54,12 +55,9 @@ def _load_spec(path: str) -> speclang.ConstraintSpec:
     return speclang.parse(text, name=name)
 
 
-def _token_stream(handle):
-    """Trace tokens, lazily: whitespace separated, '#' comments to end of
-    line.  Long traces are consumed line by line, so a violation stops the
-    read early."""
-    for line in handle:
-        yield from line.split("#", 1)[0].split()
+def _line_tokens(line: str) -> list[str]:
+    """Trace tokens are whitespace separated; '#' comments to end of line."""
+    return line.split("#", 1)[0].split()
 
 
 def _report(tag, prefix_len=None, ana_value=None, bad_prefix=None, steps_consumed=None) -> dict:
@@ -140,33 +138,36 @@ def cmd_monitor(args) -> int:
         except OSError as exc:
             return _fail(str(exc))
         live = monitor_online(detector, init)
-        consumed: list[str] = []
-        report = None
+        lines: list[str] = []  # the history: raw lines, not tokens
+        outcome = OK
         try:
-            for token in _token_stream(source):
-                if token not in spec.alphabet:
+            for line in source:
+                tokens = _line_tokens(line)
+                lines.append(line)
+                start = live.position
+                try:
+                    outcome = live.feed_many(tokens)
+                except ValueError:
                     return _fail(
-                        f"trace token {token!r} is not in the alphabet "
+                        f"trace token {tokens[live.position - start]!r} is not in the alphabet "
                         f"{list(spec.alphabet.symbols)}"
                     )
-                consumed.append(token)
-                outcome = live.feed(token)
-                if isinstance(outcome, FeedViolation):
-                    report = _report(
-                        "violation",
-                        prefix_len=outcome.position,
-                        ana_value=outcome.position - 1,
-                        bad_prefix=consumed[: outcome.position],
-                    )
-                    break
-                if isinstance(outcome, FeedUnknown):
-                    report = _report("unknown", steps_consumed=outcome.position)
+                if outcome is not OK:
                     break
         finally:
             if source is not sys.stdin:
                 source.close()
-        if report is None:
-            report = _report("ok_so_far", steps_consumed=len(consumed))
+        if isinstance(outcome, FeedViolation):
+            own = {n: n for n in spec.alphabet}  # fresh tokens would cost ~50 bytes each
+            read = (own[t] for line in lines for t in _line_tokens(line))
+            report = _report(
+                "violation",
+                prefix_len=outcome.position,
+                ana_value=outcome.position - 1,
+                bad_prefix=list(itertools.islice(read, outcome.position)),
+            )
+        else:  # a finite detector never answers unknown
+            report = _report("ok_so_far", steps_consumed=live.position)
     _emit(report, args.format)
     return verdict_exit_code(report["verdict"])
 

@@ -46,7 +46,7 @@ class FiniteDetector:
     from here" is expressed by an explicit safe state looping to itself.
     """
 
-    __slots__ = ("alphabet", "states", "step_table")
+    __slots__ = ("alphabet", "states", "step_table", "_dense")
 
     def __init__(self, alphabet: Alphabet, states: Iterable[Hashable], step_table: Mapping):
         self.alphabet = alphabet
@@ -66,6 +66,17 @@ class FiniteDetector:
                 if target is not FAULT and target not in members:
                     raise ValueError(f"step target {target!r} of ({x!r}, {n!r}) is not a state")
                 self.step_table[(x, n)] = target
+        self._dense = None
+
+    def dense(self) -> tuple[dict, list[dict]]:
+        """The table as integer rows, built once: ``index[x]`` numbers state
+        ``x``, and ``rows[index[x]][n]`` its successor on ``n`` (-1: FAULT)."""
+        if self._dense is None:
+            index = {x: i for i, x in enumerate(self.states)}
+            number = {**index, FAULT: -1}
+            rows = [{n: number[self.step_table[(x, n)]] for n in self.alphabet} for x in self.states]
+            self._dense = index, rows
+        return self._dense
 
     def step(self, x, n: str):
         try:

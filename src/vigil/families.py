@@ -158,49 +158,47 @@ class DecisionProcedure:
     """A total membership predicate over words, claimed to decide a
     prefix-free violation language.
 
-    The value doubles as a language representation: its one-symbol step
-    queries the predicate on that symbol and, on survival, precomposes the
-    predicate with the consumed symbol.
+    The value doubles as a language representation: the derivative of the
+    predicate's language by the word ``consumed`` (empty by default).  Its
+    one-symbol step queries the predicate once, on ``consumed`` plus that
+    symbol, and on survival carries the longer word.
     """
 
-    __slots__ = ("alphabet", "decides")
+    __slots__ = ("alphabet", "decides", "consumed")
 
-    def __init__(self, alphabet: Alphabet, decides: Callable[[Word], bool]):
+    def __init__(
+        self, alphabet: Alphabet, decides: Callable[[Word], bool], consumed: Word | None = None
+    ):
         self.alphabet = alphabet
         self.decides = decides
+        self.consumed = Word(alphabet) if consumed is None else consumed
 
     def final_step(self, n: str):
         if n not in self.alphabet:
             raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
-        head = Word(self.alphabet, (n,))
-        if self.decides(head):
+        word = concat(self.consumed, Word(self.alphabet, (n,)))
+        if self.decides(word):
             return FAULT
-        inner = self.decides
-        return DecisionProcedure(self.alphabet, lambda u: inner(concat(head, u)))
+        return DecisionProcedure(self.alphabet, self.decides, word)
 
 
-class _AuditedDecisionHandle(DetectorHandle):
+class _AuditedDecisionHandle(SetHandle):
     """Decision-procedure detector that re-checks, on every step, that no
     earlier prefix of the word read so far satisfies the predicate."""
 
-    __slots__ = ("procedure", "history", "alphabet")
-
-    def __init__(self, procedure: DecisionProcedure, history: Word):
-        self.procedure = procedure
-        self.history = history
-        self.alphabet = procedure.alphabet
+    __slots__ = ()
 
     def step(self, symbol: str):
-        word = concat(self.history, Word(self.alphabet, (symbol,)))
+        p = self.language
+        word = concat(p.consumed, Word(self.alphabet, (symbol,)))
         for k in range(1, len(word)):
             prefix = slice_range(word, 0, k)
-            if self.procedure.decides(prefix):
+            if p.decides(prefix):
                 # the detector survived past a member: the claimed language
                 # is not prefix-free (or the predicate is not deterministic)
                 raise PrefixFreeViolation(prefix, word)
-        if self.procedure.decides(word):
-            return FAULT
-        return _AuditedDecisionHandle(self.procedure, word)
+        nxt = p.final_step(symbol)
+        return FAULT if nxt is FAULT else _AuditedDecisionHandle(nxt)
 
 
 def decidable_detector(p: DecisionProcedure, audit: bool = False) -> DetectorHandle:
@@ -211,9 +209,7 @@ def decidable_detector(p: DecisionProcedure, audit: bool = False) -> DetectorHan
     re-evaluates the predicate on all earlier prefixes and raises
     :class:`PrefixFreeViolation` if one of them is a member.
     """
-    if audit:
-        return _AuditedDecisionHandle(p, Word(p.alphabet))
-    return SetHandle(p)
+    return _AuditedDecisionHandle(p) if audit else SetHandle(p)
 
 
 class Enumerator:
@@ -284,9 +280,8 @@ class EnumeratedPrefixFreeSet:
     def final_step(self, n: str):
         if n not in self.alphabet:
             raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
-        word = concat(self.consumed, Word(self.alphabet, (n,)))
-        proper = {slice_range(word, 0, k) for k in range(1, len(word))}
-        survived = EnumeratedPrefixFreeSet(self.enumerator, word, self.budget)
+        word = self.consumed.symbols + (n,)
+        survived = EnumeratedPrefixFreeSet(self.enumerator, Word(self.alphabet, word), self.budget)
         k = 0
         fresh = 0
         while True:
@@ -300,9 +295,9 @@ class EnumeratedPrefixFreeSet:
             if item is None:
                 return survived
             k += 1
-            if item == word:
+            if item.symbols == word:
                 return FAULT
-            if item in proper:
+            if 0 < len(item) < len(word) and word[: len(item)] == item.symbols:
                 return survived
 
 

@@ -21,7 +21,6 @@ from .detector import (
     UNKNOWN,
     DetectorHandle,
     FiniteDetector,
-    FiniteDetectorHandle,
     RegularPrefixFreeSet,
     anamorphism_regular,
     final_step,
@@ -153,47 +152,69 @@ class FeedUnknown:
 class OnlineMonitor:
     """Incremental monitor over a live token feed.
 
-    Each ``feed`` advances the underlying detector handle by one symbol and
-    answers :data:`OK`, a :class:`FeedViolation`, or a :class:`FeedUnknown`.
+    Each ``feed`` advances the detector by one symbol and answers
+    :data:`OK`, a :class:`FeedViolation`, or a :class:`FeedUnknown`.
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
-    lasso form.
+    lasso form.  A finite detector is walked along its dense rows.
     """
 
-    def __init__(self, handle: DetectorHandle):
-        self._handle = handle
-        self.alphabet = handle.alphabet
+    def __init__(self, source, state=None):
+        self.alphabet = source.alphabet
         self.position = 0
         self._closed = False
+        if isinstance(source, FiniteDetector):
+            source.require_state(state)
+            index, self._rows = source.dense()
+            self._state = index[state]
+        else:
+            self._handle = source
+            self._rows = None
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def feed(self, symbol: str):
+        return self.feed_many((symbol,))
+
+    def feed_many(self, symbols):
+        """Feed ``symbols`` in order up to the first terminal verdict, or
+        :data:`OK` if all survive.  A symbol outside the alphabet raises
+        :class:`ValueError` and leaves ``position`` where it was."""
         if self._closed:
             raise MonitorClosedError("the monitor already reported a terminal verdict")
-        self.position += 1
-        target = self._handle.step(symbol)
-        if target is FAULT:
-            self._closed = True
-            return FeedViolation(self.position)
-        if target is UNKNOWN:
-            self._closed = True
-            return FeedUnknown(self.position)
-        self._handle = target
+        if self._rows is None:
+            for symbol in symbols:
+                target = self._handle.step(symbol)
+                self.position += 1
+                if target is FAULT or target is UNKNOWN:
+                    self._closed = True
+                    return (FeedViolation if target is FAULT else FeedUnknown)(self.position)
+                self._handle = target
+            return OK
+        rows, state, position = self._rows, self._state, self.position
+        try:
+            for symbol in symbols:
+                state = rows[state][symbol]
+                position += 1
+                if state < 0:
+                    self._closed = True
+                    return FeedViolation(position)
+        except KeyError:
+            raise ValueError(f"symbol {symbol!r} is not in alphabet {self.alphabet.symbols}") from None
+        finally:
+            self._state, self.position = state, position
         return OK
 
 
 def monitor_online(a, x=None) -> OnlineMonitor:
     """Build an online monitor from a finite detector state or from any
     detector handle."""
-    if isinstance(a, FiniteDetector):
-        return OnlineMonitor(FiniteDetectorHandle(a, x))
-    if isinstance(a, DetectorHandle):
-        if x is not None:
-            raise ValueError("handles carry their own state; pass x=None")
-        return OnlineMonitor(a)
+    if isinstance(a, DetectorHandle) and x is not None:
+        raise ValueError("handles carry their own state; pass x=None")
+    if isinstance(a, (FiniteDetector, DetectorHandle)):
+        return OnlineMonitor(a, x)
     raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
 
 

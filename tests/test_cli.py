@@ -1,6 +1,7 @@
 """Command line golden tests and exit-code contract."""
 
 import json
+import random
 
 import pytest
 
@@ -151,6 +152,116 @@ class TestMonitor:
         monkeypatch.setattr("sys.stdin", io.StringIO("a b\n"))
         assert main(["monitor", first_b_spec, "--trace", "-"]) == 1
         assert json.loads(capsys.readouterr().out)["prefix_len"] == 2
+
+
+class TestMonitorTraceEdges:
+    """Trace monitoring reads line by line and keeps only the lines it has
+    read; these pin the verdicts, errors and bytes at the edges of that."""
+
+    def run(self, spec, trace, capsys, *extra):
+        code = main(["monitor", spec, "--trace", trace, *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_violation_on_first_token(self, first_b_spec, tmp_path, capsys):
+        code, out, _ = self.run(first_b_spec, write(tmp_path, "t.txt", "b a a\n"), capsys)
+        assert code == 1
+        assert out == (
+            '{"verdict": "violation", "prefix_len": 1, "ana_value": 0, '
+            '"bad_prefix": ["b"], "steps_consumed": null}\n'
+        )
+
+    def test_violation_on_last_token_of_a_later_line(self, first_b_spec, tmp_path, capsys):
+        trace = write(tmp_path, "t.txt", "a a # x y\n\na b\nb b\n")
+        code, out, _ = self.run(first_b_spec, trace, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["prefix_len"] == 4
+        assert report["bad_prefix"] == ["a", "a", "a", "b"]
+
+    def test_bad_token_after_violation_on_same_line(self, first_b_spec, tmp_path, capsys):
+        code, out, err = self.run(first_b_spec, write(tmp_path, "t.txt", "a b c\n"), capsys)
+        assert code == 1 and err == ""
+        assert json.loads(out)["bad_prefix"] == ["a", "b"]
+
+    def test_bad_token_before_violation(self, first_b_spec, tmp_path, capsys):
+        for text in ("a c b\n", "c\n", "a a\n# c\na a c b\n"):
+            code, out, err = self.run(first_b_spec, write(tmp_path, "t.txt", text), capsys)
+            assert code == 2 and out == ""
+            assert err == "error: trace token 'c' is not in the alphabet ['a', 'b']\n"
+
+    def test_comment_only_and_blank_lines(self, first_b_spec, tmp_path, capsys):
+        trace = write(tmp_path, "t.txt", "# c c b\n\n   \n\t# b\na # b\n\na\n")
+        code, out, _ = self.run(first_b_spec, trace, capsys)
+        assert code == 0
+        assert json.loads(out)["steps_consumed"] == 2
+
+    def test_empty_trace(self, first_b_spec, tmp_path, capsys):
+        code, out, _ = self.run(first_b_spec, write(tmp_path, "t.txt", ""), capsys)
+        assert code == 0
+        assert out == (
+            '{"verdict": "ok_so_far", "prefix_len": null, "ana_value": null, '
+            '"bad_prefix": null, "steps_consumed": 0}\n'
+        )
+
+    def test_text_format(self, first_b_spec, tmp_path, capsys):
+        trace = write(tmp_path, "t.txt", "a\na b\n")
+        _, out, _ = self.run(first_b_spec, trace, capsys, "--format", "text")
+        assert out == (
+            "verdict: violation\nprefix_len: 3\nana_value: 2\n"
+            "bad_prefix: a a b\nsteps_consumed: -\n"
+        )
+        trace = write(tmp_path, "t.txt", "a a\n")
+        _, out, _ = self.run(first_b_spec, trace, capsys, "--format", "text")
+        assert out == (
+            "verdict: ok_so_far\nprefix_len: -\nana_value: -\n"
+            "bad_prefix: -\nsteps_consumed: 2\n"
+        )
+
+    def test_file_and_stdin_give_identical_bytes(self, first_b_spec, tmp_path, capsys, monkeypatch):
+        import io
+
+        rng = random.Random(241)
+        for text in ["a " * 40 + "\n# b\n" + "a a b a\n", "a a\n" * 30]:
+            trace = write(tmp_path, "t.txt", text)
+            for fmt in ("json", "text"):
+                from_file = self.run(first_b_spec, trace, capsys, "--format", fmt)
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                assert self.run(first_b_spec, "-", capsys, "--format", fmt) == from_file
+        for _ in range(30):
+            pieces = ["a ", "b ", "a", "\n", " # b c\n", "\t"]
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+            trace = write(tmp_path, "t.txt", text)
+            from_file = self.run(first_b_spec, trace, capsys)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert self.run(first_b_spec, "-", capsys) == from_file
+
+    def test_multiline_traces_against_oracle(self, tmp_path, capsys):
+        from support import oracle_first_fault
+        from vigil.speclang import compile as compile_spec
+        from vigil.speclang import parse
+
+        text = "alphabet a b; violation (a|b)* b a b;"
+        spec = write(tmp_path, "s.vgl", text)
+        det, init = compile_spec(parse(text))
+        rng = random.Random(243)
+        codes = []
+        for case in range(200):
+            lines = []
+            for _ in range(rng.randint(0, 6)):
+                line = " ".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+                lines.append(line + rng.choice(["", "  # b a b", "\t"]))
+            tokens = [t for line in lines for t in line.split("#")[0].split()]
+            trace = write(tmp_path, f"t{case}.txt", "\n".join(lines))
+            code, out, _ = self.run(spec, trace, capsys)
+            codes.append(code)
+            report = json.loads(out)
+            fault = oracle_first_fault(det, init, tokens)
+            if fault is None:
+                assert code == 0 and report["steps_consumed"] == len(tokens)
+            else:
+                assert code == 1 and report["bad_prefix"] == tokens[:fault]
+        assert min(codes.count(0), codes.count(1)) >= 50
 
 
 class TestEquiv:

@@ -40,6 +40,7 @@ from support import (
     oracle_first_fault,
     random_machine,
     random_prefix_free,
+    random_word,
 )
 
 
@@ -217,6 +218,16 @@ class TestDecidableDetector:
                         break
                 assert got == want
 
+    def test_two_thousand_steps_one_query_each(self, ab):
+        # each step asks about the whole word read so far, once, at a call
+        # depth that does not grow with the steps
+        asked = []
+        handle = decidable_detector(DecisionProcedure(ab, lambda w: asked.append(len(w)) or False))
+        for i in range(2000):
+            handle = handle.step("ab"[i % 2])
+            assert handle is not FAULT
+        assert asked == list(range(1, 2001))
+
     def test_audit_flags_non_prefix_free_predicate(self, ab):
         flip = {"count": 0}
 
@@ -303,6 +314,63 @@ class TestReDetector:
                         got = i + 1
                         break
                 assert got == oracle_first_fault(trie, init, w.symbols)
+
+    def test_scan_matches_proper_prefix_set_semantics(self):
+        """Verdicts, UNKNOWN included, and the number of items drawn equal
+        those of a scan that tests each item against the set of proper
+        prefixes of the candidate word, on seeded random enumerations."""
+
+        def reference_step(e, consumed, n, budget):
+            word = consumed + (n,)
+            proper = {word[:k] for k in range(1, len(word))}
+            k = fresh = 0
+            while True:
+                if k >= e.drawn:
+                    if e.finished:
+                        return word
+                    if fresh >= budget:
+                        return UNKNOWN
+                    fresh += 1
+                item = e.word_at(k)
+                if item is None:
+                    return word
+                k += 1
+                if item.symbols == word:
+                    return FAULT
+                if item.symbols in proper:
+                    return word
+
+        def source(items, forever):
+            return itertools.cycle(items) if forever and items else iter(items)
+
+        rng = random.Random(109)
+        al = binary()
+        seen = {"fault": 0, "unknown": 0, "survive": 0}
+        for _ in range(400):
+            items = [random_word(rng, al, rng.randint(0, 5)) for _ in range(rng.randint(0, 10))]
+            forever = rng.random() < 0.3
+            budget = rng.randint(1, 4)
+            ref_e = Enumerator(al, source(items, forever))
+            new_e = Enumerator(al, source(items, forever))
+            consumed = ()
+            handle = re_detector(new_e, budget)
+            for n in (rng.choice(al.symbols) for _ in range(rng.randint(1, 8))):
+                for _attempt in range(4):
+                    want = reference_step(ref_e, consumed, n, budget)
+                    got = handle.step(n)
+                    assert new_e.drawn == ref_e.drawn
+                    if want is UNKNOWN or want is FAULT:
+                        assert got is want
+                        seen["unknown" if want is UNKNOWN else "fault"] += 1
+                    else:
+                        assert got.language.consumed.symbols == want
+                        seen["survive"] += 1
+                    if want is not UNKNOWN:
+                        break
+                if want is UNKNOWN or want is FAULT:
+                    break
+                consumed, handle = want, got
+        assert min(seen.values()) >= 50, seen
 
     def test_budget_must_be_positive(self, ab):
         with pytest.raises(ValueError, match="at least 1"):

@@ -3,14 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vigil.detector import FiniteDetector, anamorphism_regular, minimal_violation_words
+from vigil.detector import (
+    FiniteDetector,
+    FiniteDetectorHandle,
+    anamorphism_regular,
+    minimal_violation_words,
+)
 from vigil.monitor import (
     OK,
     CertifiedSafe,
     FeedUnknown,
     FeedViolation,
     MonitorClosedError,
+    OnlineMonitor,
     Unknown,
     Violation,
     constr_member,
@@ -20,7 +28,14 @@ from vigil.monitor import (
     monitor_online,
     transfer_to_universal,
 )
-from vigil.sequences import AlphabetMismatchError, LassoStream, Word, slice_from, slice_range
+from vigil.sequences import (
+    Alphabet,
+    AlphabetMismatchError,
+    LassoStream,
+    Word,
+    slice_from,
+    slice_range,
+)
 from vigil.systems import (
     FAULT,
     INFINITE,
@@ -325,6 +340,108 @@ class TestOnlineMonitor:
     def test_requires_handle_or_detector(self):
         with pytest.raises(TypeError, match="FiniteDetector or DetectorHandle"):
             monitor_online(42)
+
+
+@st.composite
+def fed_runs(draw):
+    """A random detector over three symbols, a start state, a word, and
+    cut points that split the word into chunks (empty chunks included)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    det = random_detector(
+        rng,
+        Alphabet(["a", "b", "c"]),
+        draw(st.integers(1, 6)),
+        fault_prob=draw(st.sampled_from([0.0, 0.03, 0.1, 0.3])),
+    )
+    word = draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(word)), max_size=8)))
+    return det, draw(st.sampled_from(det.states)), word, cuts
+
+
+def both_monitors(det, x):
+    """The dense-row monitor and the monitor that steps a finite handle."""
+    return monitor_online(det, x), OnlineMonitor(FiniteDetectorHandle(det, x))
+
+
+def feed_each(live, word):
+    """Feed symbol by symbol; the outcomes up to the first terminal one."""
+    outcomes = []
+    for symbol in word:
+        outcomes.append(live.feed(symbol))
+        if outcomes[-1] is not OK:
+            break
+    return outcomes
+
+
+class TestOnlineFastPath:
+    """Differential checks of the dense-row monitor against the raw-table
+    oracle and against the handle-backed monitor."""
+
+    @given(fed_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_feed_agrees_with_oracle_and_handle(self, run):
+        det, x, word, _ = run
+        fault = oracle_first_fault(det, x, word)
+        want = [OK] * (len(word) if fault is None else fault - 1)
+        if fault is not None:
+            want.append(FeedViolation(fault))
+        for live in both_monitors(det, x):
+            assert feed_each(live, word) == want
+            assert live.position == len(want)
+            assert live.closed == (fault is not None)
+
+    @given(fed_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_feed_many_agrees_over_any_chunking(self, run):
+        det, x, word, cuts = run
+        chunks = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+        fault = oracle_first_fault(det, x, word)
+        for live in both_monitors(det, x):
+            outcome = OK
+            for chunk in chunks:
+                outcome = live.feed_many(iter(chunk))
+                if outcome is not OK:
+                    break
+            assert outcome == (OK if fault is None else FeedViolation(fault))
+            assert live.position == (len(word) if fault is None else fault)
+
+    @given(fed_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_after_a_verdict(self, run):
+        det, x, word, _ = run
+        fault = oracle_first_fault(det, x, word)
+        if fault is None:
+            return
+        for live in both_monitors(det, x):
+            assert live.feed_many(word + ["a"]) == FeedViolation(fault)
+            with pytest.raises(MonitorClosedError):
+                live.feed("a")
+            for batch in ([], ["b"]):
+                with pytest.raises(MonitorClosedError):
+                    live.feed_many(batch)
+            assert live.position == fault
+
+    @given(fed_runs(), st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_symbol_does_not_advance(self, run, at):
+        det, x, word, _ = run
+        at = min(at, len(word))
+        fault = oracle_first_fault(det, x, word)
+        for live in both_monitors(det, x):
+            head = feed_each(live, word[:at])
+            if head and head[-1] is not OK:
+                continue
+            for bad in (lambda: live.feed("z"), lambda: live.feed_many(["z", "a"])):
+                with pytest.raises(ValueError, match="'z' is not in alphabet"):
+                    bad()
+                assert live.position == at and not live.closed
+            # the error consumed nothing: the rest of the word runs as usual
+            rest = live.feed_many(word[at:])
+            assert rest == (OK if fault is None else FeedViolation(fault))
+
+    def test_unknown_state_rejected(self, first_b):
+        with pytest.raises(ValueError, match="unknown state"):
+            monitor_online(first_b, "nowhere")
 
 
 class TestTransferToUniversal:
