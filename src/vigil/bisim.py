@@ -13,6 +13,7 @@ violation-language automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .sequences import _require_same_alphabet
@@ -45,17 +46,19 @@ def _refine(items, observe, successors) -> dict:
     Returns the block number of each item in the coarsest stable partition.
     """
     index = {it: i for i, it in enumerate(items)}
-    rows = [tuple(index.get(s, -1) for s in successors(it)) for it in items]
+    # an item's key in a round: its own block, then its successors' blocks;
+    # index -1 reads the block of a step out of the carrier
+    keys = [
+        itemgetter(i, *[index.get(s, -1) for s in successors(it)])
+        for i, it in enumerate(items)
+    ]
     renumber: dict = {}
     block = [renumber.setdefault(observe(it), len(renumber)) for it in items]
     count = len(renumber)
     while True:
         block.append(-1)  # the block of a step out of the carrier
         renumber = {}
-        block = [
-            renumber.setdefault((block[i], tuple(block[j] for j in row)), len(renumber))
-            for i, row in enumerate(rows)
-        ]
+        block = [renumber.setdefault(key(block), len(renumber)) for key in keys]
         if len(renumber) == count:  # each round splits blocks, never merges them
             return dict(zip(items, block))
         count = len(renumber)
@@ -75,15 +78,16 @@ def _detector_blocks(a: FiniteDetector, b: FiniteDetector) -> dict:
     """Blocks of equal violation language over the states of ``a`` and
     ``b``, keyed ``(0, x)`` and ``(1, y)``."""
     _require_same_alphabet(a.alphabet, b.alphabet)
-    systems = (a, b)
+    symbols = a.alphabet.symbols
+    tables = (a.step_table, b.step_table)
 
     def observe(item):
         tag, x = item
-        return frozenset(n for n in a.alphabet if systems[tag].step(x, n) is FAULT)
+        return tuple([tables[tag][x, n] is FAULT for n in symbols])
 
     def successors(item):
         tag, x = item
-        return tuple((tag, systems[tag].step(x, n)) for n in a.alphabet)
+        return [(tag, tables[tag][x, n]) for n in symbols]
 
     items = [(0, x) for x in a.states] + [(1, y) for y in b.states]
     return _refine(items, observe, successors)

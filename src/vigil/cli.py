@@ -87,8 +87,9 @@ def _emit(report: dict, fmt: str) -> None:
 def cmd_check(args) -> int:
     try:
         spec = _load_spec(args.spec)
-        detector, _ = speclang.compile(spec)
-        unchanged = speclang.pattern_is_prefix_free(spec)
+        dfa = speclang.pattern_dfa(spec.pattern, spec.alphabet)
+        detector, _ = speclang.compile(spec, dfa)
+        unchanged = speclang.pattern_is_prefix_free(spec, dfa)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     print(f"spec: {spec.name}")

@@ -59,7 +59,7 @@ class FiniteDetector:
         table = dict(step_table)
         self.step_table = {}
         for x in self.states:
-            for n in alphabet:
+            for n in alphabet.symbols:
                 if (x, n) not in table:
                     raise ValueError(f"step undefined for state {x!r} on symbol {n!r}")
                 target = table[(x, n)]
@@ -385,7 +385,7 @@ def subset_automaton(initial: frozenset, alphabet: Alphabet, move) -> tuple[list
     seen = {initial}
     table = {}
     for subset in order:  # grows while it is walked
-        for n in alphabet:
+        for n in alphabet.symbols:
             target = table[(subset, n)] = move(subset, n)
             if target not in seen:
                 seen.add(target)
@@ -403,7 +403,7 @@ def first_prefix_pair(order: list, table: Mapping, alphabet: Alphabet, accepting
     """
     shortest: dict = {order[0]: ()}
     for q in order:
-        for n in alphabet:
+        for n in alphabet.symbols:
             shortest.setdefault(table[(q, n)], shortest[q] + (n,))
     for q in order:
         if not accepting(q):
@@ -511,14 +511,15 @@ def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
     canonical forms have identical tables.
     """
     a.require_state(init)
-    rows = {init: tuple(a.step(init, n) for n in a.alphabet)}
+    symbols, step = a.alphabet.symbols, a.step_table
+    rows = {init: tuple([step[init, n] for n in symbols])}
     reachable = [init]
     for q in reachable:  # grows while it is walked
         for t in rows[q]:
             if t is not FAULT and t not in rows:
-                rows[t] = tuple(a.step(t, n) for n in a.alphabet)
+                rows[t] = tuple([step[t, n] for n in symbols])
                 reachable.append(t)
-    block = _refine(reachable, lambda q: tuple(t is FAULT for t in rows[q]), rows.__getitem__)
+    block = _refine(reachable, lambda q: tuple([t is FAULT for t in rows[q]]), rows.__getitem__)
     names = {block[init]: "s0"}
     for q in reachable:  # breadth first, so the names follow the same order
         for t in rows[q]:

@@ -280,8 +280,9 @@ class EnumeratedPrefixFreeSet:
     def final_step(self, n: str):
         if n not in self.alphabet:
             raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
-        word = self.consumed.symbols + (n,)
-        survived = EnumeratedPrefixFreeSet(self.enumerator, Word(self.alphabet, word), self.budget)
+        longer = concat(self.consumed, Word(self.alphabet, (n,)))
+        survived = EnumeratedPrefixFreeSet(self.enumerator, longer, self.budget)
+        word = longer.symbols
         k = 0
         fresh = 0
         while True:

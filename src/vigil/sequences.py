@@ -262,6 +262,15 @@ class FiniteWordSet:
         return f"FiniteWordSet({{{', '.join(repr(w.text()) for w in self.words)}}})"
 
 
+def _joined(u: Word, v: Word) -> Word:
+    """``u`` then ``v``, two words over one alphabet.  Their symbols are
+    already checked, so the result is built without checking them again."""
+    word = object.__new__(Word)
+    word.alphabet = u.alphabet
+    word.symbols = u.symbols + v.symbols
+    return word
+
+
 def concat(u: Word, t):
     """Concatenate a word onto a word or a lasso stream.
 
@@ -270,10 +279,10 @@ def concat(u: Word, t):
     """
     if isinstance(t, Word):
         _require_same_alphabet(u.alphabet, t.alphabet)
-        return Word(u.alphabet, u.symbols + t.symbols)
+        return _joined(u, t)
     if isinstance(t, LassoStream):
         _require_same_alphabet(u.alphabet, t.alphabet)
-        return LassoStream(u.alphabet, Word(u.alphabet, u.symbols + t.prefix.symbols), t.period)
+        return LassoStream(u.alphabet, _joined(u, t.prefix), t.period)
     raise TypeError(f"cannot concatenate onto {type(t).__name__}")
 
 

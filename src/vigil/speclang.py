@@ -17,6 +17,8 @@ comment)::
     atom   := symbol | "(" regex ")"
     symbol := [A-Za-z_][A-Za-z0-9_]*
 
+Parentheses nest at most :data:`MAX_NESTING` levels deep.
+
 The pattern denotes an arbitrary regular word set; compilation first
 normalizes it to its *kernel* — the words that match without any earlier
 match on the way, i.e. the minimal bad prefixes — and then builds the
@@ -31,12 +33,13 @@ from dataclasses import dataclass
 from .detector import (
     FiniteDetector,
     RegularPrefixFreeSet,
+    anamorphism_regular,
     canonical_form,
-    detector_from_regular,
     first_prefix_pair,
     subset_automaton,
 )
 from .sequences import Alphabet, EpsilonViolation
+from .systems import FAULT
 
 
 class SpecError(ValueError):
@@ -161,10 +164,17 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+MAX_NESTING = 50
+"""Deepest parenthesis nesting a pattern may use.  It bounds the recursion
+of the parser and of everything that walks a parsed pattern (automaton
+construction, :func:`pretty`, equality)."""
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -242,8 +252,14 @@ class _Parser:
                 raise SpecError(f"undeclared symbol {tok.value!r}", tok.line, tok.col)
             return Lit(tok.value)
         if tok.kind == "punct" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                raise SpecError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+                )
             self.take()
+            self.depth += 1
             inner = self.parse_alt(alphabet)
+            self.depth -= 1
             self.expect_punct(")")
             return inner
         raise SpecError(
@@ -258,27 +274,35 @@ def parse(text: str, name: str = "constraint") -> ConstraintSpec:
 
 
 class _Nfa:
-    """Fragment-style automaton with epsilon moves, for pattern lowering."""
+    """Thompson automaton of a pattern, for the subset construction.
 
-    def __init__(self):
+    Only *important* states matter to the subset automaton: those with a
+    symbol move (the start of each literal) and the end state.  An
+    ε-only state never decides a transition or acceptance, so subsets keep
+    only important states, and each important state's ε-closed successor
+    set on its symbol is computed once.
+    """
+
+    def __init__(self, pattern):
         self.count = 0
-        self.eps: dict[int, set[int]] = {}
-        self.sym: dict[tuple[int, str], set[int]] = {}
+        self.eps: dict[int, list[int]] = {}
+        self.sym: dict[int, tuple[str, int]] = {}  # a literal's start -> (symbol, end)
+        self.start, self.end = self.fragment(pattern)
+        self.moves: dict[str, dict[int, frozenset]] = {}
+        for q, (n, r) in self.sym.items():
+            self.moves.setdefault(n, {})[q] = self.closure((r,))
 
     def state(self) -> int:
         self.count += 1
         return self.count - 1
 
     def add_eps(self, q: int, r: int) -> None:
-        self.eps.setdefault(q, set()).add(r)
-
-    def add_sym(self, q: int, n: str, r: int) -> None:
-        self.sym.setdefault((q, n), set()).add(r)
+        self.eps.setdefault(q, []).append(r)
 
     def fragment(self, node) -> tuple[int, int]:
         if isinstance(node, Lit):
             s, e = self.state(), self.state()
-            self.add_sym(s, node.symbol, e)
+            self.sym[s] = (node.symbol, e)
             return s, e
         if isinstance(node, Seq):
             first_s, cur_e = self.fragment(node.items[0])
@@ -307,84 +331,83 @@ class _Nfa:
         raise TypeError(f"not a pattern node: {node!r}")
 
     def closure(self, states) -> frozenset:
+        """The important states ε-reachable from ``states``."""
         seen = set(states)
         stack = list(seen)
         while stack:
-            q = stack.pop()
-            for r in self.eps.get(q, ()):
+            for r in self.eps.get(stack.pop(), ()):
                 if r not in seen:
                     seen.add(r)
                     stack.append(r)
-        return frozenset(seen)
+        return frozenset(q for q in seen if q in self.sym or q == self.end)
 
     def move(self, subset, n: str) -> frozenset:
-        """The ε-closure of the ``n``-successors of a subset."""
-        return self.closure(r for q in subset for r in self.sym.get((q, n), ()))
+        """The important states one ``n`` step (and ε-moves) from a subset."""
+        step = self.moves.get(n, {})
+        return frozenset().union(*[step[q] for q in subset if q in step])
 
 
-def _pattern_dfa(pattern, alphabet: Alphabet):
-    """Complete subset-construction automaton of a pattern.
+def pattern_dfa(pattern, alphabet: Alphabet):
+    """Complete subset-construction automaton of a pattern, over the
+    important NFA states.
 
     Returns (subset order, transition table, initial subset, acceptance
-    test); the empty subset is the dead sink.
+    test), the order breadth first from the initial subset; the empty
+    subset is the dead sink.  :func:`compile` and
+    :func:`pattern_is_prefix_free` take it from a caller that needs both.
     """
-    nfa = _Nfa()
-    start, end = nfa.fragment(pattern)
-    initial = nfa.closure({start})
+    nfa = _Nfa(pattern)
+    initial = nfa.closure((nfa.start,))
     order, table = subset_automaton(initial, alphabet, nfa.move)
-    return order, table, initial, (lambda subset: end in subset)
+    return order, table, initial, (lambda subset: nfa.end in subset)
+
+
+def _kernel_detector(dfa, alphabet: Alphabet) -> tuple[FiniteDetector, int]:
+    """The kernel of a pattern automaton read as a detector: a step into an
+    accepting subset faults, so every run stops at its first match."""
+    order, table, initial, accepting = dfa
+    if accepting(initial):
+        raise EpsilonViolation("the violation pattern matches the empty observation")
+    live = [q for q in order if not accepting(q)]
+    number = {q: i for i, q in enumerate(live)}
+    number.update((q, FAULT) for q in order if accepting(q))
+    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in alphabet.symbols}
+    return FiniteDetector(alphabet, range(len(live)), steps), number[initial]
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     """The minimal-bad-prefix language of a pattern: words that match with
-    no earlier match on the way.
+    no earlier match on the way, as a minimized automaton.
 
     Implemented on the pattern automaton by cutting every run at its first
-    acceptance: all transitions out of accepting states are redirected into
-    one absorbing accepting state.  When the pattern language is already
-    prefix-free this is the language itself.  Accepts a pattern node or an
-    existing :class:`RegularPrefixFreeSet` (making idempotence directly
-    checkable).  A pattern matching the empty word is rejected.
+    acceptance.  When the pattern language is already prefix-free this is
+    the language itself.  Accepts a pattern node or an existing
+    :class:`RegularPrefixFreeSet` (making idempotence directly checkable).
+    A pattern matching the empty word is rejected.
     """
     if isinstance(pattern, RegularPrefixFreeSet):
         if pattern.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
-        order = list(pattern.states)
-        table = pattern.transitions
-        initial = pattern.initial
-        accepting = lambda q: q == pattern.accept
-    else:
-        order, table, initial, accepting = _pattern_dfa(pattern, alphabet)
-    if accepting(initial):
-        raise EpsilonViolation("the violation pattern matches the empty observation")
-    rename = {q: i for i, q in enumerate(q for q in order if not accepting(q))}
-    acc = len(rename)
-    kernel_table = {}
-    for q, i in rename.items():
-        for n in alphabet:
-            target = table[(q, n)]
-            kernel_table[(i, n)] = acc if accepting(target) else rename[target]
-    for n in alphabet:
-        kernel_table[(acc, n)] = acc
-    raw = RegularPrefixFreeSet(
-        alphabet, list(range(acc + 1)), rename[initial], acc, kernel_table
-    )
-    return raw.minimized()
+        return pattern.minimized()
+    kernel = _kernel_detector(pattern_dfa(pattern, alphabet), alphabet)
+    return anamorphism_regular(*canonical_form(*kernel))
 
 
-def pattern_is_prefix_free(spec: ConstraintSpec) -> bool:
+def pattern_is_prefix_free(spec: ConstraintSpec, dfa=None) -> bool:
     """Whether the spec's pattern language is already prefix-free, i.e.
-    kernelization does not change it."""
-    order, table, _, accepting = _pattern_dfa(spec.pattern, spec.alphabet)
+    kernelization does not change it.  ``dfa``: the pattern's
+    :func:`pattern_dfa`, when the caller has it."""
+    order, table, _, accepting = dfa or pattern_dfa(spec.pattern, spec.alphabet)
     return first_prefix_pair(order, table, spec.alphabet, accepting) is None
 
 
-def compile(spec: ConstraintSpec) -> tuple[FiniteDetector, str]:
+def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
     """Compile a spec to its canonical detector.
 
-    The pattern is kernelized to its minimal bad prefixes, the kernel
-    automaton is read as a detector (entering its accepting state faults),
-    and that detector is minimized; the returned initial state is ``"s0"``.
+    The pattern automaton (``dfa``: the pattern's :func:`pattern_dfa`,
+    when the caller has it) is cut at its first matches, read as a
+    detector, and that detector is minimized; the returned initial state
+    is ``"s0"``.
     """
-    kernel = prefix_free_kernel(spec.pattern, spec.alphabet)
-    return canonical_form(*detector_from_regular(kernel))
+    dfa = dfa or pattern_dfa(spec.pattern, spec.alphabet)
+    return canonical_form(*_kernel_detector(dfa, spec.alphabet))

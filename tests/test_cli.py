@@ -51,6 +51,15 @@ class TestCheck:
         assert main(["check", "/nonexistent/nowhere.vgl"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [400, 5000])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, depth):
+        spec = write(tmp_path, "deep.vgl",
+                     "alphabet a b;\nviolation " + "(" * depth + "a" + ")" * depth + " b;\n")
+        assert main(["check", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parentheses nested deeper than")
+        assert "(line 2, column" in err
+
 
 class TestWords:
     def test_golden_depth3(self, first_b_spec, capsys):

@@ -95,6 +95,15 @@ class TestConcat:
         other = Alphabet(["x", "y"])
         with pytest.raises(AlphabetMismatchError):
             concat(ab.word("a"), other.word("x"))
+        with pytest.raises(AlphabetMismatchError):
+            concat(ab.word("a"), other.lasso("x ; y"))
+        with pytest.raises(AlphabetMismatchError):
+            concat(ab.word(""), Alphabet(["a", "b", "c"]).word(""))
+
+    def test_result_is_an_ordinary_word(self, ab):
+        got = concat(ab.word("a b"), ab.word("b a"))
+        assert type(got) is Word and got.alphabet is ab
+        assert hash(got) == hash(ab.word("a b b a")) and got.symbols == ("a", "b", "b", "a")
 
     @given(
         u=st.lists(st.sampled_from(["a", "b"]), max_size=5),

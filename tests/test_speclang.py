@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vigil.detector import (
     FAULT,
@@ -14,7 +16,10 @@ from vigil.detector import (
 from vigil.families import EilenbergMachine, machine_to_detector
 from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
+from vigil.cli import main
+from vigil.detector import first_prefix_pair
 from vigil.speclang import (
+    MAX_NESTING,
     Alt,
     ConstraintSpec,
     Lit,
@@ -25,14 +30,17 @@ from vigil.speclang import (
     Star,
     compile,
     parse,
+    pattern_dfa,
     pattern_is_prefix_free,
     prefix_free_kernel,
     pretty,
 )
 
 from support import (
+    all_words,
     binary,
     lasso_symbols,
+    oracle_first_fault,
     minimal_matches,
     random_ast,
     random_lasso,
@@ -93,6 +101,61 @@ class TestParse:
     def test_name_defaults_and_overrides(self):
         assert parse("alphabet a b; violation a;").name == "constraint"
         assert parse("alphabet a b; violation a;", name="door").name == "door"
+
+    def test_nesting_limit(self):
+        """Three pattern nodes per level at the deepest allowed nesting still
+        parse, compile and print; one level more is a SpecError at the
+        offending parenthesis."""
+        text = "a"
+        for _ in range(MAX_NESTING):
+            text = f"({text}* b | a)"
+        spec = parse(f"alphabet a b; violation {text};")
+        assert compile(spec)[0].states == ("s0",)
+        assert parse(f"alphabet a b; violation {pretty(spec.pattern)};") == spec
+        with pytest.raises(SpecError, match="nested deeper") as err:
+            parse(f"alphabet a b;\nviolation ({text});")
+        assert (err.value.line, err.value.col) == (2, 11 + MAX_NESTING)
+
+
+_SOUP = st.sampled_from(
+    ["alphabet", "violation", "a", "b", "c", "x_1", "A9", "(", ")", "|", "*", "+", "?", ";", "#"]
+)
+
+
+class TestParseFuzz:
+    """On any input, parse returns a spec or raises SpecError; a spec it
+    returns prints back to itself."""
+
+    @staticmethod
+    def parses_or_spec_error(text):
+        try:
+            spec = parse(text)
+        except SpecError:
+            return
+        assert isinstance(spec, ConstraintSpec)
+        assert parse(f"alphabet {' '.join(spec.alphabet)}; violation {pretty(spec.pattern)};",
+                     name=spec.name) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        self.parses_or_spec_error(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_SOUP, st.sampled_from(["", " ", "\n"])), max_size=40),
+        st.booleans(),
+    )
+    def test_token_soup(self, parts, with_header):
+        soup = "".join(token + gap for token, gap in parts)
+        self.parses_or_spec_error(("alphabet a b c; violation " if with_header else "") + soup)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6000), st.integers(0, 6000), st.sampled_from(["a", "a* b", "(a|b)+", ""]))
+    def test_deep_nesting(self, opened, closed, core):
+        self.parses_or_spec_error(
+            "alphabet a b; violation " + "(" * opened + core + ")" * closed + ";"
+        )
 
 
 class TestPretty:
@@ -195,6 +258,65 @@ class TestPatternIsPrefixFree:
         assert pattern_is_prefix_free(parse("alphabet a b; violation a* b;"))
         assert not pattern_is_prefix_free(parse("alphabet a b; violation a b?;"))
         assert not pattern_is_prefix_free(parse("alphabet a b; violation (a|b)* b b;"))
+
+
+def _random_specs(seed: int, count: int, depth: int):
+    """Seeded random specs over 2 or 3 symbols whose pattern does not
+    match the empty word, each with a table of which words of length
+    1..depth the pattern matches, decided by the backtracking oracle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+        ast = random_ast(rng, al, rng.randint(0, 5))
+        if not regex_matches(ast, ()):
+            matches = {w.symbols: regex_matches(ast, w.symbols) for w in all_words(al, depth, 1)}
+            out.append((ConstraintSpec("r", al, ast), matches))
+    return out
+
+
+class TestAgainstBacktrackingOracle:
+    """The compile path checked against ``support.regex_matches`` alone, so
+    that a wrong subset construction cannot hide behind a second use of
+    the same automaton."""
+
+    def test_first_fault_is_first_match(self):
+        for spec, matches in _random_specs(251, 120, 6):
+            det, init = compile(spec)
+            for word in matches:
+                first = next((k for k in range(1, len(word) + 1) if matches[word[:k]]), None)
+                assert oracle_first_fault(det, init, word) == first, (pretty(spec.pattern), word)
+
+    def test_kernel_changed_flag(self, tmp_path, capsys):
+        """``vigil check`` says the kernel changed the language exactly
+        when the pattern matches a word and a proper extension of it: its
+        answer "no" must survive a brute-force search of all words up to
+        length 6, and its answer "yes" comes with a pair the oracle
+        confirms."""
+        path = tmp_path / "r.vgl"
+        flags = set()
+        for spec, matches in _random_specs(257, 120, 6):
+            path.write_text(
+                f"alphabet {' '.join(spec.alphabet)}; violation {pretty(spec.pattern)};",
+                encoding="utf-8",
+            )
+            assert main(["check", str(path)]) == 0
+            changed = capsys.readouterr().out.splitlines()[-1].split(": ")[1]
+            flags.add(changed)
+            pair = next(
+                (w for w, hit in matches.items()
+                 if hit and any(matches[w[:k]] for k in range(1, len(w)))),
+                None,
+            )
+            if changed == "no":
+                assert pair is None, (pretty(spec.pattern), pair)
+            else:
+                order, table, _, accepting = pattern_dfa(spec.pattern, spec.alphabet)
+                u, uv = first_prefix_pair(order, table, spec.alphabet, accepting)
+                assert len(u) < len(uv)
+                assert regex_matches(spec.pattern, u.symbols)
+                assert regex_matches(spec.pattern, uv.symbols)
+        assert flags == {"yes", "no"}
 
 
 class TestCompile:
