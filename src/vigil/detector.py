@@ -8,18 +8,22 @@ into the fault.
 
 This module provides the finite, table-driven detector, a generic stepping
 handle for detectors whose state spaces are not finite tables, the
-automaton representation of a violation language (with the subset
-construction and prefix-pair search that the spec and machine compilers
-share), and the language-level step (fault on membership, otherwise take
-the symbol derivative) that makes prefix-free sets themselves behave as
-detector states.
+automaton representation of a violation language, and the language-level
+step (fault on membership, otherwise take the symbol derivative) that makes
+prefix-free sets themselves behave as detector states.
+
+Every route between a detector and its violation language goes through
+one reachable walk, :func:`reachable`, and one first-match cut,
+:func:`first_match_detector` (a step into acceptance faults): the
+anamorphism into the automaton, its inverse, the derivative-closure
+detector of an explicit set, and the spec and machine compilers.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .bisim import _refine
+from .bisim import _refine, bisimilar
 from .sequences import (
     Alphabet,
     EpsilonViolation,
@@ -30,7 +34,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN
+from .systems import FAULT, UNKNOWN, _require_total_map
 
 
 class BudgetExhausted(RuntimeError):
@@ -165,9 +169,10 @@ class RegularPrefixFreeSet:
     prefix-free by construction).  The empty word is never accepted: the
     initial state may not be the accepting state.
 
-    Equality is language equality, decided by a product walk — two
-    structurally different automata for the same language compare equal.
-    Consequently these values are not hashable.
+    Equality is language equality, decided by bisimilarity of the two
+    automata read as detectors — two structurally different automata for
+    the same language compare equal.  Consequently these values are not
+    hashable.
     """
 
     __slots__ = ("alphabet", "states", "initial", "accept", "transitions")
@@ -226,61 +231,30 @@ class RegularPrefixFreeSet:
         target = self.transitions[(self.initial, n)]
         if target == self.accept:
             return FAULT
-        return RegularPrefixFreeSet(self.alphabet, self.states, target, self.accept, self.transitions)
+        # the automaton is already checked, so it is shared, not rebuilt
+        moved = object.__new__(RegularPrefixFreeSet)
+        moved.alphabet, moved.states, moved.accept = self.alphabet, self.states, self.accept
+        moved.transitions, moved.initial = self.transitions, target
+        return moved
 
     def words_up_to(self, depth: int) -> FiniteWordSet:
         """All members of length <= depth."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        found = []
-        frontier = [(self.initial, ())]
-        for _ in range(depth):
-            nxt = []
-            for q, syms in frontier:
-                for n in self.alphabet:
-                    target = self.transitions[(q, n)]
-                    if target == self.accept:
-                        found.append(Word(self.alphabet, syms + (n,)))
-                    else:
-                        nxt.append((target, syms + (n,)))
-            frontier = nxt
-        return FiniteWordSet(self.alphabet, found)
+        if depth == 0:
+            return FiniteWordSet(self.alphabet)
+        return minimal_violation_words(*detector_from_regular(self), depth)
 
     def is_empty(self) -> bool:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for n in self.alphabet:
-                target = self.transitions[(q, n)]
-                if target == self.accept:
-                    return False
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        return True
+        return FAULT not in detector_from_regular(self)[0].step_table.values()
 
     def equivalent(self, other: "RegularPrefixFreeSet") -> bool:
-        """Language equality via a synchronous product walk."""
+        """Language equality: the two automata, read as detectors, are bisimilar."""
         if not isinstance(other, RegularPrefixFreeSet):
             return NotImplemented
         if self.alphabet != other.alphabet:
             return False
-        start = (self.initial, other.initial)
-        seen = {start}
-        stack = [start]
-        while stack:
-            p, q = stack.pop()
-            if (p == self.accept) != (q == other.accept):
-                return False
-            if p == self.accept:
-                continue  # both absorbed; every continuation agrees
-            for n in self.alphabet:
-                pair = (self.transitions[(p, n)], other.transitions[(q, n)])
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-        return True
+        return bisimilar(*detector_from_regular(self), *detector_from_regular(other))
 
     __eq__ = equivalent
     __hash__ = None  # language equality is not hash-compatible
@@ -307,17 +281,15 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
         a.require_state(x)
-        alphabet = a.alphabet
-        frontier = [(x, ())]
         stepper = a.step
     elif isinstance(a, DetectorHandle):
         if x is not None:
             raise ValueError("handles carry their own state; pass x=None")
-        alphabet = a.alphabet
-        frontier = [(a, ())]
-        stepper = lambda h, n: h.step(n)
+        x, stepper = a, (lambda h, n: h.step(n))
     else:
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
+    alphabet = a.alphabet
+    frontier = [(x, ())]
     found = []
     for _ in range(depth):
         nxt = []
@@ -339,58 +311,60 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     """The violation language of state ``x`` as an automaton.
 
-    Reachable detector states become automaton states; the fault becomes
-    the unique absorbing accepting state.
+    Reachable detector states become automaton states ``d0, d1, ...``
+    (breadth first); the fault becomes the unique absorbing accepting
+    state ``acc``.
     """
     a.require_state(x)
-    order = [x]
-    index = {x: "d0"}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for n in a.alphabet:
-            t = a.step(q, n)
-            if t is not FAULT and t not in index:
-                index[t] = f"d{len(index)}"
-                order.append(t)
-    accept = "acc"
-    states = [index[q] for q in order] + [accept]
-    table = {}
-    for q in order:
-        for n in a.alphabet:
-            t = a.step(q, n)
-            table[(index[q], n)] = accept if t is FAULT else index[t]
-    for n in a.alphabet:
-        table[(accept, n)] = accept
-    return RegularPrefixFreeSet(a.alphabet, states, index[x], accept, table)
+    order, table = reachable(x, a.alphabet, a.step)
+    names = {q: f"d{i}" for i, q in enumerate(order)}
+    names[FAULT] = "acc"
+    table = {(names[q], n): names[t] for (q, n), t in table.items()}
+    table.update((("acc", n), "acc") for n in a.alphabet.symbols)
+    return RegularPrefixFreeSet(a.alphabet, names.values(), "d0", "acc", table)
 
 
-def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
+def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, int]:
     """Read a violation-language automaton as a detector, the inverse of
-    :func:`anamorphism_regular`: every state but the accepting one is a
-    detector state, and a step into the accepting state faults."""
-    table = {
-        (q, n): FAULT if t == p.accept else t
-        for (q, n), t in p.transitions.items()
-        if q != p.accept
-    }
-    return FiniteDetector(p.alphabet, [q for q in p.states if q != p.accept], table), p.initial
+    :func:`anamorphism_regular`: the reachable states but the accepting one
+    are detector states, numbered from 0 (the initial state), and a step
+    into the accepting state faults."""
+    order, table = reachable(p.initial, p.alphabet, lambda q, n: p.transitions[q, n])
+    return first_match_detector(order, table, p.alphabet, lambda q: q == p.accept)
 
 
-def subset_automaton(initial: frozenset, alphabet: Alphabet, move) -> tuple[list, dict]:
-    """Reachable subset automaton: the subsets in breadth-first order from
-    ``initial`` and the total table ``(subset, n) -> move(subset, n)``."""
+def reachable(initial, alphabet: Alphabet, step) -> tuple[list, dict]:
+    """The one reachable walk: the states reachable from ``initial`` in
+    breadth-first order, and the total table ``(q, n) -> step(q, n)`` over
+    them.  A step may answer :data:`FAULT`, which is never walked."""
     order = [initial]
-    seen = {initial}
+    seen = {initial, FAULT}
     table = {}
-    for subset in order:  # grows while it is walked
+    for q in order:  # grows while it is walked
         for n in alphabet.symbols:
-            target = table[(subset, n)] = move(subset, n)
+            target = table[(q, n)] = step(q, n)
             if target not in seen:
                 seen.add(target)
                 order.append(target)
     return order, table
+
+
+def first_match_detector(
+    order: list, table: Mapping, alphabet: Alphabet, accepting
+) -> tuple[FiniteDetector, int]:
+    """The one first-match cut: an automaton read as a detector in which a
+    step into an accepting state faults, so every run stops at its first
+    match.
+
+    ``order`` must be breadth first from a non-accepting initial state
+    ``order[0]``; the live (non-accepting) states are numbered 0, 1, ... in
+    that order, so the detector's initial state is 0.
+    """
+    live = [q for q in order if not accepting(q)]
+    number = {q: i for i, q in enumerate(live)}
+    number.update((q, FAULT) for q in order if accepting(q))
+    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in alphabet.symbols}
+    return FiniteDetector(alphabet, range(len(live)), steps), 0
 
 
 def first_prefix_pair(order: list, table: Mapping, alphabet: Alphabet, accepting):
@@ -455,22 +429,12 @@ def check_detector_morphism(f: Mapping, a: FiniteDetector, b: FiniteDetector) ->
     """Whether ``f`` preserves detector behaviour at every state and
     symbol: faults match exactly, and surviving steps commute with ``f``."""
     _require_same_alphabet(a.alphabet, b.alphabet)
-    b_members = set(b.states)
-    for x in a.states:
-        if x not in f:
-            raise ValueError(f"state map undefined for {x!r}")
-        if f[x] not in b_members:
-            raise ValueError(f"state map target {f[x]!r} is not a state of the codomain detector")
+    _require_total_map(f, a.states, b.states)
     for x in a.states:
         for n in a.alphabet:
             ax = a.step(x, n)
-            bfx = b.step(f[x], n)
-            if ax is FAULT:
-                if bfx is not FAULT:
-                    return False
-            else:
-                if bfx is FAULT or f[ax] != bfx:
-                    return False
+            if (FAULT if ax is FAULT else f[ax]) != b.step(f[x], n):
+                return False
     return True
 
 
@@ -478,27 +442,11 @@ def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, Finite
     """The derivative-closure detector of a finite prefix-free set.
 
     States are the distinct iterated derivatives of ``p`` (the empty set
-    acts as the safe sink); stepping takes the derivative and faults on
-    one-letter membership.  The violation language of the initial state is
-    exactly ``p``.
+    acts as the safe sink), stepped by :func:`final_step`.  The violation
+    language of the initial state is exactly ``p``.
     """
     require_prefix_free(p)
-    order = [p]
-    seen = {p}
-    table = {}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for n in p.alphabet:
-            if Word(p.alphabet, (n,)) in q:
-                table[(q, n)] = FAULT
-            else:
-                d = derivative_set(n, q)
-                table[(q, n)] = d
-                if d not in seen:
-                    seen.add(d)
-                    order.append(d)
+    order, table = reachable(p, p.alphabet, final_step)
     return FiniteDetector(p.alphabet, order, table), p
 
 
@@ -513,20 +461,20 @@ def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
     a.require_state(init)
     symbols, step = a.alphabet.symbols, a.step_table
     rows = {init: tuple([step[init, n] for n in symbols])}
-    reachable = [init]
-    for q in reachable:  # grows while it is walked
+    order = [init]
+    for q in order:  # grows while it is walked
         for t in rows[q]:
             if t is not FAULT and t not in rows:
                 rows[t] = tuple([step[t, n] for n in symbols])
-                reachable.append(t)
-    block = _refine(reachable, lambda q: tuple([t is FAULT for t in rows[q]]), rows.__getitem__)
+                order.append(t)
+    block = _refine(order, lambda q: tuple([t is FAULT for t in rows[q]]), rows.__getitem__)
     names = {block[init]: "s0"}
-    for q in reachable:  # breadth first, so the names follow the same order
+    for q in order:  # breadth first, so the names follow the same order
         for t in rows[q]:
             if t is not FAULT and block[t] not in names:
                 names[block[t]] = f"s{len(names)}"
     table = {}
-    for q in reachable:
+    for q in order:
         for n, t in zip(a.alphabet, rows[q]):
             table[(names[block[q]], n)] = FAULT if t is FAULT else names[block[t]]
     return FiniteDetector(a.alphabet, list(names.values()), table), "s0"

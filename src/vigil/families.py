@@ -3,7 +3,9 @@
 Three ways of specifying a violation language, each compiled to a detector:
 
 * an :class:`EilenbergMachine` (a nondeterministic finite acceptor) whose
-  language is the violation set — determinized into a finite detector;
+  language is the violation set — determinized by the detector core's
+  reachable walk and first-match cut into a finite detector whose states
+  are numbered from 0;
 * a :class:`DecisionProcedure`, a total membership predicate — stepped by
   precomposition, one membership query per symbol;
 * an :class:`Enumerator` that lists the violation words in some fixed
@@ -24,8 +26,10 @@ from .detector import (
     DetectorHandle,
     FiniteDetector,
     SetHandle,
+    final_step,
+    first_match_detector,
     first_prefix_pair,
-    subset_automaton,
+    reachable,
 )
 from .sequences import (
     Alphabet,
@@ -34,7 +38,6 @@ from .sequences import (
     PrefixFreeViolation,
     Word,
     concat,
-    derivative_set,
     is_token,
     require_prefix_free,
     slice_range,
@@ -108,19 +111,20 @@ class EilenbergMachine:
         return FiniteWordSet(self.alphabet, found)
 
 
-def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, frozenset]:
+def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, int]:
     """Determinize a machine into a detector that faults exactly when the
     word read so far is accepted.
 
     The machine's language must be a violation language: nonempty words
     only (:class:`EpsilonViolation` otherwise) and prefix-free
     (:class:`PrefixFreeViolation` with a shortest witness pair otherwise).
-    Detector states are the non-accepting subset-construction states; the
-    empty subset is the safe sink.
+    Detector states number the non-accepting subset-construction states
+    breadth first, the initial subset being 0; the empty subset is the
+    safe sink.
     """
     if m.initial & m.final:
         raise EpsilonViolation("the machine accepts the empty word")
-    order, table = subset_automaton(m.initial, m.alphabet, m.successors)
+    order, table = reachable(m.initial, m.alphabet, m.successors)
 
     def accepting(subset: frozenset) -> bool:
         return bool(subset & m.final)
@@ -128,13 +132,7 @@ def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, frozenset]
     pair = first_prefix_pair(order, table, m.alphabet, accepting)
     if pair is not None:
         raise PrefixFreeViolation(*pair)
-    det_states = [s for s in order if not accepting(s)]
-    det_table = {}
-    for subset in det_states:
-        for n in m.alphabet:
-            target = table[(subset, n)]
-            det_table[(subset, n)] = FAULT if accepting(target) else target
-    return FiniteDetector(m.alphabet, det_states, det_table), m.initial
+    return first_match_detector(order, table, m.alphabet, accepting)
 
 
 def machine_derivative(m: EilenbergMachine, n: str) -> EilenbergMachine:
@@ -328,9 +326,8 @@ def check_universal_family(c: Iterable[FiniteWordSet]):
     family = set(members)
     for p in sorted(family, key=lambda s: tuple(w.sort_key() for w in s.words)):
         for n in alphabet:
-            if Word(alphabet, (n,)) in p:
-                continue
-            if derivative_set(n, p) not in family:
+            d = final_step(p, n)
+            if d is not FAULT and d not in family:
                 return False, (p, n)
     return True, None
 
@@ -354,13 +351,7 @@ def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, 
         )
     alphabet = members[0].alphabet
     states = sorted(set(members), key=lambda s: (len(s), tuple(w.sort_key() for w in s.words)))
-    table = {}
-    for p in states:
-        for n in alphabet:
-            if Word(alphabet, (n,)) in p:
-                table[(p, n)] = FAULT
-            else:
-                table[(p, n)] = derivative_set(n, p)
+    table = {(p, n): final_step(p, n) for p in states for n in alphabet.symbols}
     return FiniteDetector(alphabet, states, table), {p: p for p in states}
 
 

@@ -17,7 +17,8 @@ comment)::
     atom   := symbol | "(" regex ")"
     symbol := [A-Za-z_][A-Za-z0-9_]*
 
-Parentheses nest at most :data:`MAX_NESTING` levels deep.
+Parentheses nest at most :data:`MAX_NESTING` levels deep, and a pattern
+built in code may be no deeper than the parser can build.
 
 The pattern denotes an arbitrary regular word set; compilation first
 normalizes it to its *kernel* — the words that match without any earlier
@@ -35,11 +36,11 @@ from .detector import (
     RegularPrefixFreeSet,
     anamorphism_regular,
     canonical_form,
+    first_match_detector,
     first_prefix_pair,
-    subset_automaton,
+    reachable,
 )
 from .sequences import Alphabet, EpsilonViolation
-from .systems import FAULT
 
 
 class SpecError(ValueError):
@@ -92,30 +93,64 @@ class Opt:
 RegexAst = (Lit, Seq, Alt, Star, Plus, Opt)
 
 
+MAX_NESTING = 50
+"""Deepest parenthesis nesting a pattern may use.  It bounds the recursion
+of the parser and of everything that walks a parsed pattern (automaton
+construction, :func:`pretty`, equality)."""
+
+_MAX_DEPTH = 3 * (MAX_NESTING + 1) + 1
+"""Nodes on the longest path down a parsed pattern: an alternation, a
+concatenation and a repetition per level, the top one too, then a literal."""
+
+
+def _require_shallow(pattern) -> None:
+    """Raise ``ValueError`` if ``pattern`` is deeper than :func:`parse` can
+    build, walking it level by level (shared nodes once per level)."""
+    level = {id(pattern): pattern}
+    for _ in range(_MAX_DEPTH):
+        below = {}
+        for node in level.values():
+            if isinstance(node, (Seq, Alt)):
+                below.update((id(item), item) for item in node.items)
+            elif isinstance(node, (Star, Plus, Opt)):
+                below[id(node.item)] = node.item
+        if not below:
+            return
+        level = below
+    raise ValueError(f"pattern deeper than {_MAX_DEPTH} nodes ({MAX_NESTING} nesting levels)")
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     name: str
     alphabet: Alphabet
     pattern: object
 
+    def __post_init__(self):
+        _require_shallow(self.pattern)
+
 
 def pretty(node) -> str:
     """Canonical concrete syntax of a pattern; ``parse`` inverts it."""
+    _require_shallow(node)
+
+    def show(node) -> str:
+        if isinstance(node, Lit):
+            return node.symbol
+        if isinstance(node, Alt):
+            return " | ".join(wrap(i, (Alt,)) for i in node.items)
+        if isinstance(node, Seq):
+            return " ".join(wrap(i, (Alt, Seq)) for i in node.items)
+        if isinstance(node, (Star, Plus, Opt)):
+            op = {Star: "*", Plus: "+", Opt: "?"}[type(node)]
+            return wrap(node.item, (Alt, Seq, Star, Plus, Opt)) + op
+        raise TypeError(f"not a pattern node: {node!r}")
 
     def wrap(child, forbid) -> str:
-        body = pretty(child)
+        body = show(child)
         return f"({body})" if isinstance(child, forbid) else body
 
-    if isinstance(node, Lit):
-        return node.symbol
-    if isinstance(node, Alt):
-        return " | ".join(wrap(i, (Alt,)) for i in node.items)
-    if isinstance(node, Seq):
-        return " ".join(wrap(i, (Alt, Seq)) for i in node.items)
-    if isinstance(node, (Star, Plus, Opt)):
-        op = {Star: "*", Plus: "+", Opt: "?"}[type(node)]
-        return wrap(node.item, (Alt, Seq, Star, Plus, Opt)) + op
-    raise TypeError(f"not a pattern node: {node!r}")
+    return show(node)
 
 
 @dataclass(frozen=True)
@@ -162,12 +197,6 @@ def _lex(text: str) -> list[_Token]:
             raise SpecError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("end", "", line, col))
     return tokens
-
-
-MAX_NESTING = 50
-"""Deepest parenthesis nesting a pattern may use.  It bounds the recursion
-of the parser and of everything that walks a parsed pattern (automaton
-construction, :func:`pretty`, equality)."""
 
 
 class _Parser:
@@ -356,23 +385,19 @@ def pattern_dfa(pattern, alphabet: Alphabet):
     subset is the dead sink.  :func:`compile` and
     :func:`pattern_is_prefix_free` take it from a caller that needs both.
     """
+    _require_shallow(pattern)
     nfa = _Nfa(pattern)
     initial = nfa.closure((nfa.start,))
-    order, table = subset_automaton(initial, alphabet, nfa.move)
+    order, table = reachable(initial, alphabet, nfa.move)
     return order, table, initial, (lambda subset: nfa.end in subset)
 
 
 def _kernel_detector(dfa, alphabet: Alphabet) -> tuple[FiniteDetector, int]:
-    """The kernel of a pattern automaton read as a detector: a step into an
-    accepting subset faults, so every run stops at its first match."""
+    """A pattern automaton cut at its first matches, read as a detector."""
     order, table, initial, accepting = dfa
     if accepting(initial):
         raise EpsilonViolation("the violation pattern matches the empty observation")
-    live = [q for q in order if not accepting(q)]
-    number = {q: i for i, q in enumerate(live)}
-    number.update((q, FAULT) for q in order if accepting(q))
-    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in alphabet.symbols}
-    return FiniteDetector(alphabet, range(len(live)), steps), number[initial]
+    return first_match_detector(order, table, alphabet, accepting)
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:

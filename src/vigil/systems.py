@@ -244,11 +244,6 @@ def check_t_morphism(f: Mapping, g: TSystem, h: TSystem) -> bool:
     _require_total_map(f, g.states, h.states)
     for x in g.states:
         gx = g.step(x)
-        hfx = h.step(f[x])
-        if gx is FAULT:
-            if hfx is not FAULT:
-                return False
-        else:
-            if hfx is FAULT or f[gx] != hfx:
-                return False
+        if (FAULT if gx is FAULT else f[gx]) != h.step(f[x]):
+            return False
     return True

@@ -211,6 +211,84 @@ class TestRegularPrefixFreeSet:
             assert small == lang
             assert len(small.states) <= len(lang.states)
 
+    def test_equality_is_language_equality(self):
+        """States of two detectors with at most three states each have equal
+        languages iff their minimal violation words agree up to depth 6 (the
+        disjoint union with the fault sink has at most 7 states); equality
+        answers both ways on seeded pairs."""
+        rng = random.Random(61)
+        al = binary()
+        answers = []
+        for _ in range(300):
+            a = random_detector(rng, al, rng.randint(1, 3))
+            b = random_detector(rng, al, rng.randint(1, 3))
+            x, y = rng.choice(a.states), rng.choice(b.states)
+            same = oracle_minimal_words(a, x, 6) == oracle_minimal_words(b, y, 6)
+            left, right = anamorphism_regular(a, x), anamorphism_regular(b, y)
+            assert (left == right) is same
+            assert (right == left) is same
+            assert (left != right) is not same
+            answers.append(same)
+        assert 30 <= sum(answers) <= 270
+
+    def test_different_alphabets_compare_unequal(self, ab, first_b):
+        abc = Alphabet(["a", "b", "c"])
+        wider = FiniteDetector(
+            abc, ["x"], {("x", "a"): "x", ("x", "b"): FAULT, ("x", "c"): "x"}
+        )
+        assert anamorphism_regular(first_b, "x") != anamorphism_regular(wider, "x")
+        assert anamorphism_regular(first_b, "x") != "a* b"
+
+    def test_is_empty_ignores_unreachable_states(self, ab, never):
+        """``u`` is never reached from ``q``; only what ``q`` reaches counts."""
+        def automaton(q_on_b):
+            return RegularPrefixFreeSet(
+                ab,
+                ["q", "u", "f"],
+                "q",
+                "f",
+                {
+                    ("q", "a"): "q", ("q", "b"): q_on_b,
+                    ("u", "a"): "f", ("u", "b"): "q",
+                    ("f", "a"): "f", ("f", "b"): "f",
+                },
+            )
+
+        hidden, reached = automaton("q"), automaton("f")
+        assert hidden.is_empty()
+        assert hidden == anamorphism_regular(never, "x")
+        assert not reached.is_empty()
+        assert reached.words_up_to(3) == FiniteWordSet.from_texts(ab, ["b", "a b", "a a b"])
+        assert hidden != reached
+        assert not automaton("u").is_empty()  # b a is a member, through u
+
+    def test_random_emptiness_matches_oracle(self):
+        rng = random.Random(67)
+        al = binary()
+        answers = []
+        for _ in range(200):
+            det = random_detector(rng, al, rng.randint(1, 4), fault_prob=0.15)
+            x = rng.choice(det.states)
+            empty = not oracle_minimal_words(det, x, 4)  # 4 states reach a fault within 4 steps
+            assert anamorphism_regular(det, x).is_empty() is empty
+            answers.append(empty)
+        assert 10 <= sum(answers) <= 190
+
+    def test_words_up_to_zero_is_empty(self, ab):
+        rng = random.Random(71)
+        for _ in range(20):
+            det = random_detector(rng, ab, rng.randint(1, 4))
+            lang = anamorphism_regular(det, rng.choice(det.states))
+            assert lang.words_up_to(0) == FiniteWordSet(ab)
+        with pytest.raises(ValueError, match="nonnegative"):
+            lang.words_up_to(-1)
+
+    def test_advance_shares_the_automaton(self, first_b, ab):
+        lang = anamorphism_regular(first_b, "x")
+        stepped = lang.advance("a")
+        assert stepped.transitions is lang.transitions and stepped.states is lang.states
+        assert stepped == lang and lang.advance("b") is FAULT
+
 
 class TestFinalStep:
     def test_explicit_fault(self, ab):

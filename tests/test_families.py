@@ -79,6 +79,7 @@ class TestMachineToDetector:
     def test_single_word_language(self, ab):
         m = EilenbergMachine(ab, ["q0", "qf"], [("q0", "b", "qf")], ["q0"], ["qf"])
         det, init = machine_to_detector(m)
+        assert (det.states, init) == ((0, 1), 0)  # live subsets, breadth first
         assert det.step(init, "b") is FAULT
         sink = det.step(init, "a")
         for n in ab:

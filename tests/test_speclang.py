@@ -117,6 +117,50 @@ class TestParse:
         assert (err.value.line, err.value.col) == (2, 11 + MAX_NESTING)
 
 
+class TestPatternDepth:
+    """A pattern built in code is held to the depth ``parse`` can build."""
+
+    @staticmethod
+    def deepest_pattern():
+        """An alternation, a concatenation and a repetition on every level,
+        the top one included, then a literal: 3 * (MAX_NESTING + 1) + 1 nodes."""
+        text = "a* b | a"
+        for _ in range(MAX_NESTING):
+            text = f"({text})* b | a"
+        return parse(f"alphabet a b; violation {text};").pattern
+
+    def test_deepest_parsed_pattern_is_accepted(self, ab):
+        pattern = self.deepest_pattern()
+        spec = ConstraintSpec("deep", ab, pattern)
+        assert parse(f"alphabet a b; violation {pretty(pattern)};", name="deep") == spec
+        order, _, initial, accepting = pattern_dfa(pattern, ab)
+        assert order[0] == initial and not accepting(initial)
+        assert compile(spec)[0].states == ("s0",)
+
+    @pytest.mark.parametrize("levels", [52, 300, 5000])
+    def test_deeper_pattern_built_in_code_is_a_value_error(self, ab, levels):
+        pattern = Lit("a")
+        for _ in range(levels):
+            pattern = Alt((Seq((Star(pattern), Lit("b"))), Lit("a")))
+        for build in (lambda: ConstraintSpec("deep", ab, pattern),
+                      lambda: pretty(pattern),
+                      lambda: pattern_dfa(pattern, ab)):
+            with pytest.raises(ValueError, match="deeper than"):
+                build()
+        with pytest.raises(ValueError, match="deeper than"):
+            pretty(Opt(self.deepest_pattern()))
+
+    def test_shared_nodes_are_walked_once_per_level(self, ab):
+        pattern = Lit("a")
+        for _ in range(60):
+            pattern = Alt((pattern, pattern))  # 2**60 root-to-leaf paths
+        assert ConstraintSpec("shared", ab, pattern).pattern is pattern
+        for _ in range(200):
+            pattern = Alt((pattern, pattern))
+        with pytest.raises(ValueError, match="deeper than"):
+            ConstraintSpec("shared", ab, pattern)
+
+
 _SOUP = st.sampled_from(
     ["alphabet", "violation", "a", "b", "c", "x_1", "A9", "(", ")", "|", "*", "+", "?", ";", "#"]
 )
