@@ -13,12 +13,12 @@ Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import os
 import sys
 
-from .bisim import bisimilar
 from .detector import minimal_violation_words
 from .families import check_universal_family
 from .monitor import OK, FeedViolation, Violation, monitor_lasso, monitor_online
@@ -53,6 +53,17 @@ def _load_spec(path: str) -> speclang.ConstraintSpec:
         text = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
     return speclang.parse(text, name=name)
+
+
+def _open_trace(path: str):
+    """The trace as UTF-8 text lines.  A byte sequence that is not UTF-8
+    decodes to lone surrogates, so it makes a token outside the alphabet
+    instead of an exception, whichever decoder chunk it falls in."""
+    if path != "-":
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    return sys.stdin
 
 
 def _line_tokens(line: str) -> list[str]:
@@ -135,7 +146,7 @@ def cmd_monitor(args) -> int:
             report = _report("safe_certified")
     else:
         try:
-            source = sys.stdin if args.trace == "-" else open(args.trace, encoding="utf-8")
+            source = _open_trace(args.trace)
         except OSError as exc:
             return _fail(str(exc))
         live = monitor_online(detector, init)
@@ -179,11 +190,12 @@ def cmd_equiv(args) -> int:
         spec_b = _load_spec(args.spec_b)
         if spec_a.alphabet != spec_b.alphabet:
             raise ValueError("the two specs declare different alphabets")
-        det_a, init_a = speclang.compile(spec_a)
-        det_b, init_b = speclang.compile(spec_b)
+        det_a, _ = speclang.compile(spec_a)
+        det_b, _ = speclang.compile(spec_b)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if bisimilar(det_a, init_a, det_b, init_b):
+    # canonical forms: equal violation languages give identical tables
+    if det_a.step_table == det_b.step_table:
         print("equivalent")
         return EXIT_OK
     print("not equivalent")

@@ -20,11 +20,13 @@ comment)::
 Parentheses nest at most :data:`MAX_NESTING` levels deep, and a pattern
 built in code may be no deeper than the parser can build.
 
-The pattern denotes an arbitrary regular word set; compilation first
-normalizes it to its *kernel* — the words that match without any earlier
-match on the way, i.e. the minimal bad prefixes — and then builds the
-detector for that prefix-free language.  A pattern matching the empty word
-is rejected: the empty observation cannot be a violation.
+The pattern denotes an arbitrary regular word set.  Compilation reads it
+as a position automaton (one state per literal occurrence, no ε-moves)
+and determinizes that; it then normalizes the language to its *kernel* —
+the words that match without any earlier match on the way, i.e. the
+minimal bad prefixes — and builds the detector for that prefix-free
+language.  A pattern matching the empty word is rejected: the empty
+observation cannot be a violation.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class Plus:
 @dataclass(frozen=True)
 class Opt:
     item: object
-
-
-RegexAst = (Lit, Seq, Alt, Star, Plus, Opt)
 
 
 MAX_NESTING = 50
@@ -302,83 +301,71 @@ def parse(text: str, name: str = "constraint") -> ConstraintSpec:
     return _Parser(_lex(text)).parse_spec(name)
 
 
-class _Nfa:
-    """Thompson automaton of a pattern, for the subset construction.
+class _Positions:
+    """Position (Glushkov) automaton of a pattern, for the subset
+    construction.
 
-    Only *important* states matter to the subset automaton: those with a
-    symbol move (the start of each literal) and the end state.  An
-    ε-only state never decides a transition or acceptance, so subsets keep
-    only important states, and each important state's ε-closed successor
-    set on its symbol is computed once.
+    Each literal occurrence is a position, numbered left to right; the
+    number after the last position, ``end``, marks a completed match.  A
+    subset holds the positions that may read the next symbol, and ``end``
+    when the input read so far matches.  Reading a position's symbol leads
+    to its ``follow`` set, so a subset's move is a union of sets fixed once
+    per pattern.
     """
 
     def __init__(self, pattern):
-        self.count = 0
-        self.eps: dict[int, list[int]] = {}
-        self.sym: dict[int, tuple[str, int]] = {}  # a literal's start -> (symbol, end)
-        self.start, self.end = self.fragment(pattern)
-        self.moves: dict[str, dict[int, frozenset]] = {}
-        for q, (n, r) in self.sym.items():
-            self.moves.setdefault(n, {})[q] = self.closure((r,))
+        self.follow: list[set] = []
+        self.moves: dict[str, dict[int, set]] = {}  # symbol -> position -> its follow
+        nullable, first, last = self.scan(pattern)
+        self.end = len(self.follow)
+        for p in last:
+            self.follow[p].add(self.end)
+        self.initial = frozenset(first | {self.end} if nullable else first)
 
-    def state(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def add_eps(self, q: int, r: int) -> None:
-        self.eps.setdefault(q, []).append(r)
-
-    def fragment(self, node) -> tuple[int, int]:
+    def scan(self, node) -> tuple[bool, set, set]:
+        """Whether ``node`` matches the empty word, and its first and last
+        positions; fills ``follow`` for the positions inside ``node``."""
         if isinstance(node, Lit):
-            s, e = self.state(), self.state()
-            self.sym[s] = (node.symbol, e)
-            return s, e
-        if isinstance(node, Seq):
-            first_s, cur_e = self.fragment(node.items[0])
-            for item in node.items[1:]:
-                s, e = self.fragment(item)
-                self.add_eps(cur_e, s)
-                cur_e = e
-            return first_s, cur_e
+            p = len(self.follow)
+            self.follow.append(set())
+            self.moves.setdefault(node.symbol, {})[p] = self.follow[p]
+            return False, {p}, {p}
         if isinstance(node, Alt):
-            s, e = self.state(), self.state()
+            nullable, first, last = False, set(), set()
             for item in node.items:
-                fs, fe = self.fragment(item)
-                self.add_eps(s, fs)
-                self.add_eps(fe, e)
-            return s, e
+                item_nullable, item_first, item_last = self.scan(item)
+                nullable = nullable or item_nullable
+                first |= item_first
+                last |= item_last
+            return nullable, first, last
+        if isinstance(node, Seq):
+            nullable, first, last = True, set(), set()
+            for item in node.items:
+                item_nullable, item_first, item_last = self.scan(item)
+                for p in last:
+                    self.follow[p] |= item_first
+                if nullable:
+                    first |= item_first
+                last = last | item_last if item_nullable else item_last
+                nullable = nullable and item_nullable
+            return nullable, first, last
         if isinstance(node, (Star, Plus, Opt)):
-            s, e = self.state(), self.state()
-            fs, fe = self.fragment(node.item)
-            self.add_eps(s, fs)
-            self.add_eps(fe, e)
-            if isinstance(node, (Star, Opt)):
-                self.add_eps(s, e)
-            if isinstance(node, (Star, Plus)):
-                self.add_eps(fe, fs)
-            return s, e
+            nullable, first, last = self.scan(node.item)
+            if not isinstance(node, Opt):  # a repetition loops back
+                for p in last:
+                    self.follow[p] |= first
+            return nullable or not isinstance(node, Plus), first, last
         raise TypeError(f"not a pattern node: {node!r}")
 
-    def closure(self, states) -> frozenset:
-        """The important states ε-reachable from ``states``."""
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            for r in self.eps.get(stack.pop(), ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(q for q in seen if q in self.sym or q == self.end)
-
     def move(self, subset, n: str) -> frozenset:
-        """The important states one ``n`` step (and ε-moves) from a subset."""
+        """The positions one ``n`` step from a subset."""
         step = self.moves.get(n, {})
-        return frozenset().union(*[step[q] for q in subset if q in step])
+        return frozenset().union(*[step[p] for p in subset if p in step])
 
 
 def pattern_dfa(pattern, alphabet: Alphabet):
-    """Complete subset-construction automaton of a pattern, over the
-    important NFA states.
+    """Complete subset-construction automaton of a pattern's position
+    automaton.
 
     Returns (subset order, transition table, initial subset, acceptance
     test), the order breadth first from the initial subset; the empty
@@ -386,10 +373,9 @@ def pattern_dfa(pattern, alphabet: Alphabet):
     :func:`pattern_is_prefix_free` take it from a caller that needs both.
     """
     _require_shallow(pattern)
-    nfa = _Nfa(pattern)
-    initial = nfa.closure((nfa.start,))
-    order, table = reachable(initial, alphabet, nfa.move)
-    return order, table, initial, (lambda subset: nfa.end in subset)
+    positions = _Positions(pattern)
+    order, table = reachable(positions.initial, alphabet, positions.move)
+    return order, table, positions.initial, (lambda subset: positions.end in subset)
 
 
 def _kernel_detector(dfa, alphabet: Alphabet) -> tuple[FiniteDetector, int]:

@@ -272,6 +272,55 @@ class TestMonitorTraceEdges:
                 assert code == 1 and report["bad_prefix"] == tokens[:fault]
         assert min(codes.count(0), codes.count(1)) >= 50
 
+    def test_undecodable_bytes_in_a_trace_file(self, first_b_spec, tmp_path, capsys):
+        """Bytes that are not UTF-8 make a token outside the alphabet: a
+        violation before them still wins, and otherwise the error is the
+        foreign-token error, wherever the decoder's chunks end."""
+        trace = tmp_path / "t.txt"
+
+        def run(data: bytes):
+            trace.write_bytes(data)
+            return self.run(first_b_spec, str(trace), capsys)
+
+        for data, bad_prefix in ((b"a b\n\xff\n", "ab"), (b"a b \xff\n", "ab"),
+                                 (b"a a\na b \xfe\xff", "aaab")):
+            code, out, err = run(data)
+            assert code == 1 and err == ""
+            assert json.loads(out)["bad_prefix"] == list(bad_prefix)
+        code, out, err = run(b"a \xffa b\n")
+        assert (code, out) == (2, "")
+        assert err == "error: trace token '\\udcffa' is not in the alphabet ['a', 'b']\n"
+        for pad in range(8184, 8196):  # 8192: the text decoder's chunk size
+            code, out, err = run(b" " * pad + b"a \xc3\xa9 b\n")
+            assert (code, out) == (2, "")
+            assert err == "error: trace token 'é' is not in the alphabet ['a', 'b']\n"
+            code, out, err = run(b" " * pad + b"a b \xc3\n")
+            assert code == 1 and err == ""
+
+    def test_undecodable_bytes_on_strict_stdin(self, first_b_spec):
+        """The same, for ``--trace -`` when stdin decodes strictly."""
+        import os
+        import subprocess
+        import sys
+
+        import vigil
+
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        argv = [sys.executable, "-c", "import sys; from vigil.cli import main; sys.exit(main())",
+                "monitor", first_b_spec, "--trace", "-"]
+
+        def run(data: bytes):
+            done = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+            return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+        code, out, err = run(b"a b\n\xff\n")
+        assert code == 1 and err == ""
+        assert json.loads(out)["bad_prefix"] == ["a", "b"]
+        assert run(b"a \xff b\n") == (
+            2, "", "error: trace token '\\udcff' is not in the alphabet ['a', 'b']\n"
+        )
+
 
 class TestEquiv:
     def test_spec_vs_itself(self, first_b_spec, capsys):
@@ -356,7 +405,9 @@ class TestExitCodeContract:
 
 def test_equiv_agrees_with_depth8_language_comparison(tmp_path, capsys):
     """The equivalence verdict matches an eight-deep comparison of the
-    compiled violation languages, across a small corpus of spec pairs."""
+    compiled violation languages and bisimilarity of the compiled
+    detectors, across a small corpus of spec pairs."""
+    from vigil.bisim import bisimilar
     from vigil.detector import minimal_violation_words
     from vigil.speclang import compile as compile_spec
     from vigil.speclang import parse
@@ -382,6 +433,7 @@ def test_equiv_agrees_with_depth8_language_comparison(tmp_path, capsys):
                 det_r, init_r, 8
             )
             assert code == (0 if same else 1)
+            assert bisimilar(det_l, init_l, det_r, init_r) == same
 
 
 def test_report_schema_on_random_corpus(tmp_path, capsys):

@@ -331,6 +331,19 @@ class TestAgainstBacktrackingOracle:
                 first = next((k for k in range(1, len(word) + 1) if matches[word[:k]]), None)
                 assert oracle_first_fault(det, init, word) == first, (pretty(spec.pattern), word)
 
+    def test_pattern_automaton_accepts_exactly_the_matches(self):
+        """The whole pattern automaton, not only its first-match cut (the
+        prefix-free flag reads past the first match): its run on a word
+        ends in an accepting subset exactly when the pattern matches."""
+        for spec, matches in _random_specs(263, 120, 6):
+            _, table, initial, accepting = pattern_dfa(spec.pattern, spec.alphabet)
+            assert not accepting(initial)
+            for word, hit in matches.items():
+                state = initial
+                for n in word:
+                    state = table[state, n]
+                assert accepting(state) == hit, (pretty(spec.pattern), word)
+
     def test_kernel_changed_flag(self, tmp_path, capsys):
         """``vigil check`` says the kernel changed the language exactly
         when the pattern matches a word and a proper extension of it: its
