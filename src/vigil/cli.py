@@ -13,11 +13,12 @@ Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
-import itertools
 import json
 import os
 import sys
+import tempfile
 
 from .detector import minimal_violation_words
 from .families import check_universal_family
@@ -56,7 +57,7 @@ def _load_spec(path: str) -> speclang.ConstraintSpec:
 
 
 def _open_trace(path: str):
-    """The trace as UTF-8 text lines.  A byte sequence that is not UTF-8
+    """The trace as UTF-8 text.  A byte sequence that is not UTF-8
     decodes to lone surrogates, so it makes a token outside the alphabet
     instead of an exception, whichever decoder chunk it falls in."""
     if path != "-":
@@ -71,6 +72,49 @@ def _line_tokens(line: str) -> list[str]:
     return line.split("#", 1)[0].split()
 
 
+TRACE_BLOCK = 1 << 16
+"""Characters ``monitor --trace`` asks for per read.  Each read is cut
+after its last line end, so a block holds whole lines; a line longer than
+a block is gathered from its pieces and joined once."""
+
+
+def _trace_blocks(source, spool=None):
+    """The tokens of ``source``, one list per block of whole lines; each
+    read is copied to ``spool`` first when one is given.  A source that
+    cannot seek (a pipe, a terminal) is read a line at a time, since a
+    block read would wait for a whole block before a violation in it
+    could be reported."""
+    read = source.read if source.seekable() else source.readline
+    pieces: list[str] = []  # the line begun but not yet ended
+    while True:
+        text = read(TRACE_BLOCK)
+        if spool is not None:
+            spool.write(text)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            pieces.append(text)
+            continue
+        pieces.append(text[:cut])
+        block = "".join(pieces)
+        pieces = [text[cut:]]
+        if "#" in block:
+            yield [t for line in block.split("\n") for t in _line_tokens(line)]
+        else:
+            yield block.split()
+        if not text:
+            return
+
+
+def _first_tokens(blocks, count: int):
+    """The blocks cut after their first ``count`` tokens."""
+    for tokens in blocks:
+        if len(tokens) >= count:
+            yield tokens[:count]
+            return
+        count -= len(tokens)
+        yield tokens
+
+
 def _report(tag, prefix_len=None, ana_value=None, bad_prefix=None, steps_consumed=None) -> dict:
     return {
         "verdict": tag,
@@ -81,18 +125,44 @@ def _report(tag, prefix_len=None, ana_value=None, bad_prefix=None, steps_consume
     }
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(report))
-    else:
-        for key, value in report.items():
-            if value is None:
-                rendered = "-"
-            elif isinstance(value, list):
-                rendered = " ".join(value)
-            else:
-                rendered = str(value)
-            print(f"{key}: {rendered}")
+        return json.dumps(report) + "\n"
+    lines = []
+    for key, value in report.items():
+        if value is None:
+            rendered = "-"
+        elif isinstance(value, list):
+            rendered = " ".join(value)
+        else:
+            rendered = str(value)
+        lines.append(f"{key}: {rendered}\n")
+    return "".join(lines)
+
+
+_MARK = "\0"  # stands in for each symbol of a streamed bad prefix
+
+
+def _emit(report: dict, fmt: str, alphabet=None, blocks=()) -> None:
+    """Print ``report``.  Given an ``alphabet``, its ``bad_prefix`` is the
+    symbols of ``blocks``, written one block at a time.  The text before,
+    between and after them comes from rendering the same report with a
+    two-item list, so the streamed and the whole form cannot drift."""
+    if alphabet is None:
+        sys.stdout.write(_render(report, fmt))
+        return
+    show = json.dumps if fmt == "json" else str
+    shown = {n: show(n) for n in alphabet}
+    marked = _render(dict(report, bad_prefix=[_MARK, _MARK]), fmt)
+    head, sep, tail = marked.split(show(_MARK))
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    for tokens in blocks:
+        if tokens:
+            write(lead + sep.join([shown[t] for t in tokens]))
+            lead = sep
+    write(tail)
 
 
 def cmd_check(args) -> int:
@@ -149,39 +219,45 @@ def cmd_monitor(args) -> int:
             source = _open_trace(args.trace)
         except OSError as exc:
             return _fail(str(exc))
-        live = monitor_online(detector, init)
-        lines: list[str] = []  # the history: raw lines, not tokens
-        outcome = OK
         try:
-            for line in source:
-                tokens = _line_tokens(line)
-                lines.append(line)
-                start = live.position
-                try:
-                    outcome = live.feed_many(tokens)
-                except ValueError:
-                    return _fail(
-                        f"trace token {tokens[live.position - start]!r} is not in the alphabet "
-                        f"{list(spec.alphabet.symbols)}"
-                    )
-                if outcome is not OK:
-                    break
+            return _monitor_trace(spec.alphabet, monitor_online(detector, init), source,
+                                  args.format)
         finally:
             if source is not sys.stdin:
                 source.close()
-        if isinstance(outcome, FeedViolation):
-            own = {n: n for n in spec.alphabet}  # fresh tokens would cost ~50 bytes each
-            read = (own[t] for line in lines for t in _line_tokens(line))
-            report = _report(
-                "violation",
-                prefix_len=outcome.position,
-                ana_value=outcome.position - 1,
-                bad_prefix=list(itertools.islice(read, outcome.position)),
-            )
-        else:  # a finite detector never answers unknown
-            report = _report("ok_so_far", steps_consumed=live.position)
     _emit(report, args.format)
     return verdict_exit_code(report["verdict"])
+
+
+def _monitor_trace(alphabet: Alphabet, live, source, fmt: str) -> int:
+    """Feed a trace to ``live`` block by block, keeping no history.  On a
+    violation the trace is read again up to it: from where ``source``
+    started if it can seek, otherwise from a temporary file that every
+    read was copied to."""
+    spool = None if source.seekable() else tempfile.TemporaryFile(  # any text round-trips
+        "w+", encoding="utf-8", errors="surrogatepass", newline="")
+    again, start = (source, source.tell()) if spool is None else (spool, 0)
+    with spool or contextlib.nullcontext():
+        outcome = OK
+        for tokens in _trace_blocks(source, spool):
+            before = live.position
+            try:
+                outcome = live.feed_many(tokens)
+            except ValueError:
+                return _fail(
+                    f"trace token {tokens[live.position - before]!r} is not in the alphabet "
+                    f"{list(alphabet.symbols)}"
+                )
+            if outcome is not OK:
+                break
+        if not isinstance(outcome, FeedViolation):  # a finite detector never answers unknown
+            _emit(_report("ok_so_far", steps_consumed=live.position), fmt)
+            return EXIT_OK
+        again.seek(start)
+        report = _report("violation", prefix_len=outcome.position,
+                         ana_value=outcome.position - 1, bad_prefix=[])
+        _emit(report, fmt, alphabet, _first_tokens(_trace_blocks(again), outcome.position))
+        return EXIT_VIOLATION
 
 
 def cmd_equiv(args) -> int:

@@ -17,8 +17,9 @@ comment)::
     atom   := symbol | "(" regex ")"
     symbol := [A-Za-z_][A-Za-z0-9_]*
 
-Parentheses nest at most :data:`MAX_NESTING` levels deep, and a pattern
-built in code may be no deeper than the parser can build.
+Parentheses nest at most :data:`MAX_NESTING` levels deep.  A pattern
+built in code may be no deeper than the parser can build, and may expand
+to no more than :data:`MAX_PATTERN_SIZE` nodes.
 
 The pattern denotes an arbitrary regular word set.  Compilation reads it
 as a position automaton (one state per literal occurrence, no ε-moves)
@@ -102,21 +103,43 @@ _MAX_DEPTH = 3 * (MAX_NESTING + 1) + 1
 concatenation and a repetition per level, the top one too, then a literal."""
 
 
-def _require_shallow(pattern) -> None:
+MAX_PATTERN_SIZE = 1 << 24
+"""Most nodes a pattern may expand to, a node shared by several parents
+counted once per parent.  A parsed pattern has fewer nodes than twice the
+characters of its spec, so any spec up to 8 MiB passes; a pattern built in
+code from shared nodes can double its expansion per level, and this keeps
+the automaton construction and :func:`pretty` from expanding it."""
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (Seq, Alt)):
+        return node.items
+    if isinstance(node, (Star, Plus, Opt)):
+        return (node.item,)
+    return ()
+
+
+def _require_small(pattern) -> None:
     """Raise ``ValueError`` if ``pattern`` is deeper than :func:`parse` can
-    build, walking it level by level (shared nodes once per level)."""
+    build, walking it level by level (shared nodes once per level), or
+    expands to more than :data:`MAX_PATTERN_SIZE` nodes, counting each
+    shared node's expansion once."""
     level = {id(pattern): pattern}
     for _ in range(_MAX_DEPTH):
-        below = {}
-        for node in level.values():
-            if isinstance(node, (Seq, Alt)):
-                below.update((id(item), item) for item in node.items)
-            elif isinstance(node, (Star, Plus, Opt)):
-                below[id(node.item)] = node.item
-        if not below:
-            return
-        level = below
-    raise ValueError(f"pattern deeper than {_MAX_DEPTH} nodes ({MAX_NESTING} nesting levels)")
+        level = {id(item): item for node in level.values() for item in _children(node)}
+        if not level:
+            break
+    else:
+        raise ValueError(f"pattern deeper than {_MAX_DEPTH} nodes ({MAX_NESTING} nesting levels)")
+    sizes: dict[int, int] = {}
+
+    def size(node) -> int:  # recursion no deeper than the walk above
+        if id(node) not in sizes:
+            sizes[id(node)] = 1 + sum(map(size, _children(node)))
+        return sizes[id(node)]
+
+    if size(pattern) > MAX_PATTERN_SIZE:
+        raise ValueError(f"pattern expands to more than {MAX_PATTERN_SIZE} nodes")
 
 
 @dataclass(frozen=True)
@@ -126,12 +149,12 @@ class ConstraintSpec:
     pattern: object
 
     def __post_init__(self):
-        _require_shallow(self.pattern)
+        _require_small(self.pattern)
 
 
 def pretty(node) -> str:
     """Canonical concrete syntax of a pattern; ``parse`` inverts it."""
-    _require_shallow(node)
+    _require_small(node)
 
     def show(node) -> str:
         if isinstance(node, Lit):
@@ -372,7 +395,7 @@ def pattern_dfa(pattern, alphabet: Alphabet):
     subset is the dead sink.  :func:`compile` and
     :func:`pattern_is_prefix_free` take it from a caller that needs both.
     """
-    _require_shallow(pattern)
+    _require_small(pattern)
     positions = _Positions(pattern)
     order, table = reachable(positions.initial, alphabet, positions.move)
     return order, table, positions.initial, (lambda subset: positions.end in subset)

@@ -164,8 +164,9 @@ class TestMonitor:
 
 
 class TestMonitorTraceEdges:
-    """Trace monitoring reads line by line and keeps only the lines it has
-    read; these pin the verdicts, errors and bytes at the edges of that."""
+    """Trace monitoring reads blocks of whole lines and reads the trace
+    again up to a violation; these pin the verdicts, errors and bytes at
+    the edges of that."""
 
     def run(self, spec, trace, capsys, *extra):
         code = main(["monitor", spec, "--trace", trace, *extra])

@@ -20,6 +20,7 @@ from vigil.cli import main
 from vigil.detector import first_prefix_pair
 from vigil.speclang import (
     MAX_NESTING,
+    MAX_PATTERN_SIZE,
     Alt,
     ConstraintSpec,
     Lit,
@@ -154,11 +155,59 @@ class TestPatternDepth:
         pattern = Lit("a")
         for _ in range(60):
             pattern = Alt((pattern, pattern))  # 2**60 root-to-leaf paths
-        assert ConstraintSpec("shared", ab, pattern).pattern is pattern
+        with pytest.raises(ValueError, match="expands to more than"):
+            ConstraintSpec("shared", ab, pattern)
         for _ in range(200):
             pattern = Alt((pattern, pattern))
         with pytest.raises(ValueError, match="deeper than"):
             ConstraintSpec("shared", ab, pattern)
+
+
+class TestPatternSize:
+    """A pattern is held to MAX_PATTERN_SIZE nodes, expanded."""
+
+    @staticmethod
+    def tree_size(pattern) -> int:
+        count, todo = 0, [pattern]
+        while todo:
+            node = todo.pop()
+            count += 1
+            if isinstance(node, (Seq, Alt)):
+                todo.extend(node.items)
+            elif isinstance(node, (Star, Plus, Opt)):
+                todo.append(node.item)
+        return count
+
+    def test_shared_nodes_are_counted_once_per_parent(self, ab):
+        """``p = Alt((p, p))`` doubles the expansion per level: 23 levels
+        make 2**24 - 1 nodes out of 24 built ones."""
+        assert MAX_PATTERN_SIZE == 2**24
+        pattern = Lit("a")
+        for _ in range(23):
+            pattern = Alt((pattern, pattern))
+        assert ConstraintSpec("edge", ab, Opt(pattern)).alphabet == ab  # exactly the bound
+        over = Seq((pattern, Lit("b")))  # one node more
+        for _ in range(77):
+            pattern = Alt((pattern, pattern))  # 100 levels, 2**101 - 1 nodes
+        for big in (over, pattern):
+            for build in (lambda: ConstraintSpec("big", ab, big),
+                          lambda: pattern_dfa(big, ab),
+                          lambda: pretty(big)):
+                with pytest.raises(ValueError, match=f"more than {MAX_PATTERN_SIZE} nodes"):
+                    build()
+
+    def test_parsed_patterns_have_fewer_nodes_than_twice_their_text(self):
+        """So every spec up to 8 MiB is under the bound."""
+        assert MAX_PATTERN_SIZE >= 2 * 8 * 2**20
+        texts = [f"alphabet a b; violation {body};"
+                 for body in ("a*b*" * 4000, "a|" * 8000 + "b", "(a)?" * 4000, "a b " * 4000)]
+        rng = random.Random(37)
+        alphabet = Alphabet(["a", "b", "c"])
+        for _ in range(300):
+            body = pretty(random_ast(rng, alphabet, depth=4))
+            texts.append(f"alphabet a b c;violation {body};")
+        for text in texts:
+            assert self.tree_size(parse(text).pattern) < 2 * len(text)
 
 
 _SOUP = st.sampled_from(
