@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -67,42 +68,41 @@ def _open_trace(path: str):
     return sys.stdin
 
 
-def _line_tokens(line: str) -> list[str]:
-    """Trace tokens are whitespace separated; '#' comments to end of line."""
-    return line.split("#", 1)[0].split()
-
-
 TRACE_BLOCK = 1 << 16
-"""Characters ``monitor --trace`` asks for per read.  Each read is cut
-after its last line end, so a block holds whole lines; a line longer than
-a block is gathered from its pieces and joined once."""
+"""Characters ``monitor --trace`` asks for per read, or as many as the
+unfinished token carried in, so that a token longer than a block doubles
+the read and costs linear time.  A read may end in the middle of a token
+or a comment; the next read carries it on."""
+
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def _trace_blocks(source, spool=None):
-    """The tokens of ``source``, one list per block of whole lines; each
-    read is copied to ``spool`` first when one is given.  A source that
-    cannot seek (a pipe, a terminal) is read a line at a time, since a
-    block read would wait for a whole block before a violation in it
-    could be reported."""
+    """The tokens of ``source``, one list per read; each read is copied to
+    ``spool`` first when one is given.  Every read is tokenized alike:
+    '#' comments to end of line are cut out, the rest split at whitespace.
+    A read hands one carry to the next: its unfinished last token, or '#'
+    while a comment is still open.  A source that cannot seek (a pipe, a
+    terminal) is read a line at a time, since a block read would wait for
+    a whole block before a violation in it could be reported."""
     read = source.read if source.seekable() else source.readline
-    pieces: list[str] = []  # the line begun but not yet ended
+    carry = ""
     while True:
-        text = read(TRACE_BLOCK)
+        text = read(max(TRACE_BLOCK, len(carry)))
         if spool is not None:
             spool.write(text)
-        cut = text.rfind("\n") + 1
-        if text and not cut:
-            pieces.append(text)
-            continue
-        pieces.append(text[:cut])
-        block = "".join(pieces)
-        pieces = [text[cut:]]
-        if "#" in block:
-            yield [t for line in block.split("\n") for t in _line_tokens(line)]
-        else:
-            yield block.split()
+        whole = carry + text
+        tokens = _COMMENT.sub("", whole).split()
         if not text:
+            yield tokens
             return
+        if whole.rfind("#") > whole.rfind("\n"):
+            carry = "#"
+        elif whole[-1].isspace():
+            carry = ""
+        else:
+            carry = tokens.pop()
+        yield tokens
 
 
 def _first_tokens(blocks, count: int):

@@ -86,8 +86,7 @@ class FiniteDetector:
         try:
             return self.step_table[(x, n)]
         except KeyError:
-            if n not in self.alphabet:
-                raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}") from None
+            self.alphabet.index(n)
             raise ValueError(f"unknown state {x!r}") from None
 
     def require_state(self, x) -> None:
@@ -226,8 +225,7 @@ class RegularPrefixFreeSet:
         """Language-level step by one symbol: :data:`FAULT` if ``n`` itself
         belongs, otherwise the derivative language (same automaton, moved
         initial state)."""
-        if n not in self.alphabet:
-            raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
+        self.alphabet.index(n)
         target = self.transitions[(self.initial, n)]
         if target == self.accept:
             return FAULT
@@ -412,8 +410,7 @@ def final_step(p, n: str):
     if isinstance(p, FiniteWordSet):
         if Word(p.alphabet) in p:
             raise EpsilonViolation("violation languages may not contain the empty word")
-        if n not in p.alphabet:
-            raise ValueError(f"symbol {n!r} is not in alphabet {p.alphabet.symbols}")
+        p.alphabet.index(n)
         if Word(p.alphabet, (n,)) in p:
             return FAULT
         return derivative_set(n, p)

@@ -143,8 +143,7 @@ def machine_derivative(m: EilenbergMachine, n: str) -> EilenbergMachine:
     Requires that ``n`` itself is not accepted (a violation language never
     continues past a fault).
     """
-    if n not in m.alphabet:
-        raise ValueError(f"symbol {n!r} is not in alphabet {m.alphabet.symbols}")
+    m.alphabet.index(n)
     if m.accepts(Word(m.alphabet, (n,))):
         raise ValueError(f"cannot take the derivative by {n!r}: it is already a violation")
     return EilenbergMachine(
@@ -172,8 +171,7 @@ class DecisionProcedure:
         self.consumed = Word(alphabet) if consumed is None else consumed
 
     def final_step(self, n: str):
-        if n not in self.alphabet:
-            raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
+        self.alphabet.index(n)
         word = concat(self.consumed, Word(self.alphabet, (n,)))
         if self.decides(word):
             return FAULT
@@ -276,8 +274,7 @@ class EnumeratedPrefixFreeSet:
         self.alphabet = enumerator.alphabet
 
     def final_step(self, n: str):
-        if n not in self.alphabet:
-            raise ValueError(f"symbol {n!r} is not in alphabet {self.alphabet.symbols}")
+        self.alphabet.index(n)
         longer = concat(self.consumed, Word(self.alphabet, (n,)))
         survived = EnumeratedPrefixFreeSet(self.enumerator, longer, self.budget)
         word = longer.symbols

@@ -202,7 +202,8 @@ class OnlineMonitor:
                     self._closed = True
                     return FeedViolation(position)
         except KeyError:
-            raise ValueError(f"symbol {symbol!r} is not in alphabet {self.alphabet.symbols}") from None
+            self.alphabet.index(symbol)
+            raise
         finally:
             self._state, self.position = state, position
         return OK

@@ -75,6 +75,8 @@ class Alphabet:
         self._index = {s: i for i, s in enumerate(symbols)}
 
     def index(self, symbol: str) -> int:
+        """The place of ``symbol`` in declaration order.  Every step that
+        takes one symbol checks it with this call."""
         try:
             return self._index[symbol]
         except KeyError:
@@ -197,6 +199,8 @@ class LassoStream:
 
     def at(self, k: int) -> str:
         """The token at position ``k`` (defined for every k >= 0)."""
+        if k < 0:
+            raise ValueError("stream position must be nonnegative")
         if k < len(self.prefix):
             return self.prefix[k]
         return self.period[(k - len(self.prefix)) % len(self.period)]
@@ -321,8 +325,7 @@ def slice_range(s, m: int, l: int) -> Word:
 def derivative_set(n: str, a: FiniteWordSet) -> FiniteWordSet:
     """All words that remain after reading ``n`` from a member of ``a``:
     exactly {u | n u in a}."""
-    if n not in a.alphabet:
-        raise ValueError(f"symbol {n!r} is not in alphabet {a.alphabet.symbols}")
+    a.alphabet.index(n)
     stripped = [Word(a.alphabet, w.symbols[1:]) for w in a.words if w.symbols and w.symbols[0] == n]
     return FiniteWordSet(a.alphabet, stripped)
 
@@ -345,10 +348,10 @@ def _find_prefix_pair(a: FiniteWordSet) -> tuple[Word, Word] | None:
     return None
 
 
-def require_prefix_free(a: FiniteWordSet, *, allow_epsilon: bool = False) -> None:
+def require_prefix_free(a: FiniteWordSet) -> None:
     """Raise :class:`PrefixFreeViolation` / :class:`EpsilonViolation` unless
     ``a`` is a valid violation language (prefix-free, no empty word)."""
-    if not allow_epsilon and Word(a.alphabet) in a:
+    if Word(a.alphabet) in a:
         raise EpsilonViolation("violation languages may not contain the empty word")
     pair = _find_prefix_pair(a)
     if pair is not None:

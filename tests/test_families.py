@@ -8,8 +8,10 @@ import pytest
 from vigil.detector import (
     FAULT,
     UNKNOWN,
+    anamorphism_regular,
     canonical_form,
     detector_from_explicit_set,
+    final_step,
     minimal_violation_words,
 )
 from vigil.families import (
@@ -25,6 +27,7 @@ from vigil.families import (
     re_detector,
     universal_detector_for,
 )
+from vigil.monitor import monitor_online
 from vigil.sequences import (
     EpsilonViolation,
     FiniteWordSet,
@@ -450,3 +453,24 @@ class TestUniversalFamily:
     def test_open_family_fails_construction(self, ab):
         with pytest.raises(ValueError, match="not derivative-closed"):
             universal_detector_for([FiniteWordSet.from_texts(ab, ["a b"])])
+
+
+def test_every_step_rejects_a_foreign_symbol_with_one_message(ab):
+    """Each one-symbol step, over every representation, names the symbol
+    and the alphabet in the same words."""
+    words = FiniteWordSet.from_texts(ab, ["a b", "b b"])
+    det, init = detector_from_explicit_set(words)
+    steps = [
+        lambda: det.step(init, "z"),
+        lambda: anamorphism_regular(det, init).advance("z"),
+        lambda: final_step(words, "z"),
+        lambda: machine_derivative(machine_for_set(words), "z"),
+        lambda: DecisionProcedure(ab, lambda w: False).final_step("z"),
+        lambda: re_detector(Enumerator(ab, iter(words.words)), budget=2).step("z"),
+        lambda: derivative_set("z", words),
+        lambda: monitor_online(det, init).feed_many(["a", "z"]),
+    ]
+    for step in steps:
+        with pytest.raises(ValueError) as raised:
+            step()
+        assert str(raised.value) == "symbol 'z' is not in alphabet ('a', 'b')"

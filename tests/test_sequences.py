@@ -147,6 +147,13 @@ class TestSlicing:
         assert got == ab.word("b a b")
         assert got.symbols == tuple(s.at(k) for k in range(1, 4))
 
+    def test_negative_position_is_rejected(self, ab):
+        s = LassoStream(ab, ab.word("b b"), ab.word("a"))
+        for k in (-1, -2, -5):
+            with pytest.raises(ValueError, match="nonnegative"):
+                s.at(k)
+        assert (s.at(0), s.at(1), s.at(2)) == ("b", "b", "a")
+
     def test_slice_from_composes(self):
         rng = random.Random(7)
         al = binary()

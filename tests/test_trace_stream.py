@@ -1,7 +1,9 @@
-"""``vigil monitor --trace`` streams: it reads the trace in blocks of whole
-lines, keeps no history, and on a violation reads the trace again (a
-seekable source from where it started, a pipe from a temporary copy) to
-write ``bad_prefix`` block by block."""
+"""``vigil monitor --trace`` streams: it reads the trace in blocks that
+may end anywhere, in a token or a comment, and carries only the unfinished
+token (or the open comment) on to the next read.  It keeps no history, and
+on a violation reads the trace again (a seekable source from where it
+started, a pipe from a temporary copy) to write ``bad_prefix`` block by
+block."""
 
 import io
 import json
@@ -23,8 +25,16 @@ from vigil.speclang import parse
 
 from support import oracle_first_fault
 
-SPEC = "alphabet a b; violation (a|b)* b a b;"
+def spec_for(symbols) -> str:
+    x, y = symbols
+    return f"alphabet {x} {y}; violation ({x}|{y})* {y} {x} {y};"
+
+
 ALPHABET = ("a", "b")
+SPEC = spec_for(ALPHABET)
+NAMES = [("a", "b", "c"), ("alpha", "beta", "alphabeta")]
+"""Two symbols and a token outside the alphabet: single letters, and
+names that a block can cut in the middle."""
 
 
 @pytest.fixture
@@ -45,18 +55,19 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
 
 
-def expected(data: bytes, fmt: str = "json"):
-    """(exit code, stdout, stderr) of monitoring ``data`` against SPEC, from
-    an independent reading of the trace format: UTF-8 with undecodable
-    bytes escaped, universal newlines, '#' comments to end of line."""
+def expected(data: bytes, fmt: str = "json", symbols=ALPHABET):
+    """(exit code, stdout, stderr) of monitoring ``data`` against the spec
+    of ``symbols``, from an independent reading of the trace format: UTF-8
+    with undecodable bytes escaped, universal newlines, '#' comments to end
+    of line."""
     text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
     tokens = [t for line in text.split("\n") for t in line.split("#", 1)[0].split()]
-    det, init = compile_spec(parse(SPEC))
-    foreign = next((i for i, t in enumerate(tokens) if t not in ALPHABET), len(tokens))
+    det, init = compile_spec(parse(spec_for(symbols)))
+    foreign = next((i for i, t in enumerate(tokens) if t not in symbols), len(tokens))
     fault = oracle_first_fault(det, init, tokens[:foreign])
     if fault is None and foreign < len(tokens):
         return 2, "", (f"error: trace token {tokens[foreign]!r} is not in the alphabet "
-                       f"{list(ALPHABET)}\n")
+                       f"{list(symbols)}\n")
     if fault is None:
         report = {"verdict": "ok_so_far", "prefix_len": None, "ana_value": None,
                   "bad_prefix": None, "steps_consumed": len(tokens)}
@@ -70,11 +81,14 @@ def expected(data: bytes, fmt: str = "json"):
     return int(fault is not None), "".join(f"{k}: {v}\n" for k, v in zip(report, shown)), ""
 
 
-def random_trace(rng: random.Random) -> bytes:
-    """Short lines of a, b and the odd foreign token, with comments, blank
-    lines, CRLF and lone CR ends, and undecodable or split UTF-8 bytes."""
-    pieces = [b"a", b"b", b"a", b"b", b"a", b"c", b"\xff", b"\xc3\xa9", b"\xe6\x97"]
-    ends = [b"\n", b"\r\n", b"\r", b" # b a b\n", b"\n\n", b"  \t\n", b"#\xff\r\n"]
+def random_trace(rng: random.Random, names=NAMES[0]) -> bytes:
+    """Short lines of two symbols and the odd foreign token (``names``),
+    with comments, blank lines, CRLF and lone CR ends, and undecodable or
+    split UTF-8 bytes."""
+    x, y, z = (name.encode() for name in names)
+    pieces = [x, y, x, y, x, z, b"\xff", b"\xc3\xa9", b"\xe6\x97"]
+    ends = [b"\n", b"\r\n", b"\r", b" # " + b" ".join([y, x, y]) + b"\n", b"\n\n", b"  \t\n",
+            b"#\xff\r\n"]
     out = []
     for _ in range(rng.randint(0, 8)):
         words = [rng.choice(pieces[:5] if rng.random() < 0.9 else pieces)
@@ -91,52 +105,60 @@ class Unseekable(io.StringIO):
 
 
 class TestBlockEdges:
-    """Every block size cuts lines, CRLF pairs, comments and UTF-8
+    """Every block size cuts lines, tokens, CRLF pairs, comments and UTF-8
     sequences in different places; none of them may change the answer."""
 
     @pytest.mark.parametrize("block", [1, 3, 7, cli.TRACE_BLOCK])
-    def test_against_oracle(self, block, spec_path, tmp_path, capsys, monkeypatch):
+    def test_against_oracle(self, block, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TRACE_BLOCK", block)
         rng = random.Random(4100 + block)
-        trace = tmp_path / "t.txt"
-        codes = []
-        for _ in range(150):
-            data = random_trace(rng)
-            trace.write_bytes(data)
-            fmt = rng.choice(["json", "text"])
-            want = expected(data, fmt)
-            text = data.decode("utf-8", "surrogateescape")
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-            for source, stdin in ((str(trace), None), ("-", io.StringIO(text)),
-                                  ("-", Unseekable(text))):
-                if stdin is not None:
-                    monkeypatch.setattr("sys.stdin", stdin)
-                code = main(["monitor", spec_path, "--trace", source, "--format", fmt])
-                captured = capsys.readouterr()
-                assert (code, captured.out, captured.err) == want, (data, source)
-            codes.append(want[0])
-        assert min(codes.count(0), codes.count(1), codes.count(2)) >= 20
+        spec_path, trace = tmp_path / "s.vgl", tmp_path / "t.txt"
+        for names in NAMES:
+            spec_path.write_text(spec_for(names[:2]), encoding="utf-8")
+            codes = []
+            for _ in range(150):
+                data = random_trace(rng, names)
+                trace.write_bytes(data)
+                fmt = rng.choice(["json", "text"])
+                want = expected(data, fmt, names[:2])
+                text = data.decode("utf-8", "surrogateescape")
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+                for source, stdin in ((str(trace), None), ("-", io.StringIO(text)),
+                                      ("-", Unseekable(text))):
+                    if stdin is not None:
+                        monkeypatch.setattr("sys.stdin", stdin)
+                    code = main(["monitor", str(spec_path), "--trace", source, "--format", fmt])
+                    captured = capsys.readouterr()
+                    assert (code, captured.out, captured.err) == want, (data, source)
+                codes.append(want[0])
+            assert min(codes.count(0), codes.count(1), codes.count(2)) >= 20, names
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_foreign_token_and_bad_bytes_beside_a_violation(
-            self, block, spec_path, tmp_path, capsys, monkeypatch):
+            self, block, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TRACE_BLOCK", block)
-        trace = tmp_path / "t.txt"
-        cases = [b"a b a b c\n", b"a b a c b\n", b"b a\r\nb \xff\n", b"b a \xc3\xa9 b\n",
-                 b"b a b\xc3", b"# c\r\nb a\r\n# \xff\r\nb\r\n", b"\n\n\nb\n\na\n\nb"]
-        for pad in range(8):
-            for data in cases:
-                data = b" " * pad + data
-                trace.write_bytes(data)
-                code = main(["monitor", spec_path, "--trace", str(trace)])
-                captured = capsys.readouterr()
-                assert (code, captured.out, captured.err) == expected(data), data
+        spec_path, trace = tmp_path / "s.vgl", tmp_path / "t.txt"
+        cases = [b"A B A B C\n", b"A B A C B\n", b"B A\r\nB \xff\n", b"B A \xc3\xa9 B\n",
+                 b"B A B\xc3", b"# C\r\nB A\r\n# \xff\r\nB\r\n", b"\n\n\nB\n\nA\n\nB",
+                 b"B A#C\nB", b"B#\nA B"]
+        for names in NAMES:
+            spec_path.write_text(spec_for(names[:2]), encoding="utf-8")
+            for pad in range(8):
+                for case in cases:
+                    data = b" " * pad + case
+                    for letter, name in zip(b"ABC", names):
+                        data = data.replace(bytes([letter]), name.encode())
+                    trace.write_bytes(data)
+                    code = main(["monitor", str(spec_path), "--trace", str(trace)])
+                    captured = capsys.readouterr()
+                    want = expected(data, symbols=names[:2])
+                    assert (code, captured.out, captured.err) == want, data
 
 
 def test_single_line_of_two_million_tokens(spec_path, tmp_path):
-    """A line longer than any block, and no newline at all: the pieces of
-    the line are joined once, so 62,500 blocks of 64 characters take well
-    under a second, where joining them again per block takes about 50 s."""
+    """A line longer than any block, and no newline at all: each of the
+    62,500 reads of 64 characters hands at most one token on to the next,
+    so the line is never gathered whole."""
     trace = tmp_path / "t.txt"
     for tail, code in ((b"a b a b", 1), (b"a a", 0)):
         data = b"a " * 2_000_000 + tail
@@ -146,6 +168,19 @@ def test_single_line_of_two_million_tokens(spec_path, tmp_path):
         assert (done.returncode, done.stderr) == (code, b"")
         want = expected(data)[1].encode()
         assert len(done.stdout) == len(want) and done.stdout == want
+
+
+def test_token_longer_than_many_blocks(spec_path, tmp_path):
+    """A 3M-character token read 64 characters at a time: each read asks
+    for as many characters as it carries, so the token is copied about
+    twice, where carrying it whole through 46,875 reads takes over 30 s."""
+    trace = tmp_path / "t.txt"
+    data = b"a b\n" + b"x" * 3_000_000 + b" b a b\n"
+    trace.write_bytes(data)
+    argv = child("cli.TRACE_BLOCK = 64") + ["monitor", spec_path, "--trace", str(trace)]
+    done = subprocess.run(argv, capture_output=True, env=child_env(), timeout=30)
+    want = expected(data)
+    assert (done.returncode, done.stdout, done.stderr) == (want[0], b"", want[2].encode())
 
 
 def test_peak_memory_does_not_grow_with_the_violation_position(tmp_path, monkeypatch):
@@ -170,6 +205,40 @@ def test_peak_memory_does_not_grow_with_the_violation_position(tmp_path, monkeyp
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["prefix_len"] == 62_000 * 16 + 1 == len(report["bad_prefix"])
     assert peak < 2_000_000
+
+
+def test_peak_memory_does_not_grow_with_the_line_length(tmp_path):
+    """2M five-letter tokens, violated by the last one: on one line the
+    peak RSS of ``vigil`` is within a few MB of the same tokens on 16-token
+    lines, where reading the line whole before splitting it costs over
+    300 MB.  A process's peak counts at least its parent's size when it
+    was started, so ``vigil`` is started from a small Python that reports
+    its child's peak (in KiB on Linux)."""
+    spec = tmp_path / "s.vgl"
+    spec.write_text("alphabet alpha omega; violation alpha* omega;", encoding="utf-8")
+    trace = tmp_path / "t.txt"
+    report_peak = "; ".join([
+        "import resource, subprocess, sys",
+        "code = subprocess.run(sys.argv[1:]).returncode",
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)",
+        "sys.exit(code)"])
+    argv = [sys.executable, "-c", report_peak, *child()]
+    peaks, outs = [], []
+    for line_end in ("\n", " "):
+        trace.write_text(("alpha " * 15 + "alpha" + line_end) * 125_000 + "omega",
+                         encoding="utf-8")
+        outs.append(tmp_path / f"out{len(outs)}.json")
+        with open(outs[-1], "wb") as sink:
+            done = subprocess.run(argv + ["monitor", str(spec), "--trace", str(trace)],
+                                  stdout=sink, stderr=subprocess.PIPE, env=child_env(),
+                                  timeout=60)
+        assert done.returncode == 1
+        peaks.append(int(done.stderr) / 1024)
+    short_lines, one_line = peaks
+    assert one_line < short_lines + 5, peaks
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    report = json.loads(outs[1].read_text(encoding="utf-8"))
+    assert report["prefix_len"] == 2_000_001 == len(report["bad_prefix"])
 
 
 def planted_trace(rng: random.Random, tokens: int, violate: bool) -> bytes:
