@@ -74,17 +74,24 @@ unfinished token carried in, so that a token longer than a block doubles
 the read and costs linear time.  A read may end in the middle of a token
 or a comment; the next read carries it on."""
 
+TOKEN_SHOWN = 80
+"""Characters of a foreign trace token that its error message shows.  A
+token longer than this and than every symbol is known to be foreign, so
+it is not read to its end."""
+
 _COMMENT = re.compile(r"#[^\n]*")
 
 
-def _trace_blocks(source, spool=None):
+def _trace_blocks(source, longest: int, spool=None):
     """The tokens of ``source``, one list per read; each read is copied to
     ``spool`` first when one is given.  Every read is tokenized alike:
     '#' comments to end of line are cut out, the rest split at whitespace.
     A read hands one carry to the next: its unfinished last token, or '#'
-    while a comment is still open.  A source that cannot seek (a pipe, a
-    terminal) is read a line at a time, since a block read would wait for
-    a whole block before a violation in it could be reported."""
+    while a comment is still open.  An unfinished token longer than
+    ``longest`` ends the blocks, cut where the read ended.  A source that
+    cannot seek (a pipe, a terminal) is read a line at a time, since a
+    block read would wait for a whole block before a violation in it could
+    be reported."""
     read = source.read if source.seekable() else source.readline
     carry = ""
     while True:
@@ -102,6 +109,9 @@ def _trace_blocks(source, spool=None):
             carry = ""
         else:
             carry = tokens.pop()
+            if len(carry) > longest:
+                yield tokens + [carry]
+                return
         yield tokens
 
 
@@ -237,17 +247,17 @@ def _monitor_trace(alphabet: Alphabet, live, source, fmt: str) -> int:
     spool = None if source.seekable() else tempfile.TemporaryFile(  # any text round-trips
         "w+", encoding="utf-8", errors="surrogatepass", newline="")
     again, start = (source, source.tell()) if spool is None else (spool, 0)
+    longest = max(TOKEN_SHOWN, *map(len, alphabet))
     with spool or contextlib.nullcontext():
         outcome = OK
-        for tokens in _trace_blocks(source, spool):
+        for tokens in _trace_blocks(source, longest, spool):
             before = live.position
             try:
                 outcome = live.feed_many(tokens)
             except ValueError:
-                return _fail(
-                    f"trace token {tokens[live.position - before]!r} is not in the alphabet "
-                    f"{list(alphabet.symbols)}"
-                )
+                token = tokens[live.position - before]
+                shown = repr(token) if len(token) <= longest else f"{token[:TOKEN_SHOWN]!r}..."
+                return _fail(f"trace token {shown} is not in the alphabet {list(alphabet.symbols)}")
             if outcome is not OK:
                 break
         if not isinstance(outcome, FeedViolation):  # a finite detector never answers unknown
@@ -256,7 +266,8 @@ def _monitor_trace(alphabet: Alphabet, live, source, fmt: str) -> int:
         again.seek(start)
         report = _report("violation", prefix_len=outcome.position,
                          ana_value=outcome.position - 1, bad_prefix=[])
-        _emit(report, fmt, alphabet, _first_tokens(_trace_blocks(again), outcome.position))
+        blocks = _first_tokens(_trace_blocks(again, longest), outcome.position)
+        _emit(report, fmt, alphabet, blocks)
         return EXIT_VIOLATION
 
 

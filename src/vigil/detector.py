@@ -13,10 +13,10 @@ step (fault on membership, otherwise take the symbol derivative) that makes
 prefix-free sets themselves behave as detector states.
 
 Every route between a detector and its violation language goes through
-one reachable walk, :func:`reachable`, and one first-match cut,
-:func:`first_match_detector` (a step into acceptance faults): the
-anamorphism into the automaton, its inverse, the derivative-closure
-detector of an explicit set, and the spec and machine compilers.
+one reachable walk, :func:`reachable`, whose step may fault and is then
+not walked past: the anamorphism into the automaton, its inverse (a step
+into acceptance faults), the derivative-closure detector of an explicit
+set, and the spec and machine compilers.
 """
 
 from __future__ import annotations
@@ -322,13 +322,14 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     return RegularPrefixFreeSet(a.alphabet, names.values(), "d0", "acc", table)
 
 
-def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, int]:
+def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
     """Read a violation-language automaton as a detector, the inverse of
     :func:`anamorphism_regular`: the reachable states but the accepting one
-    are detector states, numbered from 0 (the initial state), and a step
+    are detector states, the initial state is the automaton's, and a step
     into the accepting state faults."""
-    order, table = reachable(p.initial, p.alphabet, lambda q, n: p.transitions[q, n])
-    return first_match_detector(order, table, p.alphabet, lambda q: q == p.accept)
+    moves = {key: FAULT if t == p.accept else t for key, t in p.transitions.items()}
+    order, table = reachable(p.initial, p.alphabet, lambda q, n: moves[q, n])
+    return FiniteDetector(p.alphabet, order, table), p.initial
 
 
 def reachable(initial, alphabet: Alphabet, step) -> tuple[list, dict]:
@@ -345,24 +346,6 @@ def reachable(initial, alphabet: Alphabet, step) -> tuple[list, dict]:
                 seen.add(target)
                 order.append(target)
     return order, table
-
-
-def first_match_detector(
-    order: list, table: Mapping, alphabet: Alphabet, accepting
-) -> tuple[FiniteDetector, int]:
-    """The one first-match cut: an automaton read as a detector in which a
-    step into an accepting state faults, so every run stops at its first
-    match.
-
-    ``order`` must be breadth first from a non-accepting initial state
-    ``order[0]``; the live (non-accepting) states are numbered 0, 1, ... in
-    that order, so the detector's initial state is 0.
-    """
-    live = [q for q in order if not accepting(q)]
-    number = {q: i for i, q in enumerate(live)}
-    number.update((q, FAULT) for q in order if accepting(q))
-    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in alphabet.symbols}
-    return FiniteDetector(alphabet, range(len(live)), steps), 0
 
 
 def first_prefix_pair(order: list, table: Mapping, alphabet: Alphabet, accepting):

@@ -4,8 +4,8 @@ Three ways of specifying a violation language, each compiled to a detector:
 
 * an :class:`EilenbergMachine` (a nondeterministic finite acceptor) whose
   language is the violation set — determinized by the detector core's
-  reachable walk and first-match cut into a finite detector whose states
-  are numbered from 0;
+  reachable walk, whole, so that a language that is not prefix-free shows
+  a witness, into a finite detector whose states are numbered from 0;
 * a :class:`DecisionProcedure`, a total membership predicate — stepped by
   precomposition, one membership query per symbol;
 * an :class:`Enumerator` that lists the violation words in some fixed
@@ -27,7 +27,6 @@ from .detector import (
     FiniteDetector,
     SetHandle,
     final_step,
-    first_match_detector,
     first_prefix_pair,
     reachable,
 )
@@ -132,7 +131,11 @@ def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, int]:
     pair = first_prefix_pair(order, table, m.alphabet, accepting)
     if pair is not None:
         raise PrefixFreeViolation(*pair)
-    return first_match_detector(order, table, m.alphabet, accepting)
+    live = [q for q in order if not accepting(q)]
+    number = {q: i for i, q in enumerate(live)}
+    number.update((q, FAULT) for q in order if accepting(q))
+    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in m.alphabet.symbols}
+    return FiniteDetector(m.alphabet, range(len(live)), steps), 0
 
 
 def machine_derivative(m: EilenbergMachine, n: str) -> EilenbergMachine:

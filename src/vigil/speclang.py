@@ -23,11 +23,11 @@ to no more than :data:`MAX_PATTERN_SIZE` nodes.
 
 The pattern denotes an arbitrary regular word set.  Compilation reads it
 as a position automaton (one state per literal occurrence, no ε-moves)
-and determinizes that; it then normalizes the language to its *kernel* —
+and determinizes it in one walk that never goes past a first match: the
+subsets walked are the states of a detector for the pattern's *kernel* —
 the words that match without any earlier match on the way, i.e. the
-minimal bad prefixes — and builds the detector for that prefix-free
-language.  A pattern matching the empty word is rejected: the empty
-observation cannot be a violation.
+minimal bad prefixes.  A pattern matching the empty word is rejected: the
+empty observation cannot be a violation.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .detector import (
     RegularPrefixFreeSet,
     anamorphism_regular,
     canonical_form,
-    first_match_detector,
-    first_prefix_pair,
     reachable,
 )
 from .sequences import Alphabet, EpsilonViolation
+from .systems import FAULT
 
 
 class SpecError(ValueError):
@@ -344,6 +343,7 @@ class _Positions:
         for p in last:
             self.follow[p].add(self.end)
         self.initial = frozenset(first | {self.end} if nullable else first)
+        self.prefix_free = True
 
     def scan(self, node) -> tuple[bool, set, set]:
         """Whether ``node`` matches the empty word, and its first and last
@@ -385,37 +385,42 @@ class _Positions:
         step = self.moves.get(n, {})
         return frozenset().union(*[step[p] for p in subset if p in step])
 
+    def step(self, subset, n: str):
+        """:meth:`move`, but :data:`FAULT` on a match.  ``prefix_free``
+        turns false on a match that a position besides ``end`` extends
+        (every position can still reach a match)."""
+        target = self.move(subset, n)
+        if self.end not in target:
+            return target
+        self.prefix_free = self.prefix_free and len(target) == 1
+        return FAULT
+
 
 def pattern_dfa(pattern, alphabet: Alphabet):
-    """Complete subset-construction automaton of a pattern's position
-    automaton.
+    """Subset-construction automaton of a pattern's position automaton,
+    cut at its first matches: a step into a matching subset faults.
 
-    Returns (subset order, transition table, initial subset, acceptance
-    test), the order breadth first from the initial subset; the empty
-    subset is the dead sink.  :func:`compile` and
+    Returns (subset order, transition table, whether the pattern language
+    is prefix-free), the order breadth first from the initial subset; the
+    empty subset is the safe sink.  :func:`compile` and
     :func:`pattern_is_prefix_free` take it from a caller that needs both.
+    A pattern matching the empty word raises :class:`EpsilonViolation`.
     """
     _require_small(pattern)
     positions = _Positions(pattern)
-    order, table = reachable(positions.initial, alphabet, positions.move)
-    return order, table, positions.initial, (lambda subset: positions.end in subset)
-
-
-def _kernel_detector(dfa, alphabet: Alphabet) -> tuple[FiniteDetector, int]:
-    """A pattern automaton cut at its first matches, read as a detector."""
-    order, table, initial, accepting = dfa
-    if accepting(initial):
+    if positions.end in positions.initial:
         raise EpsilonViolation("the violation pattern matches the empty observation")
-    return first_match_detector(order, table, alphabet, accepting)
+    order, table = reachable(positions.initial, alphabet, positions.step)
+    return order, table, positions.prefix_free
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     """The minimal-bad-prefix language of a pattern: words that match with
     no earlier match on the way, as a minimized automaton.
 
-    Implemented on the pattern automaton by cutting every run at its first
-    acceptance.  When the pattern language is already prefix-free this is
-    the language itself.  Accepts a pattern node or an existing
+    Implemented by :func:`compile`, whose pattern automaton stops every run
+    at its first match.  When the pattern language is already prefix-free
+    this is the language itself.  Accepts a pattern node or an existing
     :class:`RegularPrefixFreeSet` (making idempotence directly checkable).
     A pattern matching the empty word is rejected.
     """
@@ -423,25 +428,22 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
         if pattern.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
         return pattern.minimized()
-    kernel = _kernel_detector(pattern_dfa(pattern, alphabet), alphabet)
-    return anamorphism_regular(*canonical_form(*kernel))
+    return anamorphism_regular(*compile(ConstraintSpec("kernel", alphabet, pattern)))
 
 
 def pattern_is_prefix_free(spec: ConstraintSpec, dfa=None) -> bool:
     """Whether the spec's pattern language is already prefix-free, i.e.
     kernelization does not change it.  ``dfa``: the pattern's
     :func:`pattern_dfa`, when the caller has it."""
-    order, table, _, accepting = dfa or pattern_dfa(spec.pattern, spec.alphabet)
-    return first_prefix_pair(order, table, spec.alphabet, accepting) is None
+    return (dfa or pattern_dfa(spec.pattern, spec.alphabet))[2]
 
 
 def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
     """Compile a spec to its canonical detector.
 
-    The pattern automaton (``dfa``: the pattern's :func:`pattern_dfa`,
-    when the caller has it) is cut at its first matches, read as a
-    detector, and that detector is minimized; the returned initial state
-    is ``"s0"``.
+    The pattern automaton cut at its first matches (``dfa``: the pattern's
+    :func:`pattern_dfa`, when the caller has it) is a detector already;
+    it is minimized, and the returned initial state is ``"s0"``.
     """
-    dfa = dfa or pattern_dfa(spec.pattern, spec.alphabet)
-    return canonical_form(*_kernel_detector(dfa, spec.alphabet))
+    order, table, _ = dfa or pattern_dfa(spec.pattern, spec.alphabet)
+    return canonical_form(FiniteDetector(spec.alphabet, order, table), order[0])

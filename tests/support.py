@@ -9,6 +9,7 @@ enumerated as antichains of the prefix forest.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
 
 from vigil.detector import FiniteDetector
@@ -288,3 +289,16 @@ def random_ast(rng, alphabet: Alphabet, depth: int):
         return Seq(items) if kind == "seq" else Alt(items)
     wrap = {"star": Star, "plus": Plus, "opt": Opt}[kind]
     return wrap(random_ast(rng, alphabet, depth - 1))
+
+
+def with_peak_rss(argv: list) -> list:
+    """``argv`` run under a small Python that writes its peak RSS (KiB on
+    Linux) as the last line of stderr and exits with its code.  A
+    process's peak counts at least its parent's size when it was started,
+    so the test process must not be that parent."""
+    script = "; ".join([
+        "import resource, subprocess, sys",
+        "code = subprocess.run(sys.argv[1:]).returncode",
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)",
+        "sys.exit(code)"])
+    return [sys.executable, "-c", script, *argv]

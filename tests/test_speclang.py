@@ -1,6 +1,9 @@
 """Parsing, kernelization, and compilation of constraint specs."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,9 @@ from vigil.detector import (
 from vigil.families import EilenbergMachine, machine_to_detector
 from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
+import vigil
 from vigil.cli import main
-from vigil.detector import first_prefix_pair
+from vigil.detector import first_prefix_pair, reachable
 from vigil.speclang import (
     MAX_NESTING,
     MAX_PATTERN_SIZE,
@@ -29,6 +33,7 @@ from vigil.speclang import (
     Seq,
     SpecError,
     Star,
+    _Positions,
     compile,
     parse,
     pattern_dfa,
@@ -47,7 +52,16 @@ from support import (
     random_lasso,
     random_prefix_free,
     regex_matches,
+    with_peak_rss,
 )
+
+
+def full_walk(pattern, alphabet: Alphabet):
+    """The whole subset automaton of a pattern's positions, walked past
+    its matches too: (subset order, table, initial subset, acceptance test)."""
+    positions = _Positions(pattern)
+    order, table = reachable(positions.initial, alphabet, positions.move)
+    return order, table, positions.initial, (lambda subset: positions.end in subset)
 
 
 class TestParse:
@@ -134,8 +148,9 @@ class TestPatternDepth:
         pattern = self.deepest_pattern()
         spec = ConstraintSpec("deep", ab, pattern)
         assert parse(f"alphabet a b; violation {pretty(pattern)};", name="deep") == spec
-        order, _, initial, accepting = pattern_dfa(pattern, ab)
+        order, _, initial, accepting = full_walk(pattern, ab)
         assert order[0] == initial and not accepting(initial)
+        assert pattern_dfa(pattern, ab)[0][0] == initial
         assert compile(spec)[0].states == ("s0",)
 
     @pytest.mark.parametrize("levels", [52, 300, 5000])
@@ -352,6 +367,48 @@ class TestPatternIsPrefixFree:
         assert not pattern_is_prefix_free(parse("alphabet a b; violation a b?;"))
         assert not pattern_is_prefix_free(parse("alphabet a b; violation (a|b)* b b;"))
 
+    def test_flag_of_the_cut_walk_agrees_with_the_whole_automaton(self):
+        """The walk stops at first matches, yet its flag is the answer of
+        ``first_prefix_pair`` on the whole automaton, past every match."""
+        rng = random.Random(9011)
+        checked = flagged = 0
+        while checked < 2000:
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            ast = random_ast(rng, al, rng.randint(0, 5))
+            if regex_matches(ast, ()):
+                continue
+            order, table, _, accepting = full_walk(ast, al)
+            whole = first_prefix_pair(order, table, al, accepting) is None
+            assert pattern_dfa(ast, al)[2] == whole, pretty(ast)
+            checked += 1
+            flagged += not whole
+        assert 200 < flagged < 1800
+
+    def test_walk_never_expands_a_match(self, ab):
+        """``(a|b)* a (a|b)^10``: the whole automaton has a subset for each
+        of the 2**11 last-eleven-symbol windows, the cut walk only for the
+        2**10 of them that have not yet matched."""
+        pattern = parse("alphabet a b; violation (a|b)* a" + " (a|b)" * 10 + ";").pattern
+        assert len(full_walk(pattern, ab)[0]) == 2**11
+        assert len(pattern_dfa(pattern, ab)[0]) == 2**10
+
+    def test_hostile_spec_checks_in_bounded_memory(self, tmp_path):
+        """``vigil check`` on ``(a|b)* a (a|b)^16``: walking past first
+        matches builds 131,072 subsets and peaks over 350 MB; the cut walk
+        builds half as many and stays under 250 MB."""
+        spec = tmp_path / "hostile.vgl"
+        spec.write_text("alphabet a b; violation (a|b)* a" + " (a|b)" * 16 + ";\n",
+                        encoding="utf-8")
+        script = "import sys; from vigil.cli import main; sys.exit(main())"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run(with_peak_rss([sys.executable, "-c", script, "check", str(spec)]),
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines() == [
+            "spec: hostile", "alphabet: a b", "detector states: 17",
+            "kernel changed language: yes"]
+        assert int(done.stderr) / 1024 < 250
+
 
 def _random_specs(seed: int, count: int, depth: int):
     """Seeded random specs over 2 or 3 symbols whose pattern does not
@@ -382,10 +439,11 @@ class TestAgainstBacktrackingOracle:
 
     def test_pattern_automaton_accepts_exactly_the_matches(self):
         """The whole pattern automaton, not only its first-match cut (the
-        prefix-free flag reads past the first match): its run on a word
-        ends in an accepting subset exactly when the pattern matches."""
+        prefix-free flag rests on what lies past a first match): its run
+        on a word ends in an accepting subset exactly when the pattern
+        matches."""
         for spec, matches in _random_specs(263, 120, 6):
-            _, table, initial, accepting = pattern_dfa(spec.pattern, spec.alphabet)
+            _, table, initial, accepting = full_walk(spec.pattern, spec.alphabet)
             assert not accepting(initial)
             for word, hit in matches.items():
                 state = initial
@@ -417,7 +475,7 @@ class TestAgainstBacktrackingOracle:
             if changed == "no":
                 assert pair is None, (pretty(spec.pattern), pair)
             else:
-                order, table, _, accepting = pattern_dfa(spec.pattern, spec.alphabet)
+                order, table, _, accepting = full_walk(spec.pattern, spec.alphabet)
                 u, uv = first_prefix_pair(order, table, spec.alphabet, accepting)
                 assert len(u) < len(uv)
                 assert regex_matches(spec.pattern, u.symbols)

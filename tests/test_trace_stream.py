@@ -23,7 +23,7 @@ from vigil.speclang import ConstraintSpec, Lit, Seq, Star
 from vigil.speclang import compile as compile_spec
 from vigil.speclang import parse
 
-from support import oracle_first_fault
+from support import oracle_first_fault, with_peak_rss
 
 def spec_for(symbols) -> str:
     x, y = symbols
@@ -59,15 +59,17 @@ def expected(data: bytes, fmt: str = "json", symbols=ALPHABET):
     """(exit code, stdout, stderr) of monitoring ``data`` against the spec
     of ``symbols``, from an independent reading of the trace format: UTF-8
     with undecodable bytes escaped, universal newlines, '#' comments to end
-    of line."""
+    of line.  A foreign token longer than 80 characters and than every
+    symbol is named by its first 80 characters and '...'."""
     text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
     tokens = [t for line in text.split("\n") for t in line.split("#", 1)[0].split()]
     det, init = compile_spec(parse(spec_for(symbols)))
     foreign = next((i for i, t in enumerate(tokens) if t not in symbols), len(tokens))
     fault = oracle_first_fault(det, init, tokens[:foreign])
     if fault is None and foreign < len(tokens):
-        return 2, "", (f"error: trace token {tokens[foreign]!r} is not in the alphabet "
-                       f"{list(symbols)}\n")
+        token = tokens[foreign]
+        shown = repr(token) if len(token) <= max(80, *map(len, symbols)) else f"{token[:80]!r}..."
+        return 2, "", f"error: trace token {shown} is not in the alphabet {list(symbols)}\n"
     if fault is None:
         report = {"verdict": "ok_so_far", "prefix_len": None, "ana_value": None,
                   "bad_prefix": None, "steps_consumed": len(tokens)}
@@ -171,9 +173,10 @@ def test_single_line_of_two_million_tokens(spec_path, tmp_path):
 
 
 def test_token_longer_than_many_blocks(spec_path, tmp_path):
-    """A 3M-character token read 64 characters at a time: each read asks
-    for as many characters as it carries, so the token is copied about
-    twice, where carrying it whole through 46,875 reads takes over 30 s."""
+    """A 3M-character token read 64 characters at a time: once the
+    unfinished token is longer than every symbol and than 80 characters it
+    is known to be foreign and read no further, where carrying it whole
+    through 46,875 reads takes over 30 s."""
     trace = tmp_path / "t.txt"
     data = b"a b\n" + b"x" * 3_000_000 + b" b a b\n"
     trace.write_bytes(data)
@@ -181,6 +184,53 @@ def test_token_longer_than_many_blocks(spec_path, tmp_path):
     done = subprocess.run(argv, capture_output=True, env=child_env(), timeout=30)
     want = expected(data)
     assert (done.returncode, done.stdout, done.stderr) == (want[0], b"", want[2].encode())
+
+
+@pytest.mark.parametrize("block", [64, cli.TRACE_BLOCK])
+def test_symbol_longer_than_many_blocks(block, tmp_path, capsys, monkeypatch):
+    """A 3,000-character symbol is carried through the reads that cut it
+    and read whole; a foreign token no longer than the longest symbol (or
+    than 80 characters) is named whole, a longer one by its first 80
+    characters, unless a violation comes first."""
+    monkeypatch.setattr(cli, "TRACE_BLOCK", block)
+    long = "a" * 3000
+    spec_path, trace = tmp_path / "s.vgl", tmp_path / "t.txt"
+    codes = []
+    for symbols, cases in (((long, "b"), [f"{long} b {long} b\n", f"{long} {long[:-1]} b",
+                                          f"{long} {long}a b", f"b {long} b {long}a"]),
+                           (ALPHABET, [f"b\n{'x' * 81}", f"b\n{'x' * 80}"])):
+        spec_path.write_text(spec_for(symbols), encoding="utf-8")
+        for case in cases:
+            data = case.encode()
+            trace.write_bytes(data)
+            code = main(["monitor", str(spec_path), "--trace", str(trace)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected(data, symbols=symbols), case
+            codes.append((code, "'... is not" in captured.err))
+    assert codes == [(1, False), (2, False), (2, True), (1, False), (2, True), (2, False)]
+
+
+def test_foreign_token_longer_than_every_symbol_is_not_read_whole(tmp_path):
+    """A 20M-character foreign token after ten symbols: the error names its
+    first 80 characters on one short line, and ``vigil`` stops reading it,
+    where naming it whole writes a 20 MB line and peaks at over 100 MB RSS.  A
+    violation before the token is still reported."""
+    spec = tmp_path / "s.vgl"
+    spec.write_text("alphabet alpha beta; violation alpha* beta;", encoding="utf-8")
+    trace = tmp_path / "t.txt"
+    argv = with_peak_rss(child() + ["monitor", str(spec), "--trace", str(trace)])
+    for head, code in (("alpha " * 10, 2), ("alpha " * 10 + "beta ", 1)):
+        trace.write_text(head + "x" * 20_000_000, encoding="utf-8")
+        done = subprocess.run(argv, capture_output=True, env=child_env(), timeout=60)
+        assert done.returncode == code
+        *errors, peak = done.stderr.decode().splitlines()
+        assert int(peak) / 1024 < 40
+        if code == 2:
+            assert errors == [f"error: trace token {'x' * 80!r}... is not in the alphabet "
+                              "['alpha', 'beta']"]
+            assert len(done.stderr) < 200 and done.stdout == b""
+        else:
+            assert errors == [] and json.loads(done.stdout)["prefix_len"] == 11
 
 
 def test_peak_memory_does_not_grow_with_the_violation_position(tmp_path, monkeypatch):
@@ -211,18 +261,11 @@ def test_peak_memory_does_not_grow_with_the_line_length(tmp_path):
     """2M five-letter tokens, violated by the last one: on one line the
     peak RSS of ``vigil`` is within a few MB of the same tokens on 16-token
     lines, where reading the line whole before splitting it costs over
-    300 MB.  A process's peak counts at least its parent's size when it
-    was started, so ``vigil`` is started from a small Python that reports
-    its child's peak (in KiB on Linux)."""
+    300 MB."""
     spec = tmp_path / "s.vgl"
     spec.write_text("alphabet alpha omega; violation alpha* omega;", encoding="utf-8")
     trace = tmp_path / "t.txt"
-    report_peak = "; ".join([
-        "import resource, subprocess, sys",
-        "code = subprocess.run(sys.argv[1:]).returncode",
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)",
-        "sys.exit(code)"])
-    argv = [sys.executable, "-c", report_peak, *child()]
+    argv = with_peak_rss(child())
     peaks, outs = [], []
     for line_end in ("\n", " "):
         trace.write_text(("alpha " * 15 + "alpha" + line_end) * 125_000 + "omega",
