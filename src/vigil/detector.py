@@ -72,15 +72,30 @@ class FiniteDetector:
                 self.step_table[(x, n)] = target
         self._dense = None
 
-    def dense(self) -> tuple[dict, list[dict]]:
-        """The table as integer rows, built once: ``index[x]`` numbers state
-        ``x``, and ``rows[index[x]][n]`` its successor on ``n`` (-1: FAULT)."""
+    def dense(self) -> tuple[dict, dict]:
+        """The table as linked rows, built once: ``index[x]`` is state
+        ``x``'s row, a dict from each symbol to the row of its successor.
+        Every step to FAULT leads to the returned ``fault`` row, which maps
+        each symbol to itself, so a walk stays there once it faults.  Rows
+        refer to one another: compare them with ``is``, never ``==``."""
         if self._dense is None:
-            index = {x: i for i, x in enumerate(self.states)}
-            number = {**index, FAULT: -1}
-            rows = [{n: number[self.step_table[(x, n)]] for n in self.alphabet} for x in self.states]
-            self._dense = index, rows
+            index = {x: {} for x in self.states}
+            fault = {}
+            fault.update(dict.fromkeys(self.alphabet.symbols, fault))
+            row_of = {**index, FAULT: fault}
+            for x, row in index.items():
+                row.update({n: row_of[self.step_table[(x, n)]] for n in self.alphabet.symbols})
+            self._dense = index, fault
         return self._dense
+
+    # The linked rows nest as deep as the longest path through the table, so
+    # pickle and deepcopy would recurse along them: leave the cache out.
+    def __getstate__(self):
+        return self.alphabet, self.states, self.step_table
+
+    def __setstate__(self, state):
+        self.alphabet, self.states, self.step_table = state
+        self._dense = None
 
     def step(self, x, n: str):
         try:

@@ -15,6 +15,7 @@ prefix and the number of surviving steps before it (``ana_value``, always
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Union
 
 from .detector import (
@@ -80,9 +81,9 @@ def join_map(f: Mapping, g: Mapping) -> dict:
     return {(x, y): (f[x], g[y]) for x in f for y in g}
 
 
-def _run_lasso(s: LassoStream, start, step, key) -> MonitorVerdict:
+def _run_lasso(s: LassoStream, start, step, key, fault) -> MonitorVerdict:
     """Run ``step(state, symbol)`` along a lasso from ``start`` until it
-    faults or a (position, ``key(state)``) pair repeats.
+    reaches ``fault`` or a (position, ``key(state)``) pair repeats.
 
     Positions index ``prefix + period``; after the last one the stream goes
     on at ``len(prefix)``.  The lasso is canonical, so distinct positions
@@ -98,7 +99,7 @@ def _run_lasso(s: LassoStream, start, step, key) -> MonitorVerdict:
     while True:
         target = step(cur, symbols[pos])
         m += 1
-        if target is FAULT:
+        if target is fault:
             return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
         pos = pos + 1 if pos + 1 < len(symbols) else loop
         seen = (pos, key(target))
@@ -121,7 +122,8 @@ def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
     a.require_state(x)
-    return _run_lasso(s, x, a.step, lambda q: q)
+    index, fault = a.dense()
+    return _run_lasso(s, index[x], dict.__getitem__, id, fault)
 
 
 def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
@@ -156,7 +158,9 @@ class OnlineMonitor:
     :data:`OK`, a :class:`FeedViolation`, or a :class:`FeedUnknown`.
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
-    lasso form.  A finite detector is walked along its dense rows.
+    lasso form.  A finite detector is walked along the linked rows of
+    :meth:`FiniteDetector.dense`, holding the current row; a handle is
+    stepped symbol by symbol.
     """
 
     def __init__(self, source, state=None):
@@ -165,26 +169,47 @@ class OnlineMonitor:
         self._closed = False
         if isinstance(source, FiniteDetector):
             source.require_state(state)
-            index, self._rows = source.dense()
-            self._state = index[state]
+            index, self._fault = source.dense()
+            self._row = index[state]
         else:
             self._handle = source
-            self._rows = None
+            self._row = None
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def feed(self, symbol: str):
-        return self.feed_many((symbol,))
+        """Feed one symbol, as ``feed_many`` would: one row step over a
+        finite detector."""
+        row = self._row
+        if row is None or self._closed:
+            return self.feed_many((symbol,))
+        try:
+            row = row[symbol]
+        except KeyError:
+            self.alphabet.index(symbol)
+            raise
+        self._row = row
+        self.position += 1
+        if row is self._fault:
+            self._closed = True
+            return FeedViolation(self.position)
+        return OK
 
     def feed_many(self, symbols):
         """Feed ``symbols`` in order up to the first terminal verdict, or
         :data:`OK` if all survive.  A symbol outside the alphabet raises
-        :class:`ValueError` and leaves ``position`` where it was."""
+        :class:`ValueError`; ``position`` then counts the symbols before it.
+
+        Over a finite detector a list or tuple is first walked in one
+        ``reduce`` over the rows; only when that walk ends on the fault row
+        or meets a foreign symbol is the batch walked again, symbol by
+        symbol, to find the first one.  Any other iterable is read symbol by
+        symbol and left unread after a verdict."""
         if self._closed:
             raise MonitorClosedError("the monitor already reported a terminal verdict")
-        if self._rows is None:
+        if self._row is None:
             for symbol in symbols:
                 target = self._handle.step(symbol)
                 self.position += 1
@@ -193,19 +218,28 @@ class OnlineMonitor:
                     return (FeedViolation if target is FAULT else FeedUnknown)(self.position)
                 self._handle = target
             return OK
-        rows, state, position = self._rows, self._state, self.position
+        row, fault, position = self._row, self._fault, self.position
+        if isinstance(symbols, (list, tuple)):
+            try:
+                end = reduce(dict.__getitem__, symbols, row)
+            except (KeyError, TypeError):  # a foreign or unhashable symbol: the walk below meets it
+                end = fault
+            if end is not fault:
+                self._row = end
+                self.position += len(symbols)
+                return OK
         try:
             for symbol in symbols:
-                state = rows[state][symbol]
+                row = row[symbol]
                 position += 1
-                if state < 0:
+                if row is fault:
                     self._closed = True
                     return FeedViolation(position)
         except KeyError:
             self.alphabet.index(symbol)
             raise
         finally:
-            self._state, self.position = state, position
+            self._row, self.position = row, position
         return OK
 
 
@@ -224,7 +258,7 @@ def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorV
     state, stepping by membership-then-derivative on the automaton
     representation."""
     _require_same_alphabet(p.alphabet, s.alphabet)
-    return _run_lasso(s, p, final_step, lambda q: q.initial)
+    return _run_lasso(s, p, final_step, lambda q: q.initial, FAULT)
 
 
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):

@@ -73,6 +73,35 @@ class TestFiniteDetector:
         with pytest.raises(ValueError, match="unknown state"):
             first_b.step("nope", "a")
 
+    def test_dense_rows_link_the_table(self):
+        rng = random.Random(131)
+        al = Alphabet(["a", "b", "c"])
+        for _ in range(60):
+            det = random_detector(rng, al, rng.randint(1, 6))
+            index, fault = det.dense()
+            assert det.dense() is det.dense()  # built once
+            assert list(index) == list(det.states)
+            assert list(fault) == list(al.symbols)
+            assert all(fault[n] is fault for n in al.symbols)
+            for x, row in index.items():
+                assert list(row) == list(al.symbols)
+                for n in al.symbols:
+                    target = det.step_table[(x, n)]
+                    assert row[n] is (fault if target is FAULT else index[target])
+
+    def test_copies_leave_the_dense_rows_behind(self, ab):
+        """A long chain nests its linked rows thousands deep; copying a
+        detector must neither recurse along them nor share them."""
+        n = 5000
+        table = {(i, "a"): i + 1 if i + 1 < n else FAULT for i in range(n)}
+        table.update({(i, "b"): 0 for i in range(n)})
+        det = FiniteDetector(ab, range(n), table)
+        det.dense()
+        for twin in (pickle.loads(pickle.dumps(det)), copy.deepcopy(det), copy.copy(det)):
+            assert twin.states == det.states and twin.step_table == det.step_table
+            index, fault = twin.dense()
+            assert index[n - 1]["a"] is fault and index[n - 1] is not det.dense()[0][n - 1]
+
 
 class TestExtend:
     def test_single_fault(self, first_b, ab):

@@ -390,20 +390,57 @@ class TestOnlineFastPath:
             assert live.position == len(want)
             assert live.closed == (fault is not None)
 
-    @given(fed_runs())
+    @given(fed_runs(), st.sampled_from([list, tuple, iter]))
     @settings(max_examples=300, deadline=None)
-    def test_feed_many_agrees_over_any_chunking(self, run):
+    def test_feed_many_agrees_over_any_chunking(self, run, batch):
+        """Lists and tuples take the one-pass walk, iterators the
+        symbol-by-symbol one; both answer as the oracle does."""
         det, x, word, cuts = run
         chunks = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
         fault = oracle_first_fault(det, x, word)
         for live in both_monitors(det, x):
             outcome = OK
             for chunk in chunks:
-                outcome = live.feed_many(iter(chunk))
+                outcome = live.feed_many(batch(chunk))
                 if outcome is not OK:
                     break
             assert outcome == (OK if fault is None else FeedViolation(fault))
             assert live.position == (len(word) if fault is None else fault)
+            assert live.closed == (fault is not None)
+
+    @given(fed_runs(), st.integers(0, 60), st.sampled_from([list, tuple]))
+    @settings(max_examples=300, deadline=None)
+    def test_foreign_symbol_in_one_batch(self, run, at, batch):
+        """A violation before the foreign symbol wins; otherwise the foreign
+        symbol raises, counts for nothing, and the rest runs as usual."""
+        det, x, word, _ = run
+        fault = oracle_first_fault(det, x, word)
+        at = min(at, len(word))
+        for live in both_monitors(det, x):
+            if fault is not None and fault <= at:
+                assert live.feed_many(batch(word[:at] + ["z"] + word[at:])) == FeedViolation(fault)
+                assert live.position == fault and live.closed
+                continue
+            with pytest.raises(ValueError, match="'z' is not in alphabet"):
+                live.feed_many(batch(word[:at] + ["z"] + word[at:]))
+            assert live.position == at and not live.closed
+            rest = live.feed_many(batch(word[at:]))
+            assert rest == (OK if fault is None else FeedViolation(fault))
+
+    @given(fed_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_iterator_is_not_read_past_the_violation(self, run):
+        det, x, word, _ = run
+        fault = oracle_first_fault(det, x, word)
+        if fault is None:
+            return
+
+        def up_to_the_violation():
+            yield from word[:fault]
+            raise AssertionError("read past the violating symbol")
+
+        for live in both_monitors(det, x):
+            assert live.feed_many(up_to_the_violation()) == FeedViolation(fault)
 
     @given(fed_runs())
     @settings(max_examples=100, deadline=None)
