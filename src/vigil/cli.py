@@ -13,7 +13,9 @@ Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
+import functools
 import io
 import json
 import os
@@ -60,19 +62,44 @@ def _load_spec(path: str) -> speclang.ConstraintSpec:
 def _open_trace(path: str):
     """The trace as UTF-8 text.  A byte sequence that is not UTF-8
     decodes to lone surrogates, so it makes a token outside the alphabet
-    instead of an exception, whichever decoder chunk it falls in."""
+    instead of an exception, whichever read it falls in."""
     if path != "-":
         return open(path, encoding="utf-8", errors="surrogateescape")
     if isinstance(sys.stdin, io.TextIOWrapper):
+        if not sys.stdin.seekable():
+            return _PipeText(sys.stdin.buffer)
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     return sys.stdin
 
 
+class _PipeText:
+    """The text of a byte stream that cannot seek (a pipe, a terminal),
+    decoded as a trace file is: UTF-8 with undecodable bytes escaped, and
+    universal newlines.  A read returns what one read of the stream gives
+    and waits for no more, so a violation on a live feed is reported as
+    soon as it arrives."""
+
+    def __init__(self, stream):
+        self._read1 = stream.read1
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
+
+    def read(self, size: int) -> str:
+        while True:  # bytes that end in a character or after a '\r' decode to nothing yet
+            data = self._read1(size)
+            text = self._decoder.decode(data, final=not data)
+            if text or not data:
+                return text
+
+    def seekable(self) -> bool:
+        return False
+
+
 TRACE_BLOCK = 1 << 16
-"""Characters ``monitor --trace`` asks for per read, or as many as the
-unfinished token carried in, so that a token longer than a block doubles
-the read and costs linear time.  A read may end in the middle of a token
-or a comment; the next read carries it on."""
+"""Characters (bytes, from a pipe) ``monitor --trace`` asks for per read,
+or as many as the unfinished token carried in, so that a token longer
+than a block doubles the read and costs linear time.  A read may end in
+the middle of a token or a comment; the next read carries it on."""
 
 TOKEN_SHOWN = 80
 """Characters of a foreign trace token that its error message shows.  A
@@ -88,14 +115,10 @@ def _trace_blocks(source, longest: int, spool=None):
     '#' comments to end of line are cut out, the rest split at whitespace.
     A read hands one carry to the next: its unfinished last token, or '#'
     while a comment is still open.  An unfinished token longer than
-    ``longest`` ends the blocks, cut where the read ended.  A source that
-    cannot seek (a pipe, a terminal) is read a line at a time, since a
-    block read would wait for a whole block before a violation in it could
-    be reported."""
-    read = source.read if source.seekable() else source.readline
+    ``longest`` ends the blocks, cut where the read ended."""
     carry = ""
     while True:
-        text = read(max(TRACE_BLOCK, len(carry)))
+        text = source.read(max(TRACE_BLOCK, len(carry)))
         if spool is not None:
             spool.write(text)
         whole = carry + text
@@ -157,20 +180,26 @@ def _emit(report: dict, fmt: str, alphabet=None, blocks=()) -> None:
     """Print ``report``.  Given an ``alphabet``, its ``bad_prefix`` is the
     symbols of ``blocks``, written one block at a time.  The text before,
     between and after them comes from rendering the same report with a
-    two-item list, so the streamed and the whole form cannot drift."""
+    two-item list, so the streamed and the whole form cannot drift.  A
+    block is one join when every symbol renders as itself in quotes, as
+    every symbol of a parsed spec does."""
     if alphabet is None:
         sys.stdout.write(_render(report, fmt))
         return
     show = json.dumps if fmt == "json" else str
-    shown = {n: show(n) for n in alphabet}
     marked = _render(dict(report, bad_prefix=[_MARK, _MARK]), fmt)
     head, sep, tail = marked.split(show(_MARK))
+    shown = {n: show(n) for n in alphabet}
+    quote = show("")[:1]  # '"' in json, nothing in text
+    plain = all(shown[n] == quote + n + quote for n in alphabet)  # else json escapes one
+    link = quote + sep + quote
     write = sys.stdout.write
     write(head)
     lead = ""
     for tokens in blocks:
         if tokens:
-            write(lead + sep.join([shown[t] for t in tokens]))
+            write(lead + (quote + link.join(tokens) + quote if plain
+                          else sep.join([shown[t] for t in tokens])))
             lead = sep
     write(tail)
 
@@ -233,7 +262,7 @@ def cmd_monitor(args) -> int:
             return _monitor_trace(spec.alphabet, monitor_online(detector, init), source,
                                   args.format)
         finally:
-            if source is not sys.stdin:
+            if args.trace != "-":
                 source.close()
     _emit(report, args.format)
     return verdict_exit_code(report["verdict"])
@@ -321,7 +350,10 @@ def cmd_family(args) -> int:
     return EXIT_VIOLATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main`;
+    each call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="vigil",
         description="Compile violation specs and monitor event traces against them.",

@@ -286,25 +286,29 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
 
     Words are grown breadth first and never past a fault, so the result is
     the set of minimal faulting words of length <= depth and is prefix-free
-    at every depth.  For a :class:`DetectorHandle` pass ``x=None``; a handle
-    that answers :data:`UNKNOWN` makes the truncation undecidable and raises
+    at every depth.  A word whose state can no longer fault is not grown,
+    and the walk ends once no word is left to grow.  For a
+    :class:`DetectorHandle` pass ``x=None``; a handle that answers
+    :data:`UNKNOWN` makes the truncation undecidable and raises
     :class:`BudgetExhausted` instead of returning a wrong set.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
         a.require_state(x)
-        stepper = a.step
+        stepper, grows = a.step, _can_fault(a).__contains__
     elif isinstance(a, DetectorHandle):
         if x is not None:
             raise ValueError("handles carry their own state; pass x=None")
-        x, stepper = a, (lambda h, n: h.step(n))
+        x, stepper, grows = a, (lambda h, n: h.step(n)), (lambda h: True)
     else:
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
     alphabet = a.alphabet
     frontier = [(x, ())]
     found = []
     for _ in range(depth):
+        if not frontier:
+            break
         nxt = []
         for cur, syms in frontier:
             for n in alphabet:
@@ -315,10 +319,29 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
                     raise BudgetExhausted(
                         f"cannot decide the step on {Word(alphabet, syms + (n,)).text()!r}"
                     )
-                else:
+                elif grows(target):
                     nxt.append((target, syms + (n,)))
         frontier = nxt
     return FiniteWordSet(alphabet, found)
+
+
+def _can_fault(a: FiniteDetector) -> set:
+    """The states of ``a`` from which some word faults: one walk back
+    from the faulting steps."""
+    into: dict = {}
+    hit = []
+    for (q, _), target in a.step_table.items():
+        if target is FAULT:
+            hit.append(q)
+        else:
+            into.setdefault(target, []).append(q)
+    seen = set(hit)
+    while hit:
+        for q in into.get(hit.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                hit.append(q)
+    return seen
 
 
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:

@@ -1,11 +1,19 @@
 """Command line golden tests and exit-code contract."""
 
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import vigil
 from vigil.cli import main, verdict_exit_code
+
+from support import with_peak_rss
 
 FIRST_B = "alphabet a b;\nviolation a* b;\n"
 
@@ -21,6 +29,16 @@ def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content, encoding="utf-8")
     return str(path)
+
+
+def fresh(*args: str) -> list[str]:
+    """argv of a fresh ``vigil`` process; ``args`` run before its ``main``."""
+    script = "; ".join(["import sys", *args, "from vigil.cli import main", "sys.exit(main())"])
+    return [sys.executable, "-c", script]
+
+
+def fresh_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
 
 
 class TestCheck:
@@ -82,6 +100,21 @@ class TestWords:
         spec = write(tmp_path, "two.vgl", "alphabet a b; violation b a | a b | b b a;")
         assert main(["words", spec, "--depth", "4"]) == 0
         assert capsys.readouterr().out == "a b\nb a\nb b a\n"
+
+    def test_depth_does_not_grow_words_that_cannot_fault(self, tmp_path):
+        """Every word but 'a b' reaches a state that never faults, so depth
+        100,000 answers at once and in the memory of depth 2.  The child's
+        address space is capped at 512 MiB, so that a walk that does grow
+        such words fails fast instead of taking the machine's memory."""
+        spec = write(tmp_path, "sink.vgl", "alphabet a b; violation a b;")
+        cap = "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))"
+        argv = with_peak_rss(fresh("import resource", cap) + ["words", spec, "--depth", "100000"])
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (0, b"a b\n"), done.stderr[-300:]
+        peak_mib = int(done.stderr.split()[-1]) / 1024
+        assert wall < 10 and peak_mib < 100, (wall, peak_mib)
 
 
 class TestMonitor:
@@ -402,6 +435,52 @@ class TestExitCodeContract:
             main(["frobnicate"])
         assert err.value.code == 2
         capsys.readouterr()
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its argument parser once per process and reuses it;
+    no call leaves anything behind for the next."""
+
+    def test_parser_is_built_at_most_once(self, first_b_spec, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))  # sub-parsers are named 'vigil check', ...
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(3):
+            assert main(["check", first_b_spec]) == 0
+        capsys.readouterr()
+        assert built.count("vigil") <= 1, built
+
+    def test_calls_in_a_row_match_fresh_processes(self, first_b_spec, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+        trace = write(tmp_path, "t.txt", "a a\nb a\n")
+        calls = [
+            ["monitor", first_b_spec],  # neither --trace nor --lasso: usage error
+            ["check", first_b_spec],
+            ["monitor", first_b_spec, "--lasso", "a ; a b", "--format", "text"],
+            ["monitor", first_b_spec, "--lasso", "a ; a b"],
+            ["monitor", first_b_spec, "--trace", trace],
+            ["monitor", first_b_spec, "--lasso", "; a"],
+            ["words", first_b_spec, "--depth", "3"],
+            ["words", first_b_spec, "--depth", "4"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        runs = [subprocess.run(fresh() + argv, capture_output=True, text=True,
+                               env=fresh_env(), timeout=60) for argv in calls]
+        assert in_process == [(done.returncode, done.stdout, done.stderr) for done in runs]
+        assert in_process[0][0] == 2 and in_process[1][0] == 0
+        assert json.loads(in_process[3][1])["verdict"] == "violation"
 
 
 def test_equiv_agrees_with_depth8_language_comparison(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -34,14 +35,18 @@ from vigil.sequences import (
     derivative_set,
     is_prefix_free,
 )
+from vigil.speclang import ConstraintSpec
+from vigil.speclang import compile as compile_spec
 
 from support import (
     all_detectors,
     all_words,
     binary,
     inflate_detector,
+    minimal_matches,
     oracle_first_fault,
     oracle_minimal_words,
+    random_ast,
     random_detector,
     random_word,
 )
@@ -164,6 +169,32 @@ class TestMinimalViolationWords:
             x = rng.choice(det.states)
             got = minimal_violation_words(det, x, 5)
             assert set(got.words) == oracle_minimal_words(det, x, 5)
+
+    def test_spec_detectors_against_minimal_match_oracle(self):
+        """Compiled specs, most of which have states that can no longer
+        fault, give the pattern's minimal matches at every small depth."""
+        rng = random.Random(43)
+        al = binary()
+        with_sink = 0
+        for _ in range(120):
+            node = random_ast(rng, al, rng.randint(1, 3))
+            try:
+                det, init = compile_spec(ConstraintSpec("r", al, node))
+            except EpsilonViolation:
+                continue
+            with_sink += any(oracle_minimal_words(det, x, 4) == set() for x in det.states)
+            for depth in range(1, 6):
+                got = minimal_violation_words(det, init, depth)
+                assert set(got.words) == minimal_matches(node, al, depth), node
+        assert with_sink >= 30
+
+    def test_handle_walk_ends_with_its_last_word(self, ab):
+        """A handle whose every word faults is not stepped on through an
+        empty frontier up to the depth asked for."""
+        p = FiniteWordSet.from_texts(ab, ["a", "b a", "b b"])
+        start = time.perf_counter()
+        assert minimal_violation_words(SetHandle(p), None, 10**8) == p
+        assert time.perf_counter() - start < 1.0
 
     def test_prefix_free_and_monotone(self):
         rng = random.Random(41)

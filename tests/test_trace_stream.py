@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -362,7 +363,7 @@ def test_non_ascii_symbols_golden(tmp_path, capsys, monkeypatch):
 
 
 def test_violation_on_an_open_pipe_is_reported_at_once(spec_path):
-    """A live feed through a pipe is monitored line by line: the violation
+    """A live feed through a pipe is monitored as it arrives: the violation
     is reported while the writer still holds the pipe open."""
     proc = subprocess.Popen(child() + ["monitor", spec_path, "--trace", "-"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -379,3 +380,73 @@ def test_violation_on_an_open_pipe_is_reported_at_once(spec_path):
         proc.wait()
         for pipe in (proc.stdin, proc.stdout, proc.stderr):
             pipe.close()
+
+
+class Writes(io.RawIOBase):
+    """A pipe whose writes are all made: a read gets at most what one
+    write put in."""
+
+    def __init__(self, writes):
+        self.writes = [data for data in writes if data]
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.writes:
+            return 0
+        data = self.writes.pop(0)
+        size = min(len(buffer), len(data))
+        buffer[:size] = data[:size]
+        if size < len(data):
+            self.writes.insert(0, data[size:])
+        return size
+
+
+SPLIT_TRACES = [b"a a # x\rb a b\n", b"a # \xe6\x97\xa5\r\nb a b a\r\n",
+                b"b a \xe6\x97\xa5 b\r\n", b"a\r\r\nb \xc3\xa9", b"b a \xe6\x97"]
+"""A CR ending a comment, CRLFs, a character outside the alphabet, and
+one cut short at the end."""
+
+
+@pytest.mark.parametrize("block", [1, 4, cli.TRACE_BLOCK])
+def test_pipe_writes_cut_anywhere(block, spec_path, capsys, monkeypatch):
+    """A pipe is decoded as it is read, so two writes cut between the bytes
+    of a character, or between a CR and its LF, read as one write does."""
+    monkeypatch.setattr(cli, "TRACE_BLOCK", block)
+    for data in SPLIT_TRACES:
+        for cut in range(len(data) + 1):
+            for fmt in ("json", "text"):
+                stdin = io.TextIOWrapper(io.BufferedReader(Writes([data[:cut], data[cut:]])),
+                                         encoding="utf-8")
+                monkeypatch.setattr("sys.stdin", stdin)
+                with stdin:
+                    code = main(["monitor", spec_path, "--trace", "-", "--format", fmt])
+                assert (code, *capsys.readouterr()) == expected(data, fmt), (data, cut)
+
+
+def test_pipe_writes_cut_in_a_character_and_a_crlf(spec_path):
+    """The same through a real pipe, written piece by piece while the
+    monitor reads: each write waits long enough for the monitor to have
+    started and read the one before."""
+    cases = [[b"a a # \xe6\x97", b"\xa5\r", b"b a b\r", b"\n"],
+             [b"a \xe6\x97", b"\xa5\r", b"\nb"]]
+    for writes in cases:
+        proc = subprocess.Popen(child() + ["monitor", spec_path, "--trace", "-"],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE,
+                                env=dict(child_env(), PYTHONIOENCODING="utf-8"))
+        try:
+            for data in writes:
+                proc.stdin.write(data)
+                proc.stdin.flush()
+                time.sleep(0.4)
+            proc.stdin.close()
+            code = proc.wait(timeout=30)
+            got = (code, proc.stdout.read().decode(), proc.stderr.read().decode())
+            assert got == expected(b"".join(writes))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()
