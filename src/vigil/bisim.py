@@ -6,8 +6,7 @@ violation language; two output-system states exactly when they emit the
 same stream.  Both are decided by Moore refinement on the disjoint union of
 the two carriers: split by the immediately observable data (fault profile,
 output token), then refine by successor blocks until stable.  The same
-refinement minimizes detectors (:func:`~vigil.detector.canonical_form`) and
-violation-language automata.
+refinement minimizes detectors (:func:`~vigil.detector.minimal_detector`).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .sequences import _require_same_alphabet
-from .systems import FAULT, SSystem
+from .systems import SSystem
 
 if TYPE_CHECKING:
     from .detector import FiniteDetector
@@ -39,58 +38,50 @@ class StatePairRelation:
         return len(self.pairs)
 
 
-def _refine(items, observe, successors) -> dict:
-    """Moore refinement: ``observe`` gives the initial class of an item,
-    ``successors`` its tuple of follow-up items, where any value that is not
-    an item (such as :data:`FAULT`) marks a step out of the carrier.
-    Returns the block number of each item in the coarsest stable partition.
+def _refine(rows, classes) -> list:
+    """Moore refinement over items numbered from 0: ``classes[i]`` is the
+    initial class of item ``i``, ``rows[i]`` its successors' numbers, -1
+    marking a step out of the carrier (such as a fault), a block of its
+    own.  Returns each item's block number in the coarsest stable partition.
     """
-    index = {it: i for i, it in enumerate(items)}
     # an item's key in a round: its own block, then its successors' blocks;
     # index -1 reads the block of a step out of the carrier
-    keys = [
-        itemgetter(i, *[index.get(s, -1) for s in successors(it)])
-        for i, it in enumerate(items)
-    ]
+    keys = [itemgetter(i, *row) for i, row in enumerate(rows)]
     renumber: dict = {}
-    block = [renumber.setdefault(observe(it), len(renumber)) for it in items]
+    block = [renumber.setdefault(c, len(renumber)) for c in classes]
     count = len(renumber)
     while True:
         block.append(-1)  # the block of a step out of the carrier
         renumber = {}
         block = [renumber.setdefault(key(block), len(renumber)) for key in keys]
         if len(renumber) == count:  # each round splits blocks, never merges them
-            return dict(zip(items, block))
+            return block
         count = len(renumber)
 
 
-def _pairs(block: dict, left, right) -> StatePairRelation:
-    """Pairs of a left and a right state (tagged 0 and 1) in one block."""
+def _pairs(block: list, left, right) -> StatePairRelation:
+    """Pairs of a left and a right state in one block; the items are the
+    left states, then the right states, in order."""
     by_block: dict = {}
-    for y in right:
-        by_block.setdefault(block[(1, y)], []).append(y)
+    for y, b in zip(right, block[len(left):]):
+        by_block.setdefault(b, []).append(y)
     return StatePairRelation(
-        frozenset((x, y) for x in left for y in by_block.get(block[(0, x)], ()))
+        frozenset((x, y) for x, b in zip(left, block) for y in by_block.get(b, ()))
     )
 
 
-def _detector_blocks(a: FiniteDetector, b: FiniteDetector) -> dict:
-    """Blocks of equal violation language over the states of ``a`` and
-    ``b``, keyed ``(0, x)`` and ``(1, y)``."""
+def _side_by_side(left, right) -> tuple[dict, dict]:
+    """Item numbers of two carriers' states: the left ones first."""
+    return {x: i for i, x in enumerate(left)}, {y: i for i, y in enumerate(right, len(left))}
+
+
+def _detector_blocks(a: FiniteDetector, b: FiniteDetector) -> list:
+    """Blocks of equal violation language over the states of ``a``, then
+    those of ``b``; the first round splits them by fault profile."""
     _require_same_alphabet(a.alphabet, b.alphabet)
-    symbols = a.alphabet.symbols
-    tables = (a.step_table, b.step_table)
-
-    def observe(item):
-        tag, x = item
-        return tuple([tables[tag][x, n] is FAULT for n in symbols])
-
-    def successors(item):
-        tag, x = item
-        return [(tag, tables[tag][x, n]) for n in symbols]
-
-    items = [(0, x) for x in a.states] + [(1, y) for y in b.states]
-    return _refine(items, observe, successors)
+    sides = list(zip((a, b), _side_by_side(a.states, b.states)))
+    rows = [[number.get(t, -1) for t in d.row(x)] for d, number in sides for x in d.states]
+    return _refine(rows, [0] * len(rows))
 
 
 def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> StatePairRelation:
@@ -106,22 +97,14 @@ def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     a.require_state(x)
     b.require_state(y)
     block = _detector_blocks(a, b)
-    return block[(0, x)] == block[(1, y)]
+    return block[a.states.index(x)] == block[len(a.states) + b.states.index(y)]
 
 
 def largest_s_bisimulation(sigma: SSystem, tau: SSystem) -> StatePairRelation:
     """All pairs of states of two output systems that emit the same
     stream."""
     _require_same_alphabet(sigma.alphabet, tau.alphabet)
-    systems = (sigma, tau)
-    items = [(0, x) for x in sigma.states] + [(1, y) for y in tau.states]
-
-    def observe(item):
-        tag, x = item
-        return systems[tag].out(x)
-
-    def successors(item):
-        tag, x = item
-        return ((tag, systems[tag].tr(x)),)
-
-    return _pairs(_refine(items, observe, successors), sigma.states, tau.states)
+    sides = list(zip((sigma, tau), _side_by_side(sigma.states, tau.states)))
+    rows = [[number[s.tr(x)]] for s, number in sides for x in s.states]
+    block = _refine(rows, [s.out(x) for s, _ in sides for x in s.states])
+    return _pairs(block, sigma.states, tau.states)

@@ -13,10 +13,10 @@ step (fault on membership, otherwise take the symbol derivative) that makes
 prefix-free sets themselves behave as detector states.
 
 Every route between a detector and its violation language goes through
-one reachable walk, :func:`reachable`, whose step may fault and is then
-not walked past: the anamorphism into the automaton, its inverse (a step
-into acceptance faults), the derivative-closure detector of an explicit
-set, and the spec and machine compilers.
+one reachable walk, :func:`reachable`, which numbers the states it finds
+and whose step may fault and is then not walked past: the anamorphism into
+the automaton, its inverse, the derivative-closure detector of an explicit
+set, the spec and machine compilers, and the one minimizer.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ class FiniteDetector:
     def __setstate__(self, state):
         self.alphabet, self.states, self.step_table = state
         self._dense = None
+
+    def row(self, x) -> list:
+        """State ``x``'s successors, one per symbol in alphabet order."""
+        return [self.step_table[x, n] for n in self.alphabet.symbols]
 
     def step(self, x, n: str):
         try:
@@ -352,12 +356,12 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     state ``acc``.
     """
     a.require_state(x)
-    order, table = reachable(x, a.alphabet, a.step)
-    names = {q: f"d{i}" for i, q in enumerate(order)}
-    names[FAULT] = "acc"
-    table = {(names[q], n): names[t] for (q, n), t in table.items()}
-    table.update((("acc", n), "acc") for n in a.alphabet.symbols)
-    return RegularPrefixFreeSet(a.alphabet, names.values(), "d0", "acc", table)
+    rows = reachable(x, a.row)[1]
+    names = [f"d{i}" for i in range(len(rows))] + ["acc"]  # row entry -1 reads "acc"
+    symbols = a.alphabet.symbols
+    table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(symbols, row)}
+    table.update((("acc", n), "acc") for n in symbols)
+    return RegularPrefixFreeSet(a.alphabet, names, "d0", "acc", table)
 
 
 def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
@@ -366,49 +370,76 @@ def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hash
     are detector states, the initial state is the automaton's, and a step
     into the accepting state faults."""
     moves = {key: FAULT if t == p.accept else t for key, t in p.transitions.items()}
-    order, table = reachable(p.initial, p.alphabet, lambda q, n: moves[q, n])
-    return FiniteDetector(p.alphabet, order, table), p.initial
+    symbols = p.alphabet.symbols
+    order, rows = reachable(p.initial, lambda q: [moves[q, n] for n in symbols])
+    return _from_rows(p.alphabet, order, rows), p.initial
 
 
-def reachable(initial, alphabet: Alphabet, step) -> tuple[list, dict]:
-    """The one reachable walk: the states reachable from ``initial`` in
-    breadth-first order, and the total table ``(q, n) -> step(q, n)`` over
-    them.  A step may answer :data:`FAULT`, which is never walked."""
+def reachable(initial, expand) -> tuple[list, list]:
+    """The one reachable walk: the states reachable from ``initial``,
+    numbered breadth first from 0, and their rows.  ``expand(q)`` lists
+    state ``q``'s successors in alphabet order, any of them :data:`FAULT`,
+    which is never walked; ``rows[i][j]`` is the number of the ``j``-th
+    successor of state ``i``, or -1 for a fault."""
+    number = {initial: 0, FAULT: -1}
     order = [initial]
-    seen = {initial, FAULT}
-    table = {}
+    rows = []
     for q in order:  # grows while it is walked
-        for n in alphabet.symbols:
-            target = table[(q, n)] = step(q, n)
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-    return order, table
+        row = []
+        for t in expand(q):
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(row)
+    return order, rows
 
 
-def first_prefix_pair(order: list, table: Mapping, alphabet: Alphabet, accepting):
+def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
+    """The detector on ``states``, in row order, that steps as ``rows`` say."""
+    targets = [*states, FAULT]  # row entry -1 reads FAULT
+    symbols = alphabet.symbols
+    return FiniteDetector(alphabet, states, {
+        (q, n): targets[t] for q, row in zip(states, rows) for n, t in zip(symbols, row)
+    })
+
+
+def minimal_detector(alphabet: Alphabet, rows: list) -> tuple[FiniteDetector, str]:
+    """The canonical detector of state 0 of rows as :func:`reachable` gives
+    them: states with equal violation languages merged, those reachable
+    named ``s0, s1, ...`` breadth first, the others dropped."""
+    block = _refine(rows, [0] * len(rows))  # the first round splits by fault profile
+    stand_in = {b: i for i, b in enumerate(block)}  # any state of a block has its row
+    blocks = [*block, FAULT]  # row entry -1 reads FAULT
+    _, merged = reachable(block[0], lambda b: [blocks[t] for t in rows[stand_in[b]]])
+    return _from_rows(alphabet, [f"s{i}" for i in range(len(merged))], merged), "s0"
+
+
+def first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
     """Shortest witness that an automaton's language is not prefix-free: an
     accepted word ``u`` and an accepted proper extension ``uv``, or None.
 
-    ``order`` must be breadth first from the initial state ``order[0]``;
-    ``u`` is a shortest accepted word that extends to another accepted
-    word, and ``uv`` its shortest such extension.
+    ``rows`` come from :func:`reachable`, with no faults; ``accepting[i]``
+    says whether state ``i`` accepts.  ``u`` is a shortest accepted word
+    that extends to another accepted word, and ``uv`` its shortest such
+    extension.
     """
-    shortest: dict = {order[0]: ()}
-    for q in order:
-        for n in alphabet.symbols:
-            shortest.setdefault(table[(q, n)], shortest[q] + (n,))
-    for q in order:
-        if not accepting(q):
+    symbols = alphabet.symbols
+    shortest: dict = {0: ()}
+    for q, row in enumerate(rows):
+        for n, t in zip(symbols, row):
+            shortest.setdefault(t, shortest[q] + (n,))
+    for q in range(len(rows)):
+        if not accepting[q]:
             continue
         frontier = [(q, ())]
         seen = {q}
         while frontier:
             nxt = []
             for cur, syms in frontier:
-                for n in alphabet:
-                    target = table[(cur, n)]
-                    if accepting(target):
+                for n, target in zip(symbols, rows[cur]):
+                    if accepting[target]:
                         u = shortest[q]
                         return Word(alphabet, u), Word(alphabet, u + syms + (n,))
                     if target not in seen:
@@ -448,12 +479,8 @@ def check_detector_morphism(f: Mapping, a: FiniteDetector, b: FiniteDetector) ->
     symbol: faults match exactly, and surviving steps commute with ``f``."""
     _require_same_alphabet(a.alphabet, b.alphabet)
     _require_total_map(f, a.states, b.states)
-    for x in a.states:
-        for n in a.alphabet:
-            ax = a.step(x, n)
-            if (FAULT if ax is FAULT else f[ax]) != b.step(f[x], n):
-                return False
-    return True
+    return all((FAULT if t is FAULT else f[t]) == u
+               for x in a.states for t, u in zip(a.row(x), b.row(f[x])))
 
 
 def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, FiniteWordSet]:
@@ -464,8 +491,9 @@ def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, Finite
     language of the initial state is exactly ``p``.
     """
     require_prefix_free(p)
-    order, table = reachable(p, p.alphabet, final_step)
-    return FiniteDetector(p.alphabet, order, table), p
+    symbols = p.alphabet.symbols
+    order, rows = reachable(p, lambda q: [final_step(q, n) for n in symbols])
+    return _from_rows(p.alphabet, order, rows), p
 
 
 def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
@@ -477,25 +505,7 @@ def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
     canonical forms have identical tables.
     """
     a.require_state(init)
-    symbols, step = a.alphabet.symbols, a.step_table
-    rows = {init: tuple([step[init, n] for n in symbols])}
-    order = [init]
-    for q in order:  # grows while it is walked
-        for t in rows[q]:
-            if t is not FAULT and t not in rows:
-                rows[t] = tuple([step[t, n] for n in symbols])
-                order.append(t)
-    block = _refine(order, lambda q: tuple([t is FAULT for t in rows[q]]), rows.__getitem__)
-    names = {block[init]: "s0"}
-    for q in order:  # breadth first, so the names follow the same order
-        for t in rows[q]:
-            if t is not FAULT and block[t] not in names:
-                names[block[t]] = f"s{len(names)}"
-    table = {}
-    for q in order:
-        for n, t in zip(a.alphabet, rows[q]):
-            table[(names[block[q]], n)] = FAULT if t is FAULT else names[block[t]]
-    return FiniteDetector(a.alphabet, list(names.values()), table), "s0"
+    return minimal_detector(a.alphabet, reachable(init, a.row)[1])
 
 
 def detector_to_text(a: FiniteDetector) -> str:
@@ -507,15 +517,9 @@ def detector_to_text(a: FiniteDetector) -> str:
     for x in a.states:
         if not is_token(x):
             raise ValueError(f"state {x!r} is not serializable; canonicalize the detector first")
-    lines = [
-        "states: " + " ".join(a.states),
-        "alphabet: " + " ".join(a.alphabet.symbols),
-    ]
+    lines = ["states: " + " ".join(a.states), "alphabet: " + " ".join(a.alphabet.symbols)]
     for x in a.states:
-        cells = []
-        for n in a.alphabet:
-            t = a.step(x, n)
-            cells.append(f"{n}->{'FAULT' if t is FAULT else t}")
+        cells = [f"{n}->{'FAULT' if t is FAULT else t}" for n, t in zip(a.alphabet, a.row(x))]
         lines.append(f"{x}: " + " ".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -26,6 +26,7 @@ from .detector import (
     DetectorHandle,
     FiniteDetector,
     SetHandle,
+    _from_rows,
     final_step,
     first_prefix_pair,
     reachable,
@@ -123,19 +124,15 @@ def machine_to_detector(m: EilenbergMachine) -> tuple[FiniteDetector, int]:
     """
     if m.initial & m.final:
         raise EpsilonViolation("the machine accepts the empty word")
-    order, table = reachable(m.initial, m.alphabet, m.successors)
-
-    def accepting(subset: frozenset) -> bool:
-        return bool(subset & m.final)
-
-    pair = first_prefix_pair(order, table, m.alphabet, accepting)
+    symbols = m.alphabet.symbols
+    order, rows = reachable(m.initial, lambda subset: [m.successors(subset, n) for n in symbols])
+    accepting = [bool(subset & m.final) for subset in order]
+    pair = first_prefix_pair(rows, m.alphabet, accepting)
     if pair is not None:
         raise PrefixFreeViolation(*pair)
-    live = [q for q in order if not accepting(q)]
-    number = {q: i for i, q in enumerate(live)}
-    number.update((q, FAULT) for q in order if accepting(q))
-    steps = {(i, n): number[table[q, n]] for i, q in enumerate(live) for n in m.alphabet.symbols}
-    return FiniteDetector(m.alphabet, range(len(live)), steps), 0
+    live = {i: k for k, i in enumerate(i for i, hit in enumerate(accepting) if not hit)}
+    rows = [[live.get(t, -1) for t in rows[i]] for i in live]  # an accepting subset faults
+    return _from_rows(m.alphabet, range(len(live)), rows), 0
 
 
 def machine_derivative(m: EilenbergMachine, n: str) -> EilenbergMachine:
@@ -221,12 +218,13 @@ class Enumerator:
     iterable that runs out means the language has been listed completely.
     """
 
-    __slots__ = ("alphabet", "_source", "_cache", "_finished")
+    __slots__ = ("alphabet", "_source", "_cache", "_first", "_finished")
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word]):
         self.alphabet = alphabet
         self._source = iter(words)
         self._cache: list[Word] = []
+        self._first: dict[int, dict[tuple, int]] = {}  # length -> symbols -> first index
         self._finished = False
 
     @property
@@ -248,8 +246,15 @@ class Enumerator:
                 break
             if not isinstance(item, Word) or item.alphabet != self.alphabet:
                 raise ValueError(f"enumerator produced a malformed word: {item!r}")
+            self._first.setdefault(len(item), {}).setdefault(item.symbols, len(self._cache))
             self._cache.append(item)
         return self._cache[k] if k < len(self._cache) else None
+
+    def first_hit(self, word: tuple) -> int | None:
+        """Index of the first drawn item that is ``word`` or a nonempty prefix of it."""
+        hits = [first[word[:m]] for m, first in self._first.items()
+                if 0 < m <= len(word) and word[:m] in first]
+        return min(hits, default=None)
 
 
 class EnumeratedPrefixFreeSet:
@@ -257,13 +262,14 @@ class EnumeratedPrefixFreeSet:
     to the word consumed so far.
 
     The one-symbol step asks whether consumed-plus-symbol is a member.  The
-    enumeration is scanned item by item: the full candidate word answers
-    fault, a proper prefix of it answers survival (a prefix-free language
-    cannot also contain the full word), exhaustion answers survival
-    definitively.  At most ``budget`` fresh items are drawn per step;
-    rescanning previously drawn items is free.  If the budget runs out
-    undecided the step answers :data:`~vigil.detector.UNKNOWN`; stepping
-    again later resumes the scan where it stopped.
+    enumeration is read in order, and its first item that is the full
+    candidate word answers fault, or that is a proper prefix of it answers
+    survival (a prefix-free language cannot also contain the full word);
+    exhaustion answers survival definitively.  Items drawn already are
+    looked up, not rescanned; at most ``budget`` fresh items are drawn per
+    step.  If the budget runs out undecided the step answers
+    :data:`~vigil.detector.UNKNOWN`; stepping again later resumes the scan
+    where it stopped.
     """
 
     __slots__ = ("enumerator", "consumed", "budget", "alphabet")
@@ -280,23 +286,15 @@ class EnumeratedPrefixFreeSet:
         self.alphabet.index(n)
         longer = concat(self.consumed, Word(self.alphabet, (n,)))
         survived = EnumeratedPrefixFreeSet(self.enumerator, longer, self.budget)
-        word = longer.symbols
-        k = 0
-        fresh = 0
+        word, enumerator = longer.symbols, self.enumerator
+        last = enumerator.drawn + self.budget  # the number drawn once the budget is spent
         while True:
-            if k >= self.enumerator.drawn:
-                if self.enumerator.finished:
-                    return survived
-                if fresh >= self.budget:
-                    return UNKNOWN
-                fresh += 1
-            item = self.enumerator.word_at(k)
-            if item is None:
-                return survived
-            k += 1
-            if item.symbols == word:
-                return FAULT
-            if 0 < len(item) < len(word) and word[: len(item)] == item.symbols:
+            k = enumerator.first_hit(word)
+            if k is not None:
+                return FAULT if len(enumerator.word_at(k)) == len(word) else survived
+            if enumerator.drawn == last:
+                return UNKNOWN
+            if enumerator.word_at(enumerator.drawn) is None:
                 return survived
 
 

@@ -318,7 +318,9 @@ def slice_range(s, m: int, l: int) -> Word:
     if isinstance(s, Word):
         return Word(s.alphabet, s.symbols[m:max(m, l)])
     if isinstance(s, LassoStream):
-        return Word(s.alphabet, tuple(s.at(k) for k in range(m, max(m, l))))
+        pre, per = s.prefix.symbols, s.period.symbols
+        turns = max(0, -((len(pre) - l) // len(per)))  # periods enough to reach position l
+        return Word(s.alphabet, (pre + per * turns)[m:max(m, l)])
     raise TypeError(f"cannot slice {type(s).__name__}")
 
 

@@ -38,7 +38,7 @@ from .detector import (
     FiniteDetector,
     RegularPrefixFreeSet,
     anamorphism_regular,
-    canonical_form,
+    minimal_detector,
     reachable,
 )
 from .sequences import Alphabet, EpsilonViolation
@@ -327,17 +327,17 @@ class _Positions:
     """Position (Glushkov) automaton of a pattern, for the subset
     construction.
 
-    Each literal occurrence is a position, numbered left to right; the
-    number after the last position, ``end``, marks a completed match.  A
-    subset holds the positions that may read the next symbol, and ``end``
-    when the input read so far matches.  Reading a position's symbol leads
-    to its ``follow`` set, so a subset's move is a union of sets fixed once
-    per pattern.
+    Each literal occurrence is a position, numbered left to right, that
+    reads its ``symbols`` entry; the number after the last position,
+    ``end``, marks a completed match.  A subset holds the positions that
+    may read the next symbol, and ``end`` when the input read so far
+    matches.  Reading a position's symbol leads to its ``follow`` set, so a
+    subset's move is a union of sets fixed once per pattern.
     """
 
     def __init__(self, pattern):
         self.follow: list[set] = []
-        self.moves: dict[str, dict[int, set]] = {}  # symbol -> position -> its follow
+        self.symbols: list[str] = []
         nullable, first, last = self.scan(pattern)
         self.end = len(self.follow)
         for p in last:
@@ -351,7 +351,7 @@ class _Positions:
         if isinstance(node, Lit):
             p = len(self.follow)
             self.follow.append(set())
-            self.moves.setdefault(node.symbol, {})[p] = self.follow[p]
+            self.symbols.append(node.symbol)
             return False, {p}, {p}
         if isinstance(node, Alt):
             nullable, first, last = False, set(), set()
@@ -380,38 +380,49 @@ class _Positions:
             return nullable or not isinstance(node, Plus), first, last
         raise TypeError(f"not a pattern node: {node!r}")
 
-    def move(self, subset, n: str) -> frozenset:
-        """The positions one ``n`` step from a subset."""
-        step = self.moves.get(n, {})
-        return frozenset().union(*[step[p] for p in subset if p in step])
+    def expander(self, alphabet: Alphabet):
+        """A subset's successors on each symbol of ``alphabet``, in one pass
+        over its positions; one that matches is :data:`FAULT`, and turns
+        ``prefix_free`` false if a position besides ``end`` extends the
+        match (every position can still reach a match)."""
+        column = {n: j for j, n in enumerate(alphabet.symbols)}
+        k = len(column)  # the column of symbols not in the alphabet, never read
+        moves = [(column.get(n, k), frozenset(f)) for n, f in zip(self.symbols, self.follow)]
+        end = self.end
 
-    def step(self, subset, n: str):
-        """:meth:`move`, but :data:`FAULT` on a match.  ``prefix_free``
-        turns false on a match that a position besides ``end`` extends
-        (every position can still reach a match)."""
-        target = self.move(subset, n)
-        if self.end not in target:
-            return target
-        self.prefix_free = self.prefix_free and len(target) == 1
-        return FAULT
+        def expand(subset) -> list:
+            groups = [[] for _ in range(k + 1)]
+            for p in subset:
+                j, follow = moves[p]
+                groups[j].append(follow)
+            targets = [group[0] if len(group) == 1 else frozenset().union(*group)
+                       for group in groups[:k]]
+            for j, target in enumerate(targets):
+                if end in target:
+                    self.prefix_free = self.prefix_free and len(target) == 1
+                    targets[j] = FAULT
+            return targets
+
+        return expand
 
 
 def pattern_dfa(pattern, alphabet: Alphabet):
     """Subset-construction automaton of a pattern's position automaton,
     cut at its first matches: a step into a matching subset faults.
 
-    Returns (subset order, transition table, whether the pattern language
-    is prefix-free), the order breadth first from the initial subset; the
-    empty subset is the safe sink.  :func:`compile` and
-    :func:`pattern_is_prefix_free` take it from a caller that needs both.
+    Returns (subset order, rows, whether the pattern language is
+    prefix-free), the subsets numbered and rowed by
+    :func:`~vigil.detector.reachable`; the empty subset is the safe sink.
+    :func:`compile` and :func:`pattern_is_prefix_free` take it from a
+    caller that needs both.
     A pattern matching the empty word raises :class:`EpsilonViolation`.
     """
     _require_small(pattern)
     positions = _Positions(pattern)
     if positions.end in positions.initial:
         raise EpsilonViolation("the violation pattern matches the empty observation")
-    order, table = reachable(positions.initial, alphabet, positions.step)
-    return order, table, positions.prefix_free
+    order, rows = reachable(positions.initial, positions.expander(alphabet))
+    return order, rows, positions.prefix_free
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
@@ -443,7 +454,7 @@ def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
 
     The pattern automaton cut at its first matches (``dfa``: the pattern's
     :func:`pattern_dfa`, when the caller has it) is a detector already;
-    it is minimized, and the returned initial state is ``"s0"``.
+    its rows are minimized, and the returned initial state is ``"s0"``.
     """
-    order, table, _ = dfa or pattern_dfa(spec.pattern, spec.alphabet)
-    return canonical_form(FiniteDetector(spec.alphabet, order, table), order[0])
+    rows = (dfa or pattern_dfa(spec.pattern, spec.alphabet))[1]
+    return minimal_detector(spec.alphabet, rows)

@@ -13,10 +13,10 @@ import sys
 from functools import lru_cache
 
 from vigil.detector import FiniteDetector
-from vigil.families import EilenbergMachine
+from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, FiniteWordSet, LassoStream, Word
 from vigil.speclang import Alt, Lit, Opt, Plus, Seq, Star
-from vigil.systems import FAULT, SSystem
+from vigil.systems import FAULT, UNKNOWN, SSystem
 
 
 def binary() -> Alphabet:
@@ -192,6 +192,33 @@ def random_machine(rng, alphabet: Alphabet, n_states: int) -> EilenbergMachine:
     return EilenbergMachine(alphabet, states, transitions, initial, final)
 
 
+def scan_enumerated_step(e: Enumerator, consumed: tuple, n: str, budget: int):
+    """One step of an enumerated violation language by a scan of the
+    enumeration from its first item: :data:`FAULT` if the first item that
+    is the candidate word ``consumed + (n,)`` or a proper nonempty prefix
+    of it is the word itself, the word if it is a prefix or the
+    enumeration runs out first, :data:`UNKNOWN` once ``budget`` fresh
+    items are drawn without an answer.  Draws from ``e`` as it goes."""
+    word = consumed + (n,)
+    proper = {word[:k] for k in range(1, len(word))}
+    k = fresh = 0
+    while True:
+        if k >= e.drawn:
+            if e.finished:
+                return word
+            if fresh >= budget:
+                return UNKNOWN
+            fresh += 1
+        item = e.word_at(k)
+        if item is None:
+            return word
+        k += 1
+        if item.symbols == word:
+            return FAULT
+        if item.symbols in proper:
+            return word
+
+
 def random_prefix_free(rng, alphabet: Alphabet, max_len: int, tries: int = 12) -> FiniteWordSet:
     """A random prefix-free set of nonempty words, grown greedily."""
     kept: list[tuple] = []
@@ -261,6 +288,51 @@ def regex_matches(node, symbols: tuple) -> bool:
 
     collect(node)
     return match(index[id(node)], 0, len(symbols))
+
+
+def regex_matcher(node):
+    """Membership in a pattern's language for many words, decided like
+    :func:`regex_matches` by backtracking, but memoized by (pattern node,
+    piece of word) across calls: words that share pieces share the work."""
+    parts, index = [], {}
+
+    def collect(n):
+        if id(n) in index:
+            return
+        index[id(n)] = len(parts)
+        parts.append(n)
+        if isinstance(n, (Seq, Alt)):
+            for i in n.items:
+                collect(i)
+        elif isinstance(n, (Star, Plus, Opt)):
+            collect(n.item)
+
+    @lru_cache(maxsize=None)
+    def match(which: int, u: tuple) -> bool:
+        part = parts[which]
+        if isinstance(part, Lit):
+            return u == (part.symbol,)
+        if isinstance(part, Alt):
+            return any(match(index[id(i)], u) for i in part.items)
+        if isinstance(part, Seq):
+            return seq_match(tuple(index[id(i)] for i in part.items), u)
+        inner = index[id(part.item)]
+        if isinstance(part, Opt):
+            return not u or match(inner, u)
+        if not u:  # a star matches the empty word, a plus when its item does
+            return isinstance(part, Star) or match(inner, u)
+        return any(match(inner, u[:k]) and (k == len(u) or match(which, u[k:]))
+                   for k in range(1, len(u) + 1))  # a nonempty first turn, then the rest
+
+    @lru_cache(maxsize=None)
+    def seq_match(items: tuple, u: tuple) -> bool:
+        if len(items) == 1:
+            return match(items[0], u)
+        return any(match(items[0], u[:k]) and seq_match(items[1:], u[k:])
+                   for k in range(len(u) + 1))
+
+    collect(node)
+    return lambda symbols: match(0, tuple(symbols))
 
 
 def minimal_matches(node, alphabet: Alphabet, max_len: int) -> set[Word]:

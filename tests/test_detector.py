@@ -543,6 +543,48 @@ class TestCanonicalForm:
                 )
 
 
+    def test_inflated_copies_give_the_original_table(self):
+        """Every copy of a state in an inflated detector has that state's
+        canonical form, table for table."""
+        rng = random.Random(79)
+        for _ in range(60):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            det = random_detector(rng, al, rng.randint(1, 7))
+            big, collapse = inflate_detector(rng, det, max_copies=3)
+            for y in big.states:
+                want, want_init = canonical_form(det, collapse[y])
+                got, got_init = canonical_form(big, y)
+                assert got.states == want.states and got.step_table == want.step_table
+                assert got_init == want_init == "s0"
+
+    def test_one_state_per_reachable_language(self):
+        """The canonical form keeps one state per violation language among
+        the states reachable from the initial one, told apart by the
+        brute-force minimal-word oracle after an independent walk; states
+        that no path reaches are dropped and change nothing."""
+        rng = random.Random(83)
+        for _ in range(60):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            det = random_detector(rng, al, rng.randint(1, 5))
+            x = det.states[0]
+            reach = [x]
+            for q in reach:
+                for n in al:
+                    t = det.step_table[q, n]
+                    if t is not FAULT and t not in reach:
+                        reach.append(t)
+            depth = len(det.states)  # n states are told apart by words of length n
+            languages = {frozenset(oracle_minimal_words(det, q, depth)) for q in reach}
+            canon, init = canonical_form(det, x)
+            assert len(canon.states) == len(languages)
+            unreached = {("u0", n): rng.choice([FAULT, "u0", "u1", x]) for n in al}
+            unreached.update({("u1", n): "u0" for n in al})
+            wider = FiniteDetector(al, [*det.states, "u0", "u1"], {**det.step_table, **unreached})
+            again, again_init = canonical_form(wider, x)
+            assert again.states == canon.states and again.step_table == canon.step_table
+            assert again_init == init
+
+
 class TestSerialization:
     def test_round_trip_text_exact(self, ab, first_b):
         text = detector_to_text(first_b)

@@ -29,6 +29,7 @@ from vigil.families import (
 )
 from vigil.monitor import monitor_online
 from vigil.sequences import (
+    Alphabet,
     EpsilonViolation,
     FiniteWordSet,
     PrefixFreeViolation,
@@ -44,6 +45,7 @@ from support import (
     random_machine,
     random_prefix_free,
     random_word,
+    scan_enumerated_step,
 )
 
 
@@ -292,8 +294,6 @@ class TestReDetector:
         assert handle.step("a") is FAULT  # 'a' drawn
 
     def test_malformed_enumerator_output(self, ab):
-        from vigil.sequences import Alphabet
-
         other = Alphabet(["x", "y"])
         e = Enumerator(ab, iter([other.word("x")]))
         with pytest.raises(ValueError, match="malformed"):
@@ -324,26 +324,6 @@ class TestReDetector:
         those of a scan that tests each item against the set of proper
         prefixes of the candidate word, on seeded random enumerations."""
 
-        def reference_step(e, consumed, n, budget):
-            word = consumed + (n,)
-            proper = {word[:k] for k in range(1, len(word))}
-            k = fresh = 0
-            while True:
-                if k >= e.drawn:
-                    if e.finished:
-                        return word
-                    if fresh >= budget:
-                        return UNKNOWN
-                    fresh += 1
-                item = e.word_at(k)
-                if item is None:
-                    return word
-                k += 1
-                if item.symbols == word:
-                    return FAULT
-                if item.symbols in proper:
-                    return word
-
         def source(items, forever):
             return itertools.cycle(items) if forever and items else iter(items)
 
@@ -360,7 +340,7 @@ class TestReDetector:
             handle = re_detector(new_e, budget)
             for n in (rng.choice(al.symbols) for _ in range(rng.randint(1, 8))):
                 for _attempt in range(4):
-                    want = reference_step(ref_e, consumed, n, budget)
+                    want = scan_enumerated_step(ref_e, consumed, n, budget)
                     got = handle.step(n)
                     assert new_e.drawn == ref_e.drawn
                     if want is UNKNOWN or want is FAULT:
@@ -375,6 +355,64 @@ class TestReDetector:
                     break
                 consumed, handle = want, got
         assert min(seen.values()) >= 50, seen
+
+    def test_lookup_agrees_with_the_scan_on_long_enumerations(self):
+        """Many drawn items, duplicates and prefix pairs among them, so the
+        earliest of several items that decide a step must win: verdicts,
+        UNKNOWN included, and items drawn equal the scan's, on walks that
+        retry after UNKNOWN."""
+        rng = random.Random(127)
+        seen = {"fault": 0, "unknown": 0, "survive": 0}
+        for _ in range(150):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            pool = [random_word(rng, al, rng.randint(0, 4)) for _ in range(rng.randint(1, 12))]
+            items = [rng.choice(pool) for _ in range(rng.randint(0, 80))]
+            budget = rng.randint(1, 8)
+            ref_e, new_e = Enumerator(al, iter(items)), Enumerator(al, iter(items))
+            consumed, handle = (), re_detector(new_e, budget)
+            for n in (rng.choice(al.symbols) for _ in range(rng.randint(1, 10))):
+                want = UNKNOWN
+                while want is UNKNOWN:
+                    want = scan_enumerated_step(ref_e, consumed, n, budget)
+                    got = handle.step(n)
+                    assert new_e.drawn == ref_e.drawn
+                    if want is UNKNOWN or want is FAULT:
+                        assert got is want
+                    else:
+                        assert got.language.consumed.symbols == want
+                    seen[{UNKNOWN: "unknown", FAULT: "fault"}.get(want, "survive")] += 1
+                if want is FAULT:
+                    break
+                consumed, handle = want, got
+        assert min(seen.values()) >= 50, seen
+
+    def test_a_step_reads_only_fresh_items(self, ab):
+        """Items drawn by earlier steps are looked up, not read again: with
+        2,000 items drawn, each later step reads at most ``budget`` fresh
+        items and the one that decides it."""
+
+        class Counting(Enumerator):
+            __slots__ = ("reads",)
+
+            def word_at(self, k):
+                self.reads += 1
+                return super().word_at(k)
+
+        e = Counting(ab, itertools.chain([ab.word("b b a")] * 2000, [ab.word("a")]))
+        e.reads = 0
+        handle = re_detector(e, 3)
+        while handle.step("a") is UNKNOWN:  # the language decides 'a' at its last item
+            pass
+        assert e.drawn == 2001
+        for word, faults in (("b b a", True), ("b b b", False), ("a", True)):
+            e.reads = 0
+            *head, last = word.split()
+            cur = handle
+            for n in head:
+                cur = cur.step(n)
+            got = cur.step(last)
+            assert (got is FAULT) == faults and got is not UNKNOWN
+            assert e.reads <= len(word.split()) * (3 + 1)
 
     def test_budget_must_be_positive(self, ab):
         with pytest.raises(ValueError, match="at least 1"):

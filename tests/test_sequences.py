@@ -22,7 +22,7 @@ from vigil.sequences import (
     slice_range,
 )
 
-from support import all_words, binary, prefix_free_tuples, random_lasso, word_set
+from support import all_words, binary, lasso_symbols, prefix_free_tuples, random_lasso, word_set
 
 
 def oracle_derivative(n, a):
@@ -146,6 +146,19 @@ class TestSlicing:
         got = slice_range(s, 1, 4)
         assert got == ab.word("b a b")
         assert got.symbols == tuple(s.at(k) for k in range(1, 4))
+
+    def test_slice_range_lasso_matches_lasso_symbols(self):
+        """A slice of a lasso holds the stream's symbols at those
+        positions, on seeded random lassos and bounds, past the prefix and
+        across many turns of the period too."""
+        rng = random.Random(13)
+        for _ in range(400):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            s = random_lasso(rng, al, max_prefix=6, max_period=6)
+            m, l = rng.randint(0, 40), rng.randint(0, 40)
+            got = slice_range(s, m, l)
+            assert got.alphabet == al
+            assert got.symbols == lasso_symbols(s, max(m, l))[m:]
 
     def test_negative_position_is_rejected(self, ab):
         s = LassoStream(ab, ab.word("b b"), ab.word("a"))

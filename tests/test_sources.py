@@ -1,6 +1,7 @@
 """Every source file parses as the oldest Python that pyproject.toml
 supports, whichever interpreter runs the tests, and the package imports
-nothing outside the standard library."""
+nothing outside the standard library and uses none of the library names
+added after that version."""
 
 import ast
 import sys
@@ -46,3 +47,77 @@ def test_package_imports_only_the_standard_library(path):
             continue
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, f"line {node.lineno}: {name}"
+
+
+NEWER = {
+    "tomllib": None,  # the whole module
+    "typing": {"Self", "Never", "assert_never", "LiteralString", "Required", "NotRequired",
+               "reveal_type", "dataclass_transform", "TypeVarTuple", "Unpack", "override",
+               "TypeAliasType"},
+    "enum": {"StrEnum", "ReprEnum", "EnumCheck", "FlagBoundary", "verify", "member",
+             "nonmember", "global_enum"},
+    "datetime": {"UTC"},
+    "contextlib": {"chdir"},
+    "hashlib": {"file_digest"},
+    "itertools": {"batched"},
+    "builtins": {"ExceptionGroup", "BaseExceptionGroup"},
+}
+"""Standard-library names that Python 3.11 or later added: a module with
+all of its names (None), or the names added to an older module."""
+
+
+def newer_names(source: str) -> list[str]:
+    """Uses in ``source`` of the names in :data:`NEWER`: imports of them,
+    attributes of a module imported under any name, and the new builtins."""
+    tree = ast.parse(source)
+    modules = {"builtins": "builtins"}  # local name -> module it is bound to
+    found = []
+
+    def newer(module, name=None) -> bool:
+        added = NEWER.get(module, set())
+        return added is None or name in added
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if newer(alias.name):
+                    found.append(alias.name)
+                modules[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if newer(node.module, alias.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if module is not None and newer(module, node.attr):
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in NEWER["builtins"]:
+            found.append(node.id)
+    return found
+
+
+@pytest.mark.parametrize("source, name", [
+    ("import tomllib", "tomllib"),
+    ("from typing import Self", "typing.Self"),
+    ("import typing\nx: typing.Never", "typing.Never"),
+    ("import typing as t\nt.assert_never(1)", "typing.assert_never"),
+    ("from enum import StrEnum", "enum.StrEnum"),
+    ("import datetime\ndatetime.UTC", "datetime.UTC"),
+    ("from contextlib import chdir", "contextlib.chdir"),
+    ("import hashlib\nhashlib.file_digest", "hashlib.file_digest"),
+    ("import itertools\nitertools.batched([], 2)", "itertools.batched"),
+    ("raise ExceptionGroup('e', [])", "ExceptionGroup"),
+])
+def test_newer_names_are_found(source, name):
+    assert newer_names(source) == [name]
+
+
+def test_older_names_pass():
+    source = "import typing, itertools, enum\nfrom typing import Hashable\n" \
+             "typing.Iterator\nitertools.chain\nenum.Enum\nraise ValueError('e')"
+    assert newer_names(source) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_uses_no_newer_library_names(path):
+    assert newer_names(path.read_text(encoding="utf-8")) == []

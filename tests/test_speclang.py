@@ -16,6 +16,7 @@ from vigil.detector import (
     detector_to_text,
     minimal_violation_words,
 )
+from vigil.bisim import largest_detector_bisimulation
 from vigil.families import EilenbergMachine, machine_to_detector
 from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
@@ -51,6 +52,7 @@ from support import (
     random_ast,
     random_lasso,
     random_prefix_free,
+    regex_matcher,
     regex_matches,
     with_peak_rss,
 )
@@ -58,10 +60,18 @@ from support import (
 
 def full_walk(pattern, alphabet: Alphabet):
     """The whole subset automaton of a pattern's positions, walked past
-    its matches too: (subset order, table, initial subset, acceptance test)."""
+    its matches too, one move per symbol: (subset order, rows, initial
+    subset, whether each subset accepts)."""
     positions = _Positions(pattern)
-    order, table = reachable(positions.initial, alphabet, positions.move)
-    return order, table, positions.initial, (lambda subset: positions.end in subset)
+    end = positions.end
+
+    def moves(subset):
+        return [frozenset().union(*[positions.follow[p] for p in subset
+                                    if p != end and positions.symbols[p] == n])
+                for n in alphabet.symbols]
+
+    order, rows = reachable(positions.initial, moves)
+    return order, rows, positions.initial, [end in subset for subset in order]
 
 
 class TestParse:
@@ -149,7 +159,7 @@ class TestPatternDepth:
         spec = ConstraintSpec("deep", ab, pattern)
         assert parse(f"alphabet a b; violation {pretty(pattern)};", name="deep") == spec
         order, _, initial, accepting = full_walk(pattern, ab)
-        assert order[0] == initial and not accepting(initial)
+        assert order[0] == initial and not accepting[0]
         assert pattern_dfa(pattern, ab)[0][0] == initial
         assert compile(spec)[0].states == ("s0",)
 
@@ -377,8 +387,8 @@ class TestPatternIsPrefixFree:
             ast = random_ast(rng, al, rng.randint(0, 5))
             if regex_matches(ast, ()):
                 continue
-            order, table, _, accepting = full_walk(ast, al)
-            whole = first_prefix_pair(order, table, al, accepting) is None
+            _, rows, _, accepting = full_walk(ast, al)
+            whole = first_prefix_pair(rows, al, accepting) is None
             assert pattern_dfa(ast, al)[2] == whole, pretty(ast)
             checked += 1
             flagged += not whole
@@ -443,13 +453,13 @@ class TestAgainstBacktrackingOracle:
         on a word ends in an accepting subset exactly when the pattern
         matches."""
         for spec, matches in _random_specs(263, 120, 6):
-            _, table, initial, accepting = full_walk(spec.pattern, spec.alphabet)
-            assert not accepting(initial)
+            _, rows, _, accepting = full_walk(spec.pattern, spec.alphabet)
+            assert not accepting[0]
             for word, hit in matches.items():
-                state = initial
+                state = 0
                 for n in word:
-                    state = table[state, n]
-                assert accepting(state) == hit, (pretty(spec.pattern), word)
+                    state = rows[state][spec.alphabet.index(n)]
+                assert accepting[state] == hit, (pretty(spec.pattern), word)
 
     def test_kernel_changed_flag(self, tmp_path, capsys):
         """``vigil check`` says the kernel changed the language exactly
@@ -475,12 +485,64 @@ class TestAgainstBacktrackingOracle:
             if changed == "no":
                 assert pair is None, (pretty(spec.pattern), pair)
             else:
-                order, table, _, accepting = full_walk(spec.pattern, spec.alphabet)
-                u, uv = first_prefix_pair(order, table, spec.alphabet, accepting)
+                _, rows, _, accepting = full_walk(spec.pattern, spec.alphabet)
+                u, uv = first_prefix_pair(rows, spec.alphabet, accepting)
                 assert len(u) < len(uv)
                 assert regex_matches(spec.pattern, u.symbols)
                 assert regex_matches(spec.pattern, uv.symbols)
         assert flags == {"yes", "no"}
+
+
+class TestCompileOnRandomPatterns:
+    """The compile path on 200 seeded random patterns over 2 to 4 symbols,
+    each checked against the oracles of ``tests/support.py`` on every word
+    up to length 6 (``regex_matcher`` is ``regex_matches`` memoized across
+    words, which a test below checks)."""
+
+    def test_compile_against_oracles(self):
+        rng = random.Random(271)
+        done = flagged = 0
+        while done < 200:
+            al = Alphabet(["a", "b", "c", "d"][: rng.randint(2, 4)])
+            ast = random_ast(rng, al, rng.randint(0, 4))
+            if regex_matches(ast, ()):
+                continue
+            dfa = pattern_dfa(ast, al)
+            det, init = compile(ConstraintSpec("r", al, ast), dfa)
+            matches = regex_matcher(ast)
+            # the first fault is the shortest matching prefix; a pair is a
+            # match and a matching proper extension of it
+            first, pair = {(): None}, None
+            for w in all_words(al, 6, 1):
+                u = w.symbols
+                before = first[u[:-1]]
+                hit = (before is None or pair is None) and matches(u)
+                first[u] = len(u) if before is None and hit else before
+                if before is not None and hit:
+                    pair = u
+                assert oracle_first_fault(det, init, u) == first[u], (pretty(ast), u)
+            if pair is not None:
+                assert not dfa[2], (pretty(ast), pair)
+            elif not dfa[2]:  # every pair is longer than 6: the oracle confirms one
+                _, rows, _, accepting = full_walk(ast, al)
+                u, uv = first_prefix_pair(rows, al, accepting)
+                assert matches(u.symbols) and matches(uv.symbols)
+            assert largest_detector_bisimulation(det, det).pairs == {(x, x) for x in det.states}
+            again, again_init = canonical_form(det, init)
+            assert (again.states, again.step_table) == (det.states, det.step_table)
+            assert init == again_init == det.states[0] == "s0"
+            done += 1
+            flagged += not dfa[2]
+        assert 30 < flagged < 170
+
+    def test_memoized_matcher_agrees_with_the_backtracking_oracle(self):
+        rng = random.Random(277)
+        for _ in range(60):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            ast = random_ast(rng, al, rng.randint(0, 5))
+            matches = regex_matcher(ast)
+            for w in all_words(al, 5):
+                assert matches(w.symbols) == regex_matches(ast, w.symbols), (pretty(ast), w)
 
 
 class TestCompile:
