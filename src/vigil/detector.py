@@ -318,7 +318,7 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
             for n in alphabet:
                 target = stepper(cur, n)
                 if target is FAULT:
-                    found.append(Word(alphabet, syms + (n,)))
+                    found.append(syms + (n,))
                 elif target is UNKNOWN:
                     raise BudgetExhausted(
                         f"cannot decide the step on {Word(alphabet, syms + (n,)).text()!r}"
@@ -326,7 +326,7 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
                 elif grows(target):
                     nxt.append((target, syms + (n,)))
         frontier = nxt
-    return FiniteWordSet(alphabet, found)
+    return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
 
 
 def _can_fault(a: FiniteDetector) -> set:
@@ -460,10 +460,10 @@ def final_step(p, n: str):
     :data:`UNKNOWN`.
     """
     if isinstance(p, FiniteWordSet):
-        if Word(p.alphabet) in p:
+        if () in p._members:
             raise EpsilonViolation("violation languages may not contain the empty word")
         p.alphabet.index(n)
-        if Word(p.alphabet, (n,)) in p:
+        if (n,) in p._members:
             return FAULT
         return derivative_set(n, p)
     if isinstance(p, RegularPrefixFreeSet):

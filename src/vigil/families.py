@@ -37,6 +37,7 @@ from .sequences import (
     FiniteWordSet,
     PrefixFreeViolation,
     Word,
+    _sort_keys,
     concat,
     is_token,
     require_prefix_free,
@@ -314,20 +315,8 @@ def check_universal_family(c: Iterable[FiniteWordSet]):
     first failing pair.
     """
     members = list(c)
-    if not members:
-        return True, None
-    alphabet = members[0].alphabet
-    for p in members:
-        if p.alphabet != alphabet:
-            raise ValueError("family members must share one alphabet")
-        require_prefix_free(p)
-    family = set(members)
-    for p in sorted(family, key=lambda s: tuple(w.sort_key() for w in s.words)):
-        for n in alphabet:
-            d = final_step(p, n)
-            if d is not FAULT and d not in family:
-                return False, (p, n)
-    return True, None
+    witness = _family_steps(members)[2] if members else None
+    return witness is None, witness
 
 
 def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, Mapping]:
@@ -341,16 +330,36 @@ def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, 
     members = list(c)
     if not members:
         raise ValueError("a universal detector needs at least one member language")
-    ok, witness = check_universal_family(members)
-    if not ok:
+    states, table, witness = _family_steps(members)
+    if witness is not None:
         p, n = witness
         raise ValueError(
             f"family is not derivative-closed: derivative of {p!r} by {n!r} is missing"
         )
+    return FiniteDetector(members[0].alphabet, states, table), {p: p for p in states}
+
+
+def _family_steps(members: list) -> tuple[list, dict, tuple | None]:
+    """The one closure walk over a nonempty family: its distinct members
+    ordered by size and then by their words, the step of each member by
+    each symbol (:data:`FAULT` or a member), and the first step that leaves
+    the family, taken in the order of the members' words, or None."""
     alphabet = members[0].alphabet
-    states = sorted(set(members), key=lambda s: (len(s), tuple(w.sort_key() for w in s.words)))
-    table = {(p, n): final_step(p, n) for p in states for n in alphabet.symbols}
-    return FiniteDetector(alphabet, states, table), {p: p for p in states}
+    family: dict = {}
+    for p in members:
+        if p.alphabet != alphabet:
+            raise ValueError("family members must share one alphabet")
+        require_prefix_free(p)
+        family.setdefault(p, p)
+    order = {p: _sort_keys(alphabet, p._key) for p in family}
+    table: dict = {}
+    for p in sorted(family, key=order.__getitem__):
+        for n in alphabet.symbols:
+            d = final_step(p, n)
+            table[p, n] = d if d is FAULT else family.get(d)
+            if table[p, n] is None:
+                return [], {}, (p, n)
+    return sorted(family, key=lambda p: (len(p), order[p])), table, None
 
 
 def machine_to_text(m: EilenbergMachine) -> str:

@@ -13,6 +13,7 @@ All values are immutable and hashable; operations are pure functions.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -92,7 +93,7 @@ class Alphabet:
         return len(self.symbols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return self is other or isinstance(other, Alphabet) and self.symbols == other.symbols
 
     def __hash__(self) -> int:
         return hash(self.symbols)
@@ -145,12 +146,12 @@ class Word:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
-            and self.alphabet == other.alphabet
             and self.symbols == other.symbols
+            and self.alphabet == other.alphabet
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.symbols))
+        return hash(self.symbols)
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
@@ -161,7 +162,22 @@ class Word:
 
     def sort_key(self) -> tuple:
         """Length-then-lexicographic key, lexicographic in declaration order."""
-        return (len(self.symbols), tuple(self.alphabet.index(s) for s in self.symbols))
+        return _sort_keys(self.alphabet, (self.symbols,))[0]
+
+
+def _sort_keys(alphabet: Alphabet, words: tuple) -> tuple:
+    """:meth:`Word.sort_key` of each symbol tuple in ``words``, computed
+    without a Python-level call per word."""
+    index = repeat(alphabet._index.__getitem__)
+    return tuple(zip(map(len, words), map(tuple, map(map, index, words))))
+
+
+def _word(alphabet: Alphabet, symbols: tuple) -> Word:
+    """The word of ``symbols``, already checked against ``alphabet``, built
+    without checking them again."""
+    word = object.__new__(Word)
+    word.alphabet, word.symbols = alphabet, symbols
+    return word
 
 
 def _primitive_root(symbols: tuple[str, ...]) -> tuple[str, ...]:
@@ -225,54 +241,60 @@ class LassoStream:
 
 
 class FiniteWordSet:
-    """A finite set of words over one alphabet, kept sorted for structural
-    equality (length-then-lexicographic in declaration order)."""
+    """A finite set of words over one alphabet, kept as one tuple of symbol
+    tuples in word order (length-then-lexicographic in declaration order)
+    and its frozenset, hashed once; ``words`` holds the members as
+    :class:`Word` values, built on first use."""
 
-    __slots__ = ("alphabet", "words", "_members")
+    __slots__ = ("alphabet", "_key", "_members", "_words")
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word] = ()):
         members = set()
         for w in words:
             _require_same_alphabet(alphabet, w.alphabet)
-            members.add(w)
-        self.alphabet = alphabet
-        self.words = tuple(sorted(members, key=Word.sort_key))
-        self._members = frozenset(members)
+            members.add(w.symbols)
+        members = tuple(members)
+        ordered = sorted(zip(_sort_keys(alphabet, members), members))  # no two keys tie
+        key = tuple(w for _, w in ordered)
+        self.alphabet, self._key, self._members, self._words = alphabet, key, frozenset(key), None
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, key: tuple) -> "FiniteWordSet":
+        """The set of the symbol tuples in ``key``, which are already checked
+        against ``alphabet``, distinct and in word order."""
+        new = object.__new__(cls)
+        new.alphabet, new._key, new._members, new._words = alphabet, key, frozenset(key), None
+        return new
 
     @classmethod
     def from_texts(cls, alphabet: Alphabet, texts: Iterable[str]) -> "FiniteWordSet":
         return cls(alphabet, (alphabet.word(t) for t in texts))
 
+    @property
+    def words(self) -> tuple:
+        """The members as :class:`Word` values, in word order."""
+        if self._words is None:
+            self._words = tuple(_word(self.alphabet, symbols) for symbols in self._key)
+        return self._words
+
     def __contains__(self, w: object) -> bool:
-        return w in self._members
+        return isinstance(w, Word) and w.symbols in self._members and w.alphabet == self.alphabet
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._key)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteWordSet)
-            and self.alphabet == other.alphabet
-            and self.words == other.words
-        )
+        return self is other or isinstance(other, FiniteWordSet) and (
+            self._members == other._members and self.alphabet == other.alphabet)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.words))
+        return hash(self._members)
 
     def __repr__(self) -> str:
-        return f"FiniteWordSet({{{', '.join(repr(w.text()) for w in self.words)}}})"
-
-
-def _joined(u: Word, v: Word) -> Word:
-    """``u`` then ``v``, two words over one alphabet.  Their symbols are
-    already checked, so the result is built without checking them again."""
-    word = object.__new__(Word)
-    word.alphabet = u.alphabet
-    word.symbols = u.symbols + v.symbols
-    return word
+        return f"FiniteWordSet({{{', '.join(repr(' '.join(w)) for w in self._key)}}})"
 
 
 def concat(u: Word, t):
@@ -283,10 +305,10 @@ def concat(u: Word, t):
     """
     if isinstance(t, Word):
         _require_same_alphabet(u.alphabet, t.alphabet)
-        return _joined(u, t)
+        return _word(u.alphabet, u.symbols + t.symbols)
     if isinstance(t, LassoStream):
         _require_same_alphabet(u.alphabet, t.alphabet)
-        return LassoStream(u.alphabet, _joined(u, t.prefix), t.period)
+        return LassoStream(u.alphabet, _word(u.alphabet, u.symbols + t.prefix.symbols), t.period)
     raise TypeError(f"cannot concatenate onto {type(t).__name__}")
 
 
@@ -326,10 +348,9 @@ def slice_range(s, m: int, l: int) -> Word:
 
 def derivative_set(n: str, a: FiniteWordSet) -> FiniteWordSet:
     """All words that remain after reading ``n`` from a member of ``a``:
-    exactly {u | n u in a}."""
+    exactly {u | n u in a}, still in word order."""
     a.alphabet.index(n)
-    stripped = [Word(a.alphabet, w.symbols[1:]) for w in a.words if w.symbols and w.symbols[0] == n]
-    return FiniteWordSet(a.alphabet, stripped)
+    return FiniteWordSet._of(a.alphabet, tuple(w[1:] for w in a._key if w and w[0] == n))
 
 
 def is_prefix_free(a: FiniteWordSet) -> bool:
@@ -342,18 +363,21 @@ def is_prefix_free(a: FiniteWordSet) -> bool:
 
 
 def _find_prefix_pair(a: FiniteWordSet) -> tuple[Word, Word] | None:
-    for w in a.words:
+    lex = sorted(a._key)  # a member that is a proper prefix sorts just before an extension
+    if all(u != v[:len(u)] for u, v in zip(lex, lex[1:])):
+        return None
+    members = a._members
+    for w in a._key:
         for m in range(len(w)):
-            shorter = Word(a.alphabet, w.symbols[:m])
-            if shorter in a:
-                return shorter, w
+            if w[:m] in members:
+                return _word(a.alphabet, w[:m]), _word(a.alphabet, w)
     return None
 
 
 def require_prefix_free(a: FiniteWordSet) -> None:
     """Raise :class:`PrefixFreeViolation` / :class:`EpsilonViolation` unless
     ``a`` is a valid violation language (prefix-free, no empty word)."""
-    if Word(a.alphabet) in a:
+    if () in a._members:
         raise EpsilonViolation("violation languages may not contain the empty word")
     pair = _find_prefix_pair(a)
     if pair is not None:
@@ -369,6 +393,6 @@ def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:
     the symbol-prefixed derivative parts.
     """
     require_prefix_free(p)
-    heads = frozenset(n for n in p.alphabet if Word(p.alphabet, (n,)) in p)
+    heads = frozenset(n for n in p.alphabet if (n,) in p._members)
     parts = {n: derivative_set(n, p) for n in p.alphabet if n not in heads}
     return heads, parts

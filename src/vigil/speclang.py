@@ -54,13 +54,48 @@ class SpecError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-@dataclass(frozen=True)
-class Lit:
+class _Node:
+    """Structural equality and hashing of pattern nodes, by walks without
+    recursion, so that both hold at any depth and take a shared node once."""
+
+    def _parts(self) -> tuple:
+        return (self.symbol,) if isinstance(self, Lit) else _children(self)
+
+    def __eq__(self, other: object) -> bool:
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or not isinstance(a, _Node) and a != b:
+                return False
+            if isinstance(a, _Node):
+                if len(a._parts()) != len(b._parts()):
+                    return False
+                todo += zip(a._parts(), b._parts())
+        return True
+
+    def __hash__(self) -> int:
+        hashes: dict = {}  # by id; a part that is no node stands for itself
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            fresh = [p for p in node._parts() if isinstance(p, _Node) and id(p) not in hashes]
+            if fresh:
+                todo += [node, *fresh]
+            else:
+                hashes[id(node)] = hash((type(node), *(hashes.get(id(p), p) for p in node._parts())))
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Lit(_Node):
     symbol: str
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False)
+class Seq(_Node):
     items: tuple
 
     def __post_init__(self):
@@ -68,8 +103,8 @@ class Seq:
             raise ValueError("a concatenation needs at least two parts")
 
 
-@dataclass(frozen=True)
-class Alt:
+@dataclass(frozen=True, eq=False)
+class Alt(_Node):
     items: tuple
 
     def __post_init__(self):
@@ -77,18 +112,18 @@ class Alt:
             raise ValueError("an alternation needs at least two branches")
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False)
+class Star(_Node):
     item: object
 
 
-@dataclass(frozen=True)
-class Plus:
+@dataclass(frozen=True, eq=False)
+class Plus(_Node):
     item: object
 
 
-@dataclass(frozen=True)
-class Opt:
+@dataclass(frozen=True, eq=False)
+class Opt(_Node):
     item: object
 
 

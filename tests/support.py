@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from vigil.detector import FiniteDetector
 from vigil.families import EilenbergMachine, Enumerator
-from vigil.sequences import Alphabet, FiniteWordSet, LassoStream, Word
+from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
 from vigil.speclang import Alt, Lit, Opt, Plus, Seq, Star
 from vigil.systems import FAULT, UNKNOWN, SSystem
 
@@ -230,6 +230,55 @@ def random_prefix_free(rng, alphabet: Alphabet, max_len: int, tries: int = 12) -
         if not comparable:
             kept.append(cand)
     return word_set(alphabet, kept)
+
+
+def tuple_set(words) -> frozenset:
+    """Oracle for explicit word sets: a set held as the frozenset of its
+    members' symbol tuples, and operated on by the plain definitions."""
+    return frozenset(tuple(w) for w in words)
+
+
+def tuple_sort_key(alphabet: Alphabet, t: tuple) -> tuple:
+    """Word order: shorter first, then lexicographic in declaration order."""
+    return len(t), [alphabet.symbols.index(n) for n in t]
+
+
+def tuple_set_key(alphabet: Alphabet, members: frozenset) -> list:
+    """The order of word sets: by their members, each in word order."""
+    return sorted(tuple_sort_key(alphabet, t) for t in members)
+
+
+def tuple_derivative(n: str, members: frozenset) -> frozenset:
+    return frozenset(t[1:] for t in members if t[:1] == (n,))
+
+
+def tuple_prefix_pair(alphabet: Alphabet, members: frozenset):
+    """The witness that ``members`` is not prefix-free, by comparing every
+    pair: the first member in word order that extends another member, and
+    the shortest member it extends; None if there is none."""
+    pairs = [(u, v) for u in members for v in members if len(u) < len(v) and v[:len(u)] == u]
+    return min(pairs, key=lambda p: (tuple_sort_key(alphabet, p[1]), len(p[0])), default=None)
+
+
+def tuple_final_step(n: str, members: frozenset):
+    """FAULT when the one-letter word ``n`` is a member, otherwise the
+    derivative; a set holding the empty word has no step."""
+    if () in members:
+        raise EpsilonViolation("the empty word is a member")
+    return FAULT if (n,) in members else tuple_derivative(n, members)
+
+
+def tuple_closure(alphabet: Alphabet, members: frozenset) -> set[frozenset]:
+    """Every set reachable from ``members`` by steps that do not fault."""
+    seen, todo = {members}, [members]
+    while todo:
+        current = todo.pop()
+        for n in alphabet.symbols:
+            step = tuple_final_step(n, current)
+            if step is not FAULT and step not in seen:
+                seen.add(step)
+                todo.append(step)
+    return seen
 
 
 def regex_matches(node, symbols: tuple) -> bool:

@@ -46,6 +46,11 @@ from support import (
     random_prefix_free,
     random_word,
     scan_enumerated_step,
+    tuple_closure,
+    tuple_final_step,
+    tuple_set,
+    tuple_set_key,
+    word_set,
 )
 
 
@@ -491,6 +496,39 @@ class TestUniversalFamily:
     def test_open_family_fails_construction(self, ab):
         with pytest.raises(ValueError, match="not derivative-closed"):
             universal_detector_for([FiniteWordSet.from_texts(ab, ["a b"])])
+
+    def test_witness_and_state_order_on_seeded_families(self):
+        """The closure check takes the members in the order of their words
+        and reports the first step that leaves the family; the universal
+        detector lists its states by size, then by their words.  Both are
+        checked against the tuple-set oracle on derivative closures of
+        random sets, shuffled, with duplicates, and with one member dropped."""
+        rng = random.Random(3301)
+        for _ in range(60):
+            al = Alphabet(rng.sample(["c", "a", "b"], rng.randint(2, 3)))
+            root = tuple_set(random_prefix_free(rng, al, 4))
+            closure = sorted(tuple_closure(al, root), key=lambda m: tuple_set_key(al, m))
+            rng.shuffle(closure)
+            members = [word_set(al, m) for m in closure]
+            det, mapping = universal_detector_for(members + members[:2])
+            by_size = sorted(closure, key=lambda m: (len(m), tuple_set_key(al, m)))
+            assert [tuple_set(p) for p in det.states] == by_size
+            for p in det.states:
+                assert mapping[p] is p
+                for n in al:
+                    want = tuple_final_step(n, tuple_set(p))
+                    step = det.step(p, n)
+                    assert step is FAULT if want is FAULT else tuple_set(step) == want
+            for drop in range(len(closure)):
+                kept = closure[:drop] + closure[drop + 1:]
+                want = (True, None)
+                for m in sorted(kept, key=lambda m: tuple_set_key(al, m)):
+                    missing = [n for n in al if tuple_final_step(n, m) not in (FAULT, *kept)]
+                    if missing:
+                        want = (False, (m, missing[0]))
+                        break
+                ok, witness = check_universal_family(members[:drop] + members[drop + 1:])
+                assert (ok, witness and (tuple_set(witness[0]), witness[1])) == want
 
 
 def test_every_step_rejects_a_foreign_symbol_with_one_message(ab):

@@ -18,11 +18,27 @@ from vigil.sequences import (
     decompose,
     derivative_set,
     is_prefix_free,
+    require_prefix_free,
     slice_from,
     slice_range,
 )
 
-from support import all_words, binary, lasso_symbols, prefix_free_tuples, random_lasso, word_set
+from vigil.detector import FAULT, final_step
+
+from support import (
+    all_words,
+    binary,
+    lasso_symbols,
+    prefix_free_tuples,
+    random_lasso,
+    random_prefix_free,
+    tuple_derivative,
+    tuple_final_step,
+    tuple_prefix_pair,
+    tuple_set,
+    tuple_sort_key,
+    word_set,
+)
 
 
 def oracle_derivative(n, a):
@@ -312,3 +328,98 @@ def test_derivative_preserves_prefix_freeness_exhaustive():
             d = derivative_set(n, p)
             assert is_prefix_free(d)
             assert Word(al) not in d
+
+
+class TestWordSetsAgainstTupleSets:
+    """Explicit word sets against the frozenset-of-tuples oracle, on seeded
+    random prefix-free sets and random subsets of ``all_words``, over
+    alphabets whose declaration order is not their string order."""
+
+    @staticmethod
+    def cases(seed: int, count: int = 150):
+        rng = random.Random(seed)
+        for k in range(count):
+            al = Alphabet(rng.sample(["c", "a", "b"], rng.randint(2, 3)))
+            if k % 2:
+                words = list(random_prefix_free(rng, al, 4))
+            else:
+                pool = list(all_words(al, 3))
+                words = rng.sample(pool, rng.randint(0, 12))
+            yield rng, al, words, tuple_set(words)
+
+    def test_equality_hash_order_and_length(self):
+        for rng, al, words, oracle in self.cases(2101):
+            built = FiniteWordSet(al, words)
+            shuffled = [Word(al, w.symbols) for w in words + rng.choices(words, k=len(words))]
+            rng.shuffle(shuffled)
+            again = FiniteWordSet(Alphabet(al.symbols), shuffled)  # an equal, distinct alphabet
+            assert built == again and hash(built) == hash(again)
+            assert len(built) == len(again) == len(oracle)
+            ordered = sorted(oracle, key=lambda t: tuple_sort_key(al, t))
+            assert [w.symbols for w in built.words] == ordered
+            assert list(built) == [Word(al, t) for t in ordered]
+            assert all(type(w) is Word and w.alphabet is al for w in built.words)
+            for t in oracle:
+                smaller = word_set(al, oracle - {t})
+                assert smaller != built and len(smaller) == len(oracle) - 1
+            wider = Alphabet(al.symbols + ("z",))
+            assert word_set(wider, oracle) != built
+
+    def test_membership(self):
+        for _, al, words, oracle in self.cases(2102, 60):
+            built = FiniteWordSet(al, words)
+            other = Alphabet(al.symbols + ("z",))
+            for w in all_words(al, 4):
+                assert (w in built) == (w.symbols in oracle)
+                assert w.symbols not in built and w.text() not in built
+                assert Word(other, w.symbols) not in built
+            assert None not in built and [] not in built
+
+    def test_derivative_prefix_freeness_and_decompose(self):
+        for _, al, words, oracle in self.cases(2103):
+            built = FiniteWordSet(al, words)
+            for n in al:
+                derived = derivative_set(n, built)
+                assert tuple_set(derived) == tuple_derivative(n, oracle)
+                assert derived == word_set(al, tuple_derivative(n, oracle))
+                assert list(derived) == sorted(derived, key=Word.sort_key)
+            pair = tuple_prefix_pair(al, oracle)
+            assert is_prefix_free(built) == (pair is None)
+            if () in oracle:
+                for check in (require_prefix_free, decompose):
+                    with pytest.raises(EpsilonViolation):
+                        check(built)
+            elif pair is not None:
+                for check in (require_prefix_free, decompose):
+                    with pytest.raises(PrefixFreeViolation) as raised:
+                        check(built)
+                    assert (raised.value.shorter.symbols, raised.value.longer.symbols) == pair
+            else:
+                heads, parts = decompose(built)
+                assert heads == {n for n in al if (n,) in oracle}
+                assert {n: tuple_set(part) for n, part in parts.items()} == {
+                    n: tuple_derivative(n, oracle) for n in al if n not in heads}
+
+    def test_final_step(self):
+        for _, al, words, oracle in self.cases(2104):
+            built = FiniteWordSet(al, words)
+            for n in al:
+                try:
+                    want = tuple_final_step(n, oracle)
+                except EpsilonViolation:
+                    with pytest.raises(EpsilonViolation):
+                        final_step(built, n)
+                    continue
+                got = final_step(built, n)
+                assert got is FAULT if want is FAULT else tuple_set(got) == want
+            if () not in oracle:
+                with pytest.raises(ValueError, match="not in alphabet"):
+                    final_step(built, "z")
+
+    def test_alphabet_mismatch(self):
+        for _, al, words, oracle in self.cases(2105, 40):
+            other = Alphabet(al.symbols[::-1])
+            with pytest.raises(AlphabetMismatchError):
+                FiniteWordSet(al, [*words, Word(other, ())])
+            with pytest.raises(AlphabetMismatchError):
+                FiniteWordSet(other, words or [Word(al, ())])

@@ -1,5 +1,6 @@
 """Parsing, kernelization, and compilation of constraint specs."""
 
+import copy
 import os
 import random
 import subprocess
@@ -186,6 +187,47 @@ class TestPatternDepth:
             pattern = Alt((pattern, pattern))
         with pytest.raises(ValueError, match="deeper than"):
             ConstraintSpec("shared", ab, pattern)
+
+
+class TestPatternEquality:
+    """Pattern nodes compare and hash by structure, at any depth."""
+
+    @staticmethod
+    def chain(levels: int, symbol: str = "a"):
+        pattern = Lit(symbol)
+        for _ in range(levels):
+            pattern = Star(pattern)
+        return pattern
+
+    def test_nodes_deeper_than_parse_builds_compare_and_hash(self):
+        deep, twin = self.chain(5000), self.chain(5000)
+        assert deep == twin and hash(deep) == hash(twin)
+        assert deep != self.chain(5000, "b") and deep != self.chain(4999)
+        assert len({deep, twin, self.chain(4999)}) == 2
+        spec = ConstraintSpec("shallow", Alphabet(["a", "b"]), Lit("a"))
+        assert spec != ConstraintSpec("shallow", spec.alphabet, Lit("b"))
+
+    def test_shared_nodes_are_walked_once(self):
+        pattern, twin = Lit("a"), Lit("a")
+        for _ in range(200):  # 2**200 root-to-leaf paths
+            pattern, twin = Alt((pattern, pattern)), Alt((twin, twin))
+        assert pattern == twin and hash(pattern) == hash(twin)
+        assert Seq((pattern, Lit("a"))) != Seq((twin, Lit("b")))
+
+    def test_agrees_with_the_structural_rendering(self):
+        """Two nodes are equal exactly when their dataclass reprs, which
+        name every node, are; equal nodes hash alike."""
+        rng = random.Random(5150)
+        alphabet = Alphabet(["a", "b"])
+        nodes = [random_ast(rng, alphabet, depth=rng.randint(0, 3)) for _ in range(300)]
+        for x in nodes:
+            for y in rng.sample(nodes, 20) + [copy.deepcopy(x)]:
+                assert (x == y) == (repr(x) == repr(y))
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert Star(Lit("a")) != Plus(Lit("a")) != Opt(Lit("a"))
+        assert Seq((Lit("a"), Lit("b"))) != Alt((Lit("a"), Lit("b")))
+        assert Lit("a") != "a" and Seq((Lit("a"), Lit("b"), Lit("a"))) != Seq((Lit("a"), Lit("b")))
 
 
 class TestPatternSize:
