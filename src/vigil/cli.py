@@ -207,7 +207,7 @@ def _emit(report: dict, fmt: str, alphabet=None, blocks=()) -> None:
 def cmd_check(args) -> int:
     try:
         spec = _load_spec(args.spec)
-        dfa = speclang.pattern_dfa(spec.pattern, spec.alphabet)
+        dfa = speclang._pattern_dfa(spec.pattern, spec.alphabet)
         detector, _ = speclang.compile(spec, dfa)
         unchanged = speclang.pattern_is_prefix_free(spec, dfa)
     except (OSError, ValueError) as exc:

@@ -83,40 +83,34 @@ def join_map(f: Mapping, g: Mapping) -> dict:
 
 def _run_lasso(s: LassoStream, start, step, key, fault) -> MonitorVerdict:
     """Run ``step(state, symbol)`` along a lasso from ``start`` until it
-    reaches ``fault`` or a (position, ``key(state)``) pair repeats.
+    reaches ``fault`` or ``key(state)`` repeats at the start of a period.
 
-    Positions index ``prefix + period``; after the last one the stream goes
-    on at ``len(prefix)``.  The lasso is canonical, so distinct positions
-    are distinct suffixes of the stream and a repeated pair proves that the
-    run never faults.
+    The prefix, then each turn of the period, is one ``reduce``; ``step``
+    keeps ``fault`` at ``fault``, and a block that ends there is walked
+    again from its first state, symbol by symbol, to the first fault.  The
+    state at a period start fixes the one at the next, so a repeated key
+    proves that the run never faults.
     """
-    symbols = s.prefix.symbols + s.period.symbols
-    loop = len(s.prefix)
-    pos = 0
-    cur = start
-    visited = {(0, key(start))}
-    m = 0
-    while True:
-        target = step(cur, symbols[pos])
-        m += 1
-        if target is fault:
-            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
-        pos = pos + 1 if pos + 1 < len(symbols) else loop
-        seen = (pos, key(target))
-        if seen in visited:
+    block, state, done, seen = s.prefix.symbols, start, 0, set()
+    while (end := reduce(step, block, state)) is not fault:
+        state, done, block = end, done + len(block), s.period.symbols
+        if (turn := key(state)) in seen:
             return CertifiedSafe()
-        visited.add(seen)
-        cur = target
+        seen.add(turn)
+    for m, symbol in enumerate(block, done + 1):
+        state = step(state, symbol)
+        if state is fault:
+            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
 
 
 def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     """Exact verdict of a finite detector on a lasso stream.
 
-    The pair (position in the lasso, detector state) ranges over a finite
-    set, so either some step faults — yielding the minimal bad prefix — or
-    a pair repeats, certifying that no prefix ever faults.  Only finite
-    detectors can certify safety; drive a handle-backed detector with
-    :func:`monitor_online` instead.
+    The detector state at the start of each turn of the period ranges over
+    a finite set, so either some step faults — yielding the minimal bad
+    prefix — or a state repeats there, certifying that no prefix ever
+    faults.  Only finite detectors can certify safety; drive a
+    handle-backed detector with :func:`monitor_online` instead.
     """
     if not isinstance(a, FiniteDetector):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
@@ -258,7 +252,11 @@ def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorV
     state, stepping by membership-then-derivative on the automaton
     representation."""
     _require_same_alphabet(p.alphabet, s.alphabet)
-    return _run_lasso(s, p, final_step, lambda q: q.initial, FAULT)
+
+    def step(q, n):  # the fault stays the fault, as a dense fault row does
+        return q if q is FAULT else final_step(q, n)
+
+    return _run_lasso(s, p, step, lambda q: q.initial, FAULT)
 
 
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):

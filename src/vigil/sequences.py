@@ -125,9 +125,9 @@ class Word:
 
     def __init__(self, alphabet: Alphabet, symbols: Iterable[str] = ()):
         symbols = tuple(symbols)
-        for s in symbols:
-            if s not in alphabet:
-                raise ValueError(f"token {s!r} is not in alphabet {alphabet.symbols}")
+        if not all(map(alphabet._index.__contains__, symbols)):
+            foreign = next(s for s in symbols if s not in alphabet)
+            raise ValueError(f"token {foreign!r} is not in alphabet {alphabet.symbols}")
         self.alphabet = alphabet
         self.symbols = symbols
 
@@ -210,8 +210,8 @@ class LassoStream:
             per = per[-1:] + per[:-1]
             pre = pre[:-1]
         self.alphabet = alphabet
-        self.prefix = Word(alphabet, pre)
-        self.period = Word(alphabet, per)
+        self.prefix = _word(alphabet, pre)
+        self.period = _word(alphabet, per)
 
     def at(self, k: int) -> str:
         """The token at position ``k`` (defined for every k >= 0)."""

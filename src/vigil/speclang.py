@@ -32,7 +32,7 @@ empty observation cannot be a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .detector import (
     FiniteDetector,
@@ -55,11 +55,27 @@ class SpecError(ValueError):
 
 
 class _Node:
-    """Structural equality and hashing of pattern nodes, by walks without
-    recursion, so that both hold at any depth and take a shared node once."""
+    """Structural equality, hashing, ``repr``, pickling and copying of
+    pattern nodes, by walks without recursion, so that all of them hold at
+    any depth and take a shared node once."""
 
     def _parts(self) -> tuple:
         return (self.symbol,) if isinstance(self, Lit) else _children(self)
+
+    def _postorder(self) -> list:
+        """The distinct nodes under this one, each after its node parts."""
+        order, done, todo = [], set(), [self]
+        while todo:
+            node = todo[-1]
+            fresh = [p for p in node._parts() if isinstance(p, _Node) and id(p) not in done]
+            if fresh:
+                todo += fresh
+                continue
+            todo.pop()
+            if id(node) not in done:
+                done.add(id(node))
+                order.append(node)
+        return order
 
     def __eq__(self, other: object) -> bool:
         todo, seen = [(self, other)], set()
@@ -78,23 +94,55 @@ class _Node:
 
     def __hash__(self) -> int:
         hashes: dict = {}  # by id; a part that is no node stands for itself
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            fresh = [p for p in node._parts() if isinstance(p, _Node) and id(p) not in hashes]
-            if fresh:
-                todo += [node, *fresh]
-            else:
-                hashes[id(node)] = hash((type(node), *(hashes.get(id(p), p) for p in node._parts())))
+        for node in self._postorder():
+            hashes[id(node)] = hash((type(node), *(hashes.get(id(p), p) for p in node._parts())))
         return hashes[id(self)]
 
+    def __repr__(self) -> str:
+        """The dataclass ``repr``, e.g. ``Star(item=Lit(symbol='a'))``."""
+        texts: dict = {}
+        for node in self._postorder():
+            name = fields(node)[0].name
+            parts = [texts[id(p)] if isinstance(p, _Node) else repr(p) for p in node._parts()]
+            text = ", ".join(parts)
+            if isinstance(node, (Seq, Alt)):  # two items or more
+                text = f"[{text}]" if isinstance(node.items, list) else f"({text})"
+            texts[id(node)] = f"{type(node).__qualname__}({name}={text})"
+        return texts[id(self)]
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        """Pickle and copy as one flat postfix list of (node type, places of
+        its parts in the list), a part that is no node as (None, itself)."""
+        places: dict = {}
+        entries = []
+        for node in self._postorder():
+            for p in node._parts():
+                if id(p) not in places:  # a part that is no node
+                    places[id(p)] = len(entries)
+                    entries.append((None, p))
+            places[id(node)] = len(entries)
+            entries.append((type(node), tuple(places[id(p)] for p in node._parts())))
+        return _rebuild, (entries,)
+
+
+def _rebuild(entries: list):
+    """The node of a :meth:`_Node.__reduce__` list: its last entry."""
+    built = []
+    for kind, parts in entries:
+        if kind is None:
+            built.append(parts)
+        else:
+            parts = [built[i] for i in parts]
+            built.append(kind(tuple(parts)) if issubclass(kind, (Seq, Alt)) else kind(*parts))
+    return built[-1]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(_Node):
     symbol: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Node):
     items: tuple
 
@@ -103,7 +151,7 @@ class Seq(_Node):
             raise ValueError("a concatenation needs at least two parts")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Alt(_Node):
     items: tuple
 
@@ -112,17 +160,17 @@ class Alt(_Node):
             raise ValueError("an alternation needs at least two branches")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Star(_Node):
     item: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Plus(_Node):
     item: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Opt(_Node):
     item: object
 
@@ -453,6 +501,11 @@ def pattern_dfa(pattern, alphabet: Alphabet):
     A pattern matching the empty word raises :class:`EpsilonViolation`.
     """
     _require_small(pattern)
+    return _pattern_dfa(pattern, alphabet)
+
+
+def _pattern_dfa(pattern, alphabet: Alphabet):
+    """:func:`pattern_dfa` of a pattern already held to size, as a spec's is."""
     positions = _Positions(pattern)
     if positions.end in positions.initial:
         raise EpsilonViolation("the violation pattern matches the empty observation")
@@ -481,7 +534,7 @@ def pattern_is_prefix_free(spec: ConstraintSpec, dfa=None) -> bool:
     """Whether the spec's pattern language is already prefix-free, i.e.
     kernelization does not change it.  ``dfa``: the pattern's
     :func:`pattern_dfa`, when the caller has it."""
-    return (dfa or pattern_dfa(spec.pattern, spec.alphabet))[2]
+    return (dfa or _pattern_dfa(spec.pattern, spec.alphabet))[2]
 
 
 def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
@@ -491,5 +544,5 @@ def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
     :func:`pattern_dfa`, when the caller has it) is a detector already;
     its rows are minimized, and the returned initial state is ``"s0"``.
     """
-    rows = (dfa or pattern_dfa(spec.pattern, spec.alphabet))[1]
+    rows = (dfa or _pattern_dfa(spec.pattern, spec.alphabet))[1]
     return minimal_detector(spec.alphabet, rows)

@@ -95,6 +95,43 @@ def wrapped(verdict, s: LassoStream) -> bool:
     return not isinstance(verdict, Violation) or verdict.prefix_len > len(s.prefix) + len(s.period)
 
 
+def counter_detector(size: int, step_a, fault_b=None) -> FiniteDetector:
+    """States c0 .. c<size-1> over a b: 'a' moves c<i> to c<step_a(i)>, or
+    faults where ``step_a`` gives None; 'b' keeps the state, except that it
+    faults at c<fault_b>."""
+    al = binary()
+    table = {}
+    for i in range(size):
+        target = step_a(i)
+        table[(f"c{i}", "a")] = FAULT if target is None else f"c{target}"
+        table[(f"c{i}", "b")] = FAULT if i == fault_b else f"c{i}"
+    return FiniteDetector(al, [f"c{i}" for i in range(size)], table)
+
+
+def fault_place(verdict: Violation, s: LassoStream) -> str:
+    """Where the last symbol of the bad prefix sits: in the prefix, or
+    first, last or inside a turn of the period."""
+    k = verdict.prefix_len - 1 - len(s.prefix)
+    if k < 0:
+        return "prefix"
+    k %= len(s.period)
+    return "first" if k == 0 else "last" if k == len(s.period) - 1 else "inside"
+
+
+def turn_starts(det, x, s: LassoStream) -> list:
+    """The states at the starts of the period's turns, walking the raw
+    table, up to and including the first that repeats an earlier one; a
+    run that faults stops at FAULT."""
+    starts, cur = [], x
+    for n in s.prefix:
+        cur = cur if cur is FAULT else det.step_table[(cur, n)]
+    while cur is not FAULT and cur not in starts:
+        starts.append(cur)
+        for n in s.period:
+            cur = cur if cur is FAULT else det.step_table[(cur, n)]
+    return starts + [cur]
+
+
 class TestVerdictTypes:
     def test_violation_pins_the_off_by_one(self, ab):
         with pytest.raises(ValueError, match="prefix_len - 1"):
@@ -266,6 +303,62 @@ class TestMonitorLasso:
                 assert isinstance(again, Violation)
                 assert again.prefix_len == verdict.prefix_len
                 assert again.bad_prefix == verdict.bad_prefix
+
+
+class TestLassoBlockWalk:
+    """Lassos a walk a period at a time could get wrong: a fault in the
+    prefix, at the first or last symbol of a turn or only after many turns,
+    and safe runs whose turn-start state settles only after several turns.
+    Both monitors must give the brute-force oracle's verdict."""
+
+    deep = counter_detector(60, lambda i: None if i == 49 else min(i + 1, 59))  # 50th 'a' faults
+    cyclic = counter_detector(7, lambda i: (i + 1) % 7, fault_b=5)
+
+    def test_fault_on_the_fiftieth_turn(self):
+        al = binary()
+        for period, position in (("a b b", 49 * 3 + 1), ("b b a", 50 * 3), ("b a b b", 49 * 4 + 2)):
+            s = al.lasso("; " + period)
+            assert monitor_lasso(self.deep, "c0", s) == oracle_verdict(self.deep, "c0", s)
+            assert monitor_lasso(self.deep, "c0", s).prefix_len == position
+        s = al.lasso("b " + "a " * 50 + "; b")
+        assert monitor_lasso(self.deep, "c0", s).prefix_len == 51
+
+    def cases(self):
+        al = binary()
+        for x in ("c0", "c10", "c48", "c49", "c55"):
+            for text in ("; a b b", "; b b a", "; b a b b", "; a", "b " + "a " * 50 + "; b",
+                         "a " * 49 + "; b", "a a a ; b a b a b b"):
+                yield self.deep, x, al.lasso(text)
+        never = counter_detector(12, lambda i: min(i + 1, 11))  # a count that stops at 11
+        for text in ("; a b", "; b a", "b b ; a b b", "a ; a a b", "; b"):
+            yield never, "c0", al.lasso(text)
+        for x in self.cyclic.states:  # turn starts go round the cycle, then 'b' at c5 faults
+            for text in ("; a a b", "; b a a", "; a b a", "; a a", "; a a a b", "b a ; a a a a b"):
+                yield self.cyclic, x, al.lasso(text)
+        yield from long_lasso_cases(random.Random(173), 300)
+
+    def test_both_monitors_agree_with_the_oracle(self):
+        places, settled_late = dict.fromkeys(("prefix", "first", "last", "inside"), 0), 0
+        for det, x, s in self.cases():
+            expected = oracle_verdict(det, x, s)
+            assert monitor_lasso(det, x, s) == expected, (x, s)
+            assert transfer_to_universal(det, x, s) == (expected, expected), (x, s)
+            if isinstance(expected, Violation):
+                places[fault_place(expected, s)] += 1
+            else:
+                settled_late += len(turn_starts(det, x, s)) > 5
+        assert min(places.values()) >= 10 and settled_late >= 10, (places, settled_late)
+
+    def test_constructed_cases_hit_their_targets(self):
+        """The counters above settle late, or fault where they are meant to."""
+        al = binary()
+        never = counter_detector(12, lambda i: min(i + 1, 11))
+        assert len(turn_starts(never, "c0", al.lasso("; a b"))) == 13
+        assert turn_starts(self.cyclic, "c0", al.lasso("; a")) == [f"c{i}" for i in (*range(7), 0)]
+        for text, place in (("; a a b", "last"), ("; b a a", "first"), ("; a b a", "inside")):
+            s = al.lasso(text)
+            verdict = monitor_lasso(self.cyclic, "c0", s)
+            assert fault_place(verdict, s) == place and verdict.prefix_len > 2 * len(s.period)
 
 
 class TestConstrMember:

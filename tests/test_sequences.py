@@ -74,6 +74,18 @@ class TestWordsAndText:
         with pytest.raises(ValueError, match="not in alphabet"):
             Word(ab, ("a", "c"))
 
+    def test_foreign_token_error_names_the_first_one(self, ab):
+        for symbols in (["c"], ["a", "b", "c", "a", "d"], ["a"] * 500 + ["dd", "c"]):
+            first = next(s for s in symbols if s not in ("a", "b"))
+            with pytest.raises(ValueError) as caught:
+                Word(ab, symbols)
+            assert str(caught.value) == f"token {first!r} is not in alphabet ('a', 'b')"
+
+    def test_unhashable_symbol_is_a_type_error(self, ab):
+        for symbols in ([["a"]], ["a", "b", {"b"}], ("a", ["c"], "c")):
+            with pytest.raises(TypeError, match="unhashable"):
+                Word(ab, symbols)
+
     def test_text_round_trip(self, ab):
         for text in ["", "a", "a b b a"]:
             assert ab.word(text).text() == text

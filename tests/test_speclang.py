@@ -2,9 +2,11 @@
 
 import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
+from dataclasses import fields, make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,42 @@ class TestPatternEquality:
         assert Star(Lit("a")) != Plus(Lit("a")) != Opt(Lit("a"))
         assert Seq((Lit("a"), Lit("b"))) != Alt((Lit("a"), Lit("b")))
         assert Lit("a") != "a" and Seq((Lit("a"), Lit("b"), Lit("a"))) != Seq((Lit("a"), Lit("b")))
+
+    def test_deep_and_shared_nodes_pickle_and_copy(self):
+        deep = self.chain(5000)
+        pattern = Lit("a")
+        for _ in range(200):  # 2**200 root-to-leaf paths
+            pattern = Alt((pattern, pattern))
+        for node in (deep, pattern, Seq((Star(deep), pattern))):
+            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node), copy.copy(node)):
+                # the asserts name no node: a failure would render 2**200 paths
+                equal, fresh = twin == node, twin is not node
+                assert equal and fresh
+        twin = copy.deepcopy(pattern)
+        shared = twin.items[0] is twin.items[1]
+        assert shared and len(pickle.dumps(pattern)) < 10_000
+
+    def test_repr_is_the_dataclass_repr(self):
+        """Equal to the ``repr`` that plain dataclasses of the same shape
+        generate, on seeded random parsed patterns and at any depth."""
+        mirrors = {kind: make_dataclass(kind.__name__, [f.name for f in fields(kind)], frozen=True)
+                   for kind in (Lit, Seq, Alt, Star, Plus, Opt)}
+
+        def mirror(node):
+            if isinstance(node, Lit):
+                return mirrors[Lit](node.symbol)
+            if isinstance(node, (Seq, Alt)):
+                return mirrors[type(node)](tuple(map(mirror, node.items)))
+            return mirrors[type(node)](mirror(node.item))
+
+        rng = random.Random(5153)
+        alphabet = Alphabet(["a", "b", "c"])
+        for _ in range(300):
+            ast = random_ast(rng, alphabet, depth=rng.randint(0, 5))
+            pattern = parse(f"alphabet a b c; violation {pretty(ast)};").pattern
+            assert repr(pattern) == repr(mirror(pattern))
+        assert repr(self.chain(5000)) == "Star(item=" * 5000 + "Lit(symbol='a')" + ")" * 5000
+        assert repr(Seq([Lit("a"), "b"])) == "Seq(items=[Lit(symbol='a'), 'b'])"
 
 
 class TestPatternSize:
