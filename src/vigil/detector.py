@@ -407,12 +407,13 @@ def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
 
 def minimal_detector(alphabet: Alphabet, rows: list) -> tuple[FiniteDetector, str]:
     """The canonical detector of state 0 of rows as :func:`reachable` gives
-    them: states with equal violation languages merged, those reachable
-    named ``s0, s1, ...`` breadth first, the others dropped."""
+    them, each reachable from row 0: states with equal violation languages
+    merged, named ``s0, s1, ...`` breadth first, which is the order in which
+    the refinement numbers its blocks, by their first states."""
     block = _refine(rows, [0] * len(rows))  # the first round splits by fault profile
     stand_in = {b: i for i, b in enumerate(block)}  # any state of a block has its row
-    blocks = [*block, FAULT]  # row entry -1 reads FAULT
-    _, merged = reachable(block[0], lambda b: [blocks[t] for t in rows[stand_in[b]]])
+    block.append(-1)  # row entry -1 stays a fault
+    merged = [[block[t] for t in rows[stand_in[b]]] for b in range(len(stand_in))]
     return _from_rows(alphabet, [f"s{i}" for i in range(len(merged))], merged), "s0"
 
 

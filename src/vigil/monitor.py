@@ -24,7 +24,6 @@ from .detector import (
     FiniteDetector,
     RegularPrefixFreeSet,
     anamorphism_regular,
-    final_step,
 )
 from .sequences import LassoStream, Word, _require_same_alphabet, slice_range
 from .systems import FAULT, OK, SSystem, TSystem
@@ -249,12 +248,12 @@ def monitor_online(a, x=None) -> OnlineMonitor:
 
 def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorVerdict:
     """Monitor a lasso with the violation language itself as the detector
-    state, stepping by membership-then-derivative on the automaton
-    representation."""
+    state, stepping by membership-then-derivative: the automaton's
+    :meth:`~vigil.detector.RegularPrefixFreeSet.advance`."""
     _require_same_alphabet(p.alphabet, s.alphabet)
 
     def step(q, n):  # the fault stays the fault, as a dense fault row does
-        return q if q is FAULT else final_step(q, n)
+        return q if q is FAULT else q.advance(n)
 
     return _run_lasso(s, p, step, lambda q: q.initial, FAULT)
 

@@ -32,6 +32,7 @@ empty observation cannot be a violation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .detector import (
@@ -77,31 +78,34 @@ class _Node:
                 order.append(node)
         return order
 
+    def _terms(self) -> tuple:
+        """The distinct structural subterms under this node, itself last,
+        each after its node parts, as (node type, parts): a node part by its
+        place in the tuple, any other part as ``(itself,)``.  Nodes that
+        differ only in which subterms they share give equal tuples."""
+        places: dict = {}  # by id
+        terms: dict = {}  # term -> its place
+        for node in self._postorder():
+            parts = tuple([places[id(p)] if isinstance(p, _Node) else (p,) for p in node._parts()])
+            places[id(node)] = terms.setdefault((type(node), parts), len(terms))
+        return tuple(terms)
+
     def __eq__(self, other: object) -> bool:
-        todo, seen = [(self, other)], set()
-        while todo:
-            a, b = todo.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if type(a) is not type(b) or not isinstance(a, _Node) and a != b:
-                return False
-            if isinstance(a, _Node):
-                if len(a._parts()) != len(b._parts()):
-                    return False
-                todo += zip(a._parts(), b._parts())
-        return True
+        return self is other or isinstance(other, _Node) and self._terms() == other._terms()
 
     def __hash__(self) -> int:
-        hashes: dict = {}  # by id; a part that is no node stands for itself
-        for node in self._postorder():
-            hashes[id(node)] = hash((type(node), *(hashes.get(id(p), p) for p in node._parts())))
-        return hashes[id(self)]
+        return hash(self._terms())
 
     def __repr__(self) -> str:
-        """The dataclass ``repr``, e.g. ``Star(item=Lit(symbol='a'))``."""
+        """The dataclass ``repr``, e.g. ``Star(item=Lit(symbol='a'))``, or a
+        placeholder for a node that expands to more than
+        :data:`MAX_PATTERN_SIZE` nodes."""
         texts: dict = {}
+        sizes: dict = {}  # expanded, by id
         for node in self._postorder():
+            sizes[id(node)] = 1 + sum(sizes.get(id(p), 0) for p in node._parts())
+            if sizes[id(node)] > MAX_PATTERN_SIZE:
+                return f"<{type(self).__name__} expanding to more than {MAX_PATTERN_SIZE} nodes>"
             name = fields(node)[0].name
             parts = [texts[id(p)] if isinstance(p, _Node) else repr(p) for p in node._parts()]
             text = ", ".join(parts)
@@ -111,29 +115,16 @@ class _Node:
         return texts[id(self)]
 
     def __reduce__(self):
-        """Pickle and copy as one flat postfix list of (node type, places of
-        its parts in the list), a part that is no node as (None, itself)."""
-        places: dict = {}
-        entries = []
-        for node in self._postorder():
-            for p in node._parts():
-                if id(p) not in places:  # a part that is no node
-                    places[id(p)] = len(entries)
-                    entries.append((None, p))
-            places[id(node)] = len(entries)
-            entries.append((type(node), tuple(places[id(p)] for p in node._parts())))
-        return _rebuild, (entries,)
+        """Pickle and copy as :meth:`_terms`."""
+        return _rebuild, (self._terms(),)
 
 
-def _rebuild(entries: list):
-    """The node of a :meth:`_Node.__reduce__` list: its last entry."""
+def _rebuild(terms: tuple):
+    """The node of a :meth:`_Node._terms` tuple: its last term."""
     built = []
-    for kind, parts in entries:
-        if kind is None:
-            built.append(parts)
-        else:
-            parts = [built[i] for i in parts]
-            built.append(kind(tuple(parts)) if issubclass(kind, (Seq, Alt)) else kind(*parts))
+    for kind, parts in terms:
+        parts = [built[p] if isinstance(p, int) else p[0] for p in parts]
+        built.append(kind(tuple(parts)) if issubclass(kind, (Seq, Alt)) else kind(*parts))
     return built[-1]
 
 
@@ -178,7 +169,7 @@ class Opt(_Node):
 MAX_NESTING = 50
 """Deepest parenthesis nesting a pattern may use.  It bounds the recursion
 of the parser and of everything that walks a parsed pattern (automaton
-construction, :func:`pretty`, equality)."""
+construction, :func:`pretty`)."""
 
 _MAX_DEPTH = 3 * (MAX_NESTING + 1) + 1
 """Nodes on the longest path down a parsed pattern: an alternation, a
@@ -257,153 +248,112 @@ def pretty(node) -> str:
     return show(node)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "punct" or "end"
-    value: str
-    line: int
-    col: int
-
-
-_PUNCT = set(";|*+?()")
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-        elif ch in _NAME_START:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] in _NAME_CONT:
-                i += 1
-                col += 1
-            tokens.append(_Token("name", text[start:i], line, start_col))
-        else:
-            raise SpecError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<comment>#[^\n]*)|(?P<punct>[;|*+?()])"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<char>.)")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """A recursive-descent parser over the tokens of a spec, each a (kind,
+    value, offset) tuple of kind "name", "punct" or "end"; a token's value
+    fixes its kind, so a fixed token is matched by its value alone."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        end = len(text)  # unless a comment runs to it: then its "#"
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            if kind == "name" or kind == "punct":
+                self.tokens.append((kind, match.group(), match.start()))
+            elif kind == "char":
+                self.fail(f"unexpected character {match.group()!r}", match.start())
+            elif kind == "comment" and match.end() == len(text):
+                end = match.start()
+        self.tokens.append(("end", "", end))
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def fail(self, message: str, offset: int):
+        """Raise a :class:`SpecError` at ``offset`` of the text."""
+        line_start = self.text.rfind("\n", 0, offset)
+        raise SpecError(message, self.text.count("\n", 0, offset) + 1, offset - line_start)
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise SpecError(f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                            tok.line, tok.col)
-        return self.take()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
-            raise SpecError(f"expected {word!r}, found {tok.value or 'end of input'!r}",
-                            tok.line, tok.col)
+    def expect(self, value: str) -> tuple:
+        _, found, offset = self.peek()
+        if found != value:
+            self.fail(f"expected {value!r}, found {found or 'end of input'!r}", offset)
         return self.take()
 
     def parse_spec(self, name: str) -> ConstraintSpec:
-        kw = self.expect_keyword("alphabet")
-        symbols = []
-        seen = set()
-        while self.peek().kind == "name":
-            tok = self.take()
-            if tok.value in seen:
-                raise SpecError(f"duplicate alphabet symbol {tok.value!r}", tok.line, tok.col)
-            seen.add(tok.value)
-            symbols.append(tok.value)
+        keyword = self.expect("alphabet")
+        symbols: dict = {}  # a dict for its order and its hashed lookup
+        while self.peek()[0] == "name":
+            _, symbol, offset = self.take()
+            if symbol in symbols:
+                self.fail(f"duplicate alphabet symbol {symbol!r}", offset)
+            symbols[symbol] = None
         if len(symbols) < 2:
-            raise SpecError("an alphabet needs at least two symbols", kw.line, kw.col)
-        self.expect_punct(";")
+            self.fail("an alphabet needs at least two symbols", keyword[2])
+        self.expect(";")
         alphabet = Alphabet(symbols)
-        self.expect_keyword("violation")
+        self.expect("violation")
         pattern = self.parse_alt(alphabet)
-        self.expect_punct(";")
-        tail = self.peek()
-        if tail.kind != "end":
-            raise SpecError(f"unexpected trailing input {tail.value!r}", tail.line, tail.col)
+        self.expect(";")
+        kind, value, offset = self.peek()
+        if kind != "end":
+            self.fail(f"unexpected trailing input {value!r}", offset)
         return ConstraintSpec(name, alphabet, pattern)
 
     def parse_alt(self, alphabet: Alphabet):
         parts = [self.parse_seq(alphabet)]
-        while self.peek().kind == "punct" and self.peek().value == "|":
+        while self.peek()[1] == "|":
             self.take()
             parts.append(self.parse_seq(alphabet))
         return parts[0] if len(parts) == 1 else Alt(tuple(parts))
 
     def parse_seq(self, alphabet: Alphabet):
         items = [self.parse_rep(alphabet)]
-        while self.peek().kind == "name" or (
-            self.peek().kind == "punct" and self.peek().value == "("
-        ):
+        while self.peek()[0] == "name" or self.peek()[1] == "(":
             items.append(self.parse_rep(alphabet))
         return items[0] if len(items) == 1 else Seq(tuple(items))
 
     def parse_rep(self, alphabet: Alphabet):
         atom = self.parse_atom(alphabet)
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in "*+?":
-            self.take()
-            return {"*": Star, "+": Plus, "?": Opt}[tok.value](atom)
-        return atom
+        op = {"*": Star, "+": Plus, "?": Opt}.get(self.peek()[1])
+        if op is None:
+            return atom
+        self.take()
+        return op(atom)
 
     def parse_atom(self, alphabet: Alphabet):
-        tok = self.peek()
-        if tok.kind == "name":
-            self.take()
-            if tok.value not in alphabet:
-                raise SpecError(f"undeclared symbol {tok.value!r}", tok.line, tok.col)
-            return Lit(tok.value)
-        if tok.kind == "punct" and tok.value == "(":
+        kind, value, offset = self.take()
+        if kind == "name":
+            if value not in alphabet:
+                self.fail(f"undeclared symbol {value!r}", offset)
+            return Lit(value)
+        if value == "(":
             if self.depth == MAX_NESTING:
-                raise SpecError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.line, tok.col
-                )
-            self.take()
+                self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
             self.depth += 1
             inner = self.parse_alt(alphabet)
             self.depth -= 1
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        raise SpecError(
-            f"expected a symbol or '(', found {tok.value or 'end of input'!r}",
-            tok.line, tok.col,
-        )
+        self.fail(f"expected a symbol or '(', found {value or 'end of input'!r}", offset)
 
 
 def parse(text: str, name: str = "constraint") -> ConstraintSpec:
     """Parse a constraint spec; every error carries its line and column."""
-    return _Parser(_lex(text)).parse_spec(name)
+    return _Parser(text).parse_spec(name)
 
 
 class _Positions:

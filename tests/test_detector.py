@@ -35,7 +35,7 @@ from vigil.sequences import (
     derivative_set,
     is_prefix_free,
 )
-from vigil.speclang import ConstraintSpec
+from vigil.speclang import ConstraintSpec, Lit, Seq
 from vigil.speclang import compile as compile_spec
 
 from support import (
@@ -583,6 +583,30 @@ class TestCanonicalForm:
             again, again_init = canonical_form(wider, x)
             assert again.states == canon.states and again.step_table == canon.step_table
             assert again_init == init
+
+    def test_states_are_named_breadth_first(self):
+        """A breadth-first walk over the output table, in symbol order,
+        meets ``s0, s1, ...`` in order, on seeded random, inflated and
+        compiled detectors."""
+        rng = random.Random(89)
+        for i in range(300):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            det = random_detector(rng, al, rng.randint(1, 9))
+            x = rng.choice(det.states)
+            if i % 3 == 1:
+                det = inflate_detector(rng, det, max_copies=3)[0]
+                x = rng.choice(det.states)
+            elif i % 3 == 2:  # a pattern that cannot match the empty word
+                pattern = Seq((random_ast(rng, al, 4), Lit("a")))
+                det, x = compile_spec(ConstraintSpec("random", al, pattern))
+            canon, init = canonical_form(det, x)
+            met = [init]
+            for q in met:
+                for n in al:
+                    t = canon.step_table[q, n]
+                    if t is not FAULT and t not in met:
+                        met.append(t)
+            assert met == [f"s{j}" for j in range(len(canon.states))] == list(canon.states)
 
 
 class TestSerialization:

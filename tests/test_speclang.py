@@ -126,6 +126,24 @@ class TestParse:
         with pytest.raises(SpecError, match="trailing"):
             parse("alphabet a b; violation a; extra")
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("alphabet a b;\r\nviolation a $;", "unexpected character '\\$'", 2, 13),
+        ("alphabet a b;\r\n\tviolation\ta\t$;", "unexpected character", 2, 14),
+        ("alphabet a b;\x1c violation a\x1c$;", "unexpected character", 1, 28),
+        ("alphabet a b;\u2028violation a\u2028$;", "unexpected character", 1, 27),
+        ("alphabet a b;\u00a0violation a\u00a0$;", "unexpected character", 1, 27),
+        ("alphabet a b; # a comment\n  $ violation a;", "unexpected character", 2, 3),
+        ("alphabet a b; violation a # no newline", "found 'end of input'", 1, 27),
+        ("alphabet a b; violation a  \n\t ", "found 'end of input'", 2, 3),
+        ("alphabet a b; violation a;\r\n# done\r\n  c", "trailing input 'c'", 3, 3),
+    ])
+    def test_error_positions(self, text, message, line, col):
+        """Only ``\\n`` starts a line; any other whitespace is one column;
+        input that ends inside a comment ends at its ``#``."""
+        with pytest.raises(SpecError, match=message) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_name_defaults_and_overrides(self):
         assert parse("alphabet a b; violation a;").name == "constraint"
         assert parse("alphabet a b; violation a;", name="door").name == "door"
@@ -216,6 +234,37 @@ class TestPatternEquality:
         assert pattern == twin and hash(pattern) == hash(twin)
         assert Seq((pattern, Lit("a"))) != Seq((twin, Lit("b")))
 
+    def test_sharing_does_not_change_equality(self):
+        """A node compares and hashes as the tree it expands to, whatever
+        its parts share, also after pickling and copying; one literal
+        changed deep down a shared node makes it unequal."""
+        x = Lit("a")
+        assert Alt((x, x)) == Alt((Lit("a"), Lit("a")))
+        assert hash(Alt((x, x))) == hash(Alt((Lit("a"), Lit("a"))))
+
+        def level_up(left, right, looped):
+            return Seq((Alt((left, right)), Star(looped)))
+
+        def tree(levels):  # no node shared
+            if not levels:
+                return self.chain(300)
+            return level_up(tree(levels - 1), tree(levels - 1), tree(levels - 1))
+
+        shared = mixed = self.chain(300)
+        changed = self.chain(300, "b")
+        for level in range(5):
+            shared, mixed, changed = (level_up(shared, shared, shared),
+                                      level_up(mixed, tree(level), mixed),
+                                      level_up(shared, shared, changed))
+        expanded = tree(5)
+        # the asserts name no node: a failure would render 73,000 of them
+        for twin in (expanded, mixed, pickle.loads(pickle.dumps(shared)), copy.deepcopy(expanded)):
+            equal, same_hash = twin == shared, hash(twin) == hash(shared)
+            assert equal and same_hash
+        for twin in (changed, pickle.loads(pickle.dumps(changed)), copy.deepcopy(changed)):
+            unequal = twin != expanded and not twin == shared
+            assert unequal
+
     def test_agrees_with_the_structural_rendering(self):
         """Two nodes are equal exactly when their dataclass reprs, which
         name every node, are; equal nodes hash alike."""
@@ -266,6 +315,22 @@ class TestPatternEquality:
             assert repr(pattern) == repr(mirror(pattern))
         assert repr(self.chain(5000)) == "Star(item=" * 5000 + "Lit(symbol='a')" + ")" * 5000
         assert repr(Seq([Lit("a"), "b"])) == "Seq(items=[Lit(symbol='a'), 'b'])"
+
+    def test_repr_of_a_node_too_big_to_expand_is_bounded(self):
+        """``p = Alt((p, p))`` 200 times over expands to 2**201 - 1 nodes:
+        its ``repr`` names its type and the bound instead, in a child
+        held to 20 s and 1 GiB."""
+        code = "; ".join([
+            "import resource", "from vigil.speclang import Alt, Lit",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "p = Lit('a')", "exec('for _ in range(200): p = Alt((p, p))')", "print(repr(p))"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=20)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == f"<Alt expanding to more than {MAX_PATTERN_SIZE} nodes>\n"
+        x = Lit("a")
+        assert repr(Alt((x, x))) == "Alt(items=(Lit(symbol='a'), Lit(symbol='a')))"
 
 
 class TestPatternSize:
