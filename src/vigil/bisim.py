@@ -3,10 +3,11 @@ and the one partition refinement that decides it.
 
 Two detector states are bisimilar exactly when they have the same
 violation language; two output-system states exactly when they emit the
-same stream.  Both are decided by Moore refinement on the disjoint union of
-the two carriers: split by the immediately observable data (fault profile,
-output token), then refine by successor blocks until stable.  The same
-refinement minimizes detectors (:func:`~vigil.detector.minimal_detector`).
+same stream.  Moore refinement splits by the immediately observable data
+(fault profile, output token), then by successor blocks until stable: on
+the disjoint union of two carriers for the largest bisimulations, and on
+one detector state's unfold for its quotient, which the minimizer names and
+:func:`bisimilar` compares.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .sequences import _require_same_alphabet
-from .systems import SSystem
+from .systems import SSystem, reachable
 
 if TYPE_CHECKING:
     from .detector import FiniteDetector
@@ -59,6 +60,17 @@ def _refine(rows, classes) -> list:
         count = len(renumber)
 
 
+def _minimal_rows(rows: list) -> list:
+    """The quotient of rows as :func:`~vigil.systems.reachable` gives them,
+    each reachable from row 0, by equal violation languages: one merged row
+    per block, the blocks numbered breadth first, which is the order in
+    which the refinement numbers them, by their first states."""
+    block = _refine(rows, [0] * len(rows))  # the first round splits by fault profile
+    stand_in = {b: i for i, b in enumerate(block)}  # any state of a block has its row
+    block.append(-1)  # row entry -1 stays a fault
+    return [[block[t] for t in rows[stand_in[b]]] for b in range(len(stand_in))]
+
+
 def _pairs(block: list, left, right) -> StatePairRelation:
     """Pairs of a left and a right state in one block; the items are the
     left states, then the right states, in order."""
@@ -75,29 +87,24 @@ def _side_by_side(left, right) -> tuple[dict, dict]:
     return {x: i for i, x in enumerate(left)}, {y: i for i, y in enumerate(right, len(left))}
 
 
-def _detector_blocks(a: FiniteDetector, b: FiniteDetector) -> list:
-    """Blocks of equal violation language over the states of ``a``, then
-    those of ``b``; the first round splits them by fault profile."""
-    _require_same_alphabet(a.alphabet, b.alphabet)
-    sides = list(zip((a, b), _side_by_side(a.states, b.states)))
-    rows = [[number.get(t, -1) for t in d.row(x)] for d, number in sides for x in d.states]
-    return _refine(rows, [0] * len(rows))
-
-
 def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> StatePairRelation:
     """All pairs of states of ``a`` and ``b`` with equal violation
     languages — the greatest relation closed under matching faults and
     related successors."""
-    return _pairs(_detector_blocks(a, b), a.states, b.states)
+    _require_same_alphabet(a.alphabet, b.alphabet)
+    sides = list(zip((a, b), _side_by_side(a.states, b.states)))
+    rows = [[number.get(t, -1) for t in d.row(x)] for d, number in sides for x in d.states]
+    return _pairs(_refine(rows, [0] * len(rows)), a.states, b.states)
 
 
 def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Whether states ``x`` of ``a`` and ``y`` of ``b`` have the same
-    violation language."""
+    violation language: whether the quotients of their unfolds, numbered
+    breadth first, are identical."""
     a.require_state(x)
     b.require_state(y)
-    block = _detector_blocks(a, b)
-    return block[a.states.index(x)] == block[len(a.states) + b.states.index(y)]
+    _require_same_alphabet(a.alphabet, b.alphabet)
+    return _minimal_rows(reachable(x, a.row)[1]) == _minimal_rows(reachable(y, b.row)[1])
 
 
 def largest_s_bisimulation(sigma: SSystem, tau: SSystem) -> StatePairRelation:

@@ -12,18 +12,18 @@ automaton representation of a violation language, and the language-level
 step (fault on membership, otherwise take the symbol derivative) that makes
 prefix-free sets themselves behave as detector states.
 
-Every route between a detector and its violation language goes through
-one reachable walk, :func:`reachable`, which numbers the states it finds
-and whose step may fault and is then not walked past: the anamorphism into
-the automaton, its inverse, the derivative-closure detector of an explicit
-set, the spec and machine compilers, and the one minimizer.
+Every route between a detector and its violation language goes through the
+one unfold, :func:`~vigil.systems.reachable`, which numbers the states it
+finds and whose step may fault and is then not walked past: the anamorphism
+into the automaton, its inverse, the derivative-closure detector of an
+explicit set, the spec and machine compilers, and the one minimizer.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .bisim import _refine, bisimilar
+from .bisim import _minimal_rows, bisimilar
 from .sequences import (
     Alphabet,
     EpsilonViolation,
@@ -34,7 +34,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _require_total_map
+from .systems import FAULT, UNKNOWN, _require_total_map, reachable
 
 
 class BudgetExhausted(RuntimeError):
@@ -300,7 +300,8 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
         a.require_state(x)
-        stepper, grows = a.step, _can_fault(a).__contains__
+        stepper = a.step
+        grows = _can_fault((q, t) for (q, _), t in a.step_table.items()).__contains__
     elif isinstance(a, DetectorHandle):
         if x is not None:
             raise ValueError("handles carry their own state; pass x=None")
@@ -329,12 +330,12 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
     return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
 
 
-def _can_fault(a: FiniteDetector) -> set:
-    """The states of ``a`` from which some word faults: one walk back
-    from the faulting steps."""
+def _can_fault(moves) -> set:
+    """The states from which some word faults, given every step as a
+    (state, target) pair: one walk back from the faulting steps."""
     into: dict = {}
     hit = []
-    for (q, _), target in a.step_table.items():
+    for q, target in moves:
         if target is FAULT:
             hit.append(q)
         else:
@@ -375,27 +376,6 @@ def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hash
     return _from_rows(p.alphabet, order, rows), p.initial
 
 
-def reachable(initial, expand) -> tuple[list, list]:
-    """The one reachable walk: the states reachable from ``initial``,
-    numbered breadth first from 0, and their rows.  ``expand(q)`` lists
-    state ``q``'s successors in alphabet order, any of them :data:`FAULT`,
-    which is never walked; ``rows[i][j]`` is the number of the ``j``-th
-    successor of state ``i``, or -1 for a fault."""
-    number = {initial: 0, FAULT: -1}
-    order = [initial]
-    rows = []
-    for q in order:  # grows while it is walked
-        row = []
-        for t in expand(q):
-            i = number.get(t)
-            if i is None:
-                i = number[t] = len(order)
-                order.append(t)
-            row.append(i)
-        rows.append(row)
-    return order, rows
-
-
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
     """The detector on ``states``, in row order, that steps as ``rows`` say."""
     targets = [*states, FAULT]  # row entry -1 reads FAULT
@@ -406,14 +386,10 @@ def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
 
 
 def minimal_detector(alphabet: Alphabet, rows: list) -> tuple[FiniteDetector, str]:
-    """The canonical detector of state 0 of rows as :func:`reachable` gives
-    them, each reachable from row 0: states with equal violation languages
-    merged, named ``s0, s1, ...`` breadth first, which is the order in which
-    the refinement numbers its blocks, by their first states."""
-    block = _refine(rows, [0] * len(rows))  # the first round splits by fault profile
-    stand_in = {b: i for i, b in enumerate(block)}  # any state of a block has its row
-    block.append(-1)  # row entry -1 stays a fault
-    merged = [[block[t] for t in rows[stand_in[b]]] for b in range(len(stand_in))]
+    """The canonical detector of state 0 of rows as
+    :func:`~vigil.systems.reachable` gives them: their quotient
+    (:func:`~vigil.bisim._minimal_rows`), its states named ``s0, s1, ...``."""
+    merged = _minimal_rows(rows)
     return _from_rows(alphabet, [f"s{i}" for i in range(len(merged))], merged), "s0"
 
 
@@ -421,33 +397,41 @@ def first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
     """Shortest witness that an automaton's language is not prefix-free: an
     accepted word ``u`` and an accepted proper extension ``uv``, or None.
 
-    ``rows`` come from :func:`reachable`, with no faults; ``accepting[i]``
-    says whether state ``i`` accepts.  ``u`` is a shortest accepted word
-    that extends to another accepted word, and ``uv`` its shortest such
-    extension.
+    ``rows`` come from :func:`~vigil.systems.reachable`, with no faults;
+    ``accepting[i]`` says whether state ``i`` accepts.  ``u`` leads to the
+    first accepting state, in numbering order, from which a nonempty word
+    reaches acceptance, and ``uv`` is its shortest such extension; both
+    words are the first of their length in breadth-first order.
     """
+    # read with a step into acceptance as a fault, the states that can fault
+    live = _can_fault((q, FAULT if accepting[t] else t) for q, row in enumerate(rows) for t in row)
+    q = next((q for q, hit in enumerate(accepting) if hit and q in live), None)
+    if q is None:
+        return None
     symbols = alphabet.symbols
-    shortest: dict = {0: ()}
-    for q, row in enumerate(rows):
-        for n, t in zip(symbols, row):
-            shortest.setdefault(t, shortest[q] + (n,))
-    for q in range(len(rows)):
-        if not accepting[q]:
-            continue
-        frontier = [(q, ())]
-        seen = {q}
-        while frontier:
-            nxt = []
-            for cur, syms in frontier:
-                for n, target in zip(symbols, rows[cur]):
-                    if accepting[target]:
-                        u = shortest[q]
-                        return Word(alphabet, u), Word(alphabet, u + syms + (n,))
-                    if target not in seen:
-                        seen.add(target)
-                        nxt.append((target, syms + (n,)))
-            frontier = nxt
-    return None
+    u = () if q == 0 else _first_path(rows, symbols, 0, q.__eq__)
+    v = _first_path(rows, symbols, q, accepting.__getitem__)
+    return Word(alphabet, u), Word(alphabet, u + v)
+
+
+def _first_path(rows: list, symbols: tuple, start: int, goal) -> tuple:
+    """The symbols of the first shortest nonempty path in breadth-first
+    order, symbols in alphabet order, from state ``start`` to a state for
+    which ``goal`` holds, where one exists; the walk does not go past such
+    a state."""
+    parent = {start: None}
+    queue = [start]
+    for cur in queue:  # grows while it is walked
+        for n, t in zip(symbols, rows[cur]):
+            if goal(t):
+                path = [n]
+                while cur != start:
+                    cur, n = parent[cur]
+                    path.append(n)
+                return tuple(reversed(path))
+            if t not in parent:
+                parent[t] = cur, n
+                queue.append(t)
 
 
 def final_step(p, n: str):
@@ -549,5 +533,9 @@ def detector_from_text(text: str) -> FiniteDetector:
             if "->" not in cell:
                 raise ValueError(f"bad transition cell {cell!r}")
             n, target = cell.split("->", 1)
+            if n not in alphabet:
+                raise ValueError(f"row {x!r}: cell {cell!r} is on a symbol outside the alphabet")
+            if (x, n) in table:
+                raise ValueError(f"row {x!r}: cell {cell!r} repeats symbol {n!r}")
             table[(x, n)] = FAULT if target == "FAULT" else target
     return FiniteDetector(alphabet, states, table)

@@ -3,8 +3,8 @@
 Three ways of specifying a violation language, each compiled to a detector:
 
 * an :class:`EilenbergMachine` (a nondeterministic finite acceptor) whose
-  language is the violation set — determinized by the detector core's
-  reachable walk, whole, so that a language that is not prefix-free shows
+  language is the violation set — determinized by the one unfold,
+  :func:`~vigil.systems.reachable`, whole, so that a language that is not prefix-free shows
   a witness, into a finite detector whose states are numbered from 0;
 * a :class:`DecisionProcedure`, a total membership predicate — stepped by
   precomposition, one membership query per symbol;
@@ -29,7 +29,6 @@ from .detector import (
     _from_rows,
     final_step,
     first_prefix_pair,
-    reachable,
 )
 from .sequences import (
     Alphabet,
@@ -43,7 +42,7 @@ from .sequences import (
     require_prefix_free,
     slice_range,
 )
-from .systems import FAULT
+from .systems import FAULT, reachable
 
 
 class EilenbergMachine:

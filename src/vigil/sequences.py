@@ -205,10 +205,14 @@ class LassoStream:
             raise ValueError("lasso period must be nonempty")
         per = _primitive_root(period.symbols)
         pre = prefix.symbols
-        # absorb prefix symbols that already agree with the loop
-        while pre and pre[-1] == per[-1]:
-            per = per[-1:] + per[:-1]
-            pre = pre[:-1]
+        # absorb the prefix symbols that already agree with the loop, read
+        # backwards, then rotate the loop back by their count
+        k = 0
+        while k < len(pre) and pre[-1 - k] == per[(-1 - k) % len(per)]:
+            k += 1
+        cut = -k % len(per)
+        per = per[cut:] + per[:cut]
+        pre = pre[:len(pre) - k]
         self.alphabet = alphabet
         self.prefix = _word(alphabet, pre)
         self.period = _word(alphabet, per)

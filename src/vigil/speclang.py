@@ -40,10 +40,9 @@ from .detector import (
     RegularPrefixFreeSet,
     anamorphism_regular,
     minimal_detector,
-    reachable,
 )
 from .sequences import Alphabet, EpsilonViolation
-from .systems import FAULT
+from .systems import FAULT, reachable
 
 
 class SpecError(ValueError):
@@ -65,16 +64,17 @@ class _Node:
 
     def _postorder(self) -> list:
         """The distinct nodes under this one, each after its node parts."""
-        order, done, todo = [], set(), [self]
+        order, seen = [], {id(self)}
+        todo = [(self, iter(self._parts()))]  # each node with its parts left to visit
         while todo:
-            node = todo[-1]
-            fresh = [p for p in node._parts() if isinstance(p, _Node) and id(p) not in done]
-            if fresh:
-                todo += fresh
-                continue
-            todo.pop()
-            if id(node) not in done:
-                done.add(id(node))
+            node, parts = todo[-1]
+            for p in parts:
+                if isinstance(p, _Node) and id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append((p, iter(p._parts())))
+                    break
+            else:
+                todo.pop()
                 order.append(node)
         return order
 
@@ -445,7 +445,7 @@ def pattern_dfa(pattern, alphabet: Alphabet):
 
     Returns (subset order, rows, whether the pattern language is
     prefix-free), the subsets numbered and rowed by
-    :func:`~vigil.detector.reachable`; the empty subset is the safe sink.
+    :func:`~vigil.systems.reachable`; the empty subset is the safe sink.
     :func:`compile` and :func:`pattern_is_prefix_free` take it from a
     caller that needs both.
     A pattern matching the empty word raises :class:`EpsilonViolation`.

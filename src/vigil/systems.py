@@ -8,7 +8,8 @@ output token at every state and always steps on; its observable behaviour
 is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
-computable by cycle detection.
+computable: every behaviour in the package is read off one unfold,
+:func:`reachable`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .sequences import Alphabet, LassoStream, Word, _require_same_alphabet
+from .sequences import Alphabet, LassoStream, Word, _require_same_alphabet, slice_from
 
 
 class _Marker(enum.Enum):
@@ -155,47 +156,51 @@ def t_iterate(g: TSystem, x, k: int):
     return cur
 
 
-def t_anamorphism(g: TSystem, x) -> TerminationTime:
-    """Exact termination time of ``g`` from ``x``.
+def reachable(initial, expand) -> tuple[list, list]:
+    """The one unfold: the states reachable from ``initial``, numbered
+    breadth first from 0, and their rows.  ``expand(q)`` lists state
+    ``q``'s successors in a fixed order (alphabet order for a detector),
+    any of them :data:`FAULT`, which is never walked; ``rows[i][j]`` is the
+    number of the ``j``-th successor of state ``i``, or -1 for a fault."""
+    number = {initial: 0, FAULT: -1}
+    order = [initial]
+    rows = []
+    for q in order:  # grows while it is walked
+        row = []
+        for t in expand(q):
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(row)
+    return order, rows
 
-    On a finite carrier, revisiting a state without having faulted proves
-    the run never faults.
-    """
+
+def t_anamorphism(g: TSystem, x) -> TerminationTime:
+    """Exact termination time of ``g`` from ``x``: the length of its
+    orbit, if the orbit ends in the fault.  On a finite carrier, an orbit
+    that does not fault returns to a state it has passed, and never
+    faults."""
     if x not in g.step_table:
         raise ValueError(f"unknown state {x!r}")
-    visited = {x}
-    cur = x
-    steps = 0
-    while True:
-        nxt = g.step(cur)
-        if nxt is FAULT:
-            return TerminationTime(steps)
-        if nxt in visited:
-            return INFINITE
-        visited.add(nxt)
-        cur = nxt
-        steps += 1
+    order, rows = reachable(x, lambda y: [g.step_table[y]])
+    return TerminationTime(len(order) - 1) if rows[-1] == [-1] else INFINITE
 
 
 def s_anamorphism(sigma: SSystem, x) -> LassoStream:
     """The output stream of ``sigma`` from ``x``, in lasso form.
 
-    The transition orbit of a finite carrier repeats a state; outputs up to
-    the first repeat give the lasso prefix and period.
+    The transition orbit of a finite carrier returns to a state; the
+    outputs before that state give the lasso prefix, the rest the period.
     """
     if x not in sigma.tr_table:
         raise ValueError(f"unknown state {x!r}")
-    order: dict = {}
-    orbit = []
-    cur = x
-    while cur not in order:
-        order[cur] = len(orbit)
-        orbit.append(cur)
-        cur = sigma.tr(cur)
-    loop_start = order[cur]
-    prefix = Word(sigma.alphabet, (sigma.out(y) for y in orbit[:loop_start]))
-    period = Word(sigma.alphabet, (sigma.out(y) for y in orbit[loop_start:]))
-    return LassoStream(sigma.alphabet, prefix, period)
+    order, rows = reachable(x, lambda y: [sigma.tr_table[y]])
+    loop_start = rows[-1][0]
+    outputs = [sigma.out_table[y] for y in order]
+    prefix = Word(sigma.alphabet, outputs[:loop_start])
+    return LassoStream(sigma.alphabet, prefix, Word(sigma.alphabet, outputs[loop_start:]))
 
 
 def stream_system(s: LassoStream) -> tuple[SSystem, LassoStream]:
@@ -204,18 +209,10 @@ def stream_system(s: LassoStream) -> tuple[SSystem, LassoStream]:
 
     Unfolding the result from its initial state reproduces ``s`` exactly.
     """
-    from .sequences import slice_from
-
-    suffixes = []
-    seen = set()
-    cur = s
-    while cur not in seen:
-        seen.add(cur)
-        suffixes.append(cur)
-        cur = slice_from(cur, 1)
-    out_table = {t: t.at(0) for t in suffixes}
-    tr_table = {t: slice_from(t, 1) for t in suffixes}
-    return SSystem(s.alphabet, suffixes, out_table, tr_table), s
+    order, rows = reachable(s, lambda t: [slice_from(t, 1)])
+    out_table = {t: t.at(0) for t in order}
+    tr_table = {t: order[row[0]] for t, row in zip(order, rows)}
+    return SSystem(s.alphabet, order, out_table, tr_table), s
 
 
 def _require_total_map(f: Mapping, domain: Iterable, codomain: Iterable) -> None:

@@ -192,6 +192,50 @@ def random_machine(rng, alphabet: Alphabet, n_states: int) -> EilenbergMachine:
     return EilenbergMachine(alphabet, states, transitions, initial, final)
 
 
+def oracle_first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
+    """The prefix-freeness witness of an automaton by a breadth-first
+    search carrying words from every accepting state in turn (cubic in the
+    states): ``u`` the shortest word to the first accepting state, in
+    numbering order, that reaches acceptance again by a nonempty word,
+    ``uv`` with ``v`` the first shortest such word; or None."""
+    symbols = alphabet.symbols
+    shortest: dict = {0: ()}
+    for q, row in enumerate(rows):
+        for n, t in zip(symbols, row):
+            shortest.setdefault(t, shortest[q] + (n,))
+    for q in range(len(rows)):
+        if not accepting[q]:
+            continue
+        frontier = [(q, ())]
+        seen = {q}
+        while frontier:
+            nxt = []
+            for cur, syms in frontier:
+                for n, target in zip(symbols, rows[cur]):
+                    if accepting[target]:
+                        u = shortest[q]
+                        return Word(alphabet, u), Word(alphabet, u + syms + (n,))
+                    if target not in seen:
+                        seen.add(target)
+                        nxt.append((target, syms + (n,)))
+            frontier = nxt
+    return None
+
+
+def oracle_lasso_parts(prefix: tuple, period: tuple) -> tuple:
+    """The canonical (prefix, period) symbols of a lasso: the shortest
+    repeating block of the period, then the prefix symbols that agree with
+    the loop absorbed one at a time, the loop rotated back by one for
+    each."""
+    per = next(period[:d] for d in range(1, len(period) + 1)
+               if period[:d] * (len(period) // d) == period)
+    pre = prefix
+    while pre and pre[-1] == per[-1]:
+        per = per[-1:] + per[:-1]
+        pre = pre[:-1]
+    return pre, per
+
+
 def scan_enumerated_step(e: Enumerator, consumed: tuple, n: str, budget: int):
     """One step of an enumerated violation language by a scan of the
     enumeration from its first item: :data:`FAULT` if the first item that

@@ -63,6 +63,31 @@ class TestDetectorBisimulation:
         never = FiniteDetector(ab, ["x"], {("x", "a"): "x", ("x", "b"): "x"})
         assert bisimilar(never, "x", never, "x")
 
+    def test_unreachable_states_do_not_count(self, ab):
+        """``x`` faults on ``b`` only; its unreachable neighbours differ,
+        one faulting on ``a`` too, one never faulting, one a loop."""
+        lone = FiniteDetector(ab, ["x"], {("x", "a"): "x", ("x", "b"): FAULT})
+        crowd = FiniteDetector(ab, ["u", "x", "v", "w"], {
+            ("u", "a"): FAULT, ("u", "b"): FAULT, ("x", "a"): "x", ("x", "b"): FAULT,
+            ("v", "a"): "v", ("v", "b"): "v", ("w", "a"): "u", ("w", "b"): "x",
+        })
+        assert bisimilar(lone, "x", crowd, "x") and bisimilar(crowd, "x", lone, "x")
+        assert not bisimilar(lone, "x", crowd, "u")
+        assert not bisimilar(crowd, "v", lone, "x")
+        assert not bisimilar(crowd, "w", crowd, "x")
+
+    def test_bisimilar_errors(self, ab):
+        from vigil.sequences import Alphabet
+
+        d1 = FiniteDetector(ab, ["q"], {("q", "a"): "q", ("q", "b"): "q"})
+        d2 = FiniteDetector(Alphabet(["x", "y"]), ["q"], {("q", "x"): "q", ("q", "y"): "q"})
+        with pytest.raises(AlphabetMismatchError):
+            bisimilar(d1, "q", d2, "q")
+        with pytest.raises(ValueError, match="unknown state 'z'"):
+            bisimilar(d1, "z", d1, "q")
+        with pytest.raises(ValueError, match="unknown state 'z'"):
+            bisimilar(d1, "q", d1, "z")
+
     def test_fault_a_vs_never(self, ab):
         fault_a = FiniteDetector(ab, ["x"], {("x", "a"): FAULT, ("x", "b"): "x"})
         never = FiniteDetector(ab, ["x"], {("x", "a"): "x", ("x", "b"): "x"})
@@ -85,7 +110,8 @@ class TestDetectorBisimulation:
 
     def test_agrees_with_language_equality_exhaustively(self):
         """On every pair of 1..2-state detectors, relatedness coincides
-        with violation-language equality up to the summed state count."""
+        with violation-language equality up to the summed state count, and
+        ``bisimilar`` with relatedness."""
         al = binary()
         small = list(all_detectors(al, 1)) + list(all_detectors(al, 2))
         languages = {}
@@ -101,6 +127,7 @@ class TestDetectorBisimulation:
                         left = FiniteWordSetTrunc(languages[(i, x)], depth)
                         right = FiniteWordSetTrunc(languages[(j, y)], depth)
                         assert ((x, y) in relation) == (left == right)
+                        assert bisimilar(a, x, b, y) == ((x, y) in relation)
 
     def test_morphism_graph_is_a_bisimulation(self):
         rng = random.Random(181)

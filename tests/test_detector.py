@@ -630,6 +630,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="do not match"):
             detector_from_text("states: x y\nalphabet: a b\nx: a->x b->x\n")
 
+    def test_repeated_cell_names_the_row_and_the_cell(self):
+        with pytest.raises(ValueError, match=r"^row 'x': cell 'a->FAULT' repeats symbol 'a'$"):
+            detector_from_text("states: x\nalphabet: a b\nx: a->x a->FAULT b->x c->FAULT\n")
+
+    def test_cell_outside_the_alphabet_names_the_row_and_the_cell(self):
+        with pytest.raises(ValueError, match=r"^row 'y': cell 'c->FAULT' is on a symbol outside"):
+            detector_from_text("states: x y\nalphabet: a b\nx: a->y b->x\ny: a->x b->y c->FAULT\n")
+
 
 class TestHandles:
     def test_finite_handle_matches_detector(self, first_b, ab):

@@ -1,10 +1,14 @@
 """Machines, decision procedures, enumerations, universal families."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import vigil
 from vigil.detector import (
     FAULT,
     UNKNOWN,
@@ -12,6 +16,7 @@ from vigil.detector import (
     canonical_form,
     detector_from_explicit_set,
     final_step,
+    first_prefix_pair,
     minimal_violation_words,
 )
 from vigil.families import (
@@ -36,12 +41,14 @@ from vigil.sequences import (
     Word,
     derivative_set,
 )
+from vigil.systems import reachable
 
 from support import (
     all_words,
     binary,
     machine_for_set,
     oracle_first_fault,
+    oracle_first_prefix_pair,
     random_machine,
     random_prefix_free,
     random_word,
@@ -123,6 +130,40 @@ class TestMachineToDetector:
             machine_to_detector(m)
         assert err.value.shorter == ab.word("a")
         assert err.value.longer == ab.word("a b")
+
+    def test_witness_agrees_with_the_search_from_every_accepting_state(self):
+        """On seeded random machines, many of them not prefix-free, over
+        their whole subset automata."""
+        rng = random.Random(8161)
+        witnessed = 0
+        for _ in range(600):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            m = random_machine(rng, al, rng.randint(1, 6))
+            order, rows = reachable(m.initial, lambda s: [m.successors(s, n) for n in al.symbols])
+            accepting = [bool(s & m.final) for s in order]
+            pair = first_prefix_pair(rows, al, accepting)
+            assert pair == oracle_first_prefix_pair(rows, al, accepting)
+            witnessed += pair is not None
+        assert 100 < witnessed < 500
+
+    def test_witness_search_is_linear(self):
+        """``a* b`` beside a dead 20,000-cycle: 20,000 accepting subsets,
+        each with the whole cycle behind it, in a child held to 30 s;
+        a search carrying words from each of them takes hours."""
+        code = "\n".join([
+            "from vigil.families import EilenbergMachine, machine_to_detector",
+            "from vigil.sequences import Alphabet",
+            "n = 20000",
+            "cycle = [f'c{i}' for i in range(n)]",
+            "moves = [('s', 'a', 's'), ('s', 'b', 'f')] + [(c, 'b', c) for c in cycle]",
+            "moves += [(c, 'a', cycle[(i + 1) % n]) for i, c in enumerate(cycle)]",
+            "m = EilenbergMachine(Alphabet(['a', 'b']), ['s', 'f', *cycle], moves,",
+            "                     ['s', 'c0'], ['f'])",
+            "assert len(machine_to_detector(m)[0].states) == 2 * n"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert done.returncode == 0, done.stderr[-2000:]
 
     def test_language_agreement_on_random_prefix_free_sets(self):
         rng = random.Random(83)

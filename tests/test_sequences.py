@@ -1,6 +1,9 @@
 """Words, lassos, derivatives, prefix-freeness, decomposition."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +26,14 @@ from vigil.sequences import (
     slice_range,
 )
 
+import vigil
 from vigil.detector import FAULT, final_step
 
 from support import (
     all_words,
     binary,
     lasso_symbols,
+    oracle_lasso_parts,
     prefix_free_tuples,
     random_lasso,
     random_prefix_free,
@@ -105,6 +110,35 @@ class TestWordsAndText:
         assert ab.lasso("; a b a b") == ab.lasso("; a b")
         assert ab.lasso("a ; b a") == ab.lasso("; a b")
         assert ab.lasso("; a b") != ab.lasso("; b a")
+
+    def test_lasso_canonical_form_agrees_with_absorbing_one_symbol_at_a_time(self):
+        rng = random.Random(6007)
+        al = Alphabet(["a", "b", "c"])
+        for _ in range(3000):
+            period = tuple(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+            period *= rng.randint(1, 3)
+            tail = period * rng.randint(0, 3)
+            prefix = tuple(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+            prefix += tail[rng.randint(0, len(tail)):]
+            s = LassoStream(al, Word(al, prefix), Word(al, period))
+            assert (s.prefix.symbols, s.period.symbols) == oracle_lasso_parts(prefix, period)
+
+    def test_lasso_absorbing_a_long_prefix_is_linear(self):
+        """A 64,000-symbol period behind ``b`` and two and a half periods
+        that agree with the loop: absorbed by one rotation, in a child held
+        to 20 s; one rotation per absorbed symbol takes minutes."""
+        code = "\n".join([
+            "from vigil.sequences import Alphabet",
+            "P = 64000",
+            "per = ['a'] * (P - 1) + ['b']",
+            "text = ' '.join(['b', *per[P // 2:], *per, *per]) + ' ; ' + ' '.join(per)",
+            "s = Alphabet(['a', 'b']).lasso(text)",
+            "assert s.prefix.symbols == ('b',)",
+            "assert s.period.symbols == tuple(per[P // 2:] + per[:P // 2])"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=20)
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestConcat:

@@ -1,7 +1,7 @@
 """Every source file parses as the oldest Python that pyproject.toml
 supports, whichever interpreter runs the tests, and the package imports
-nothing outside the standard library and uses none of the library names
-added after that version."""
+nothing outside the standard library, uses none of the library names
+added after that version, and imports its own modules only downwards."""
 
 import ast
 import sys
@@ -121,3 +121,39 @@ def test_older_names_pass():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_package_uses_no_newer_library_names(path):
     assert newer_names(path.read_text(encoding="utf-8")) == []
+
+
+LAYERS = {"sequences": 0, "systems": 1, "bisim": 2, "detector": 3,
+          "families": 4, "monitor": 4, "speclang": 4, "cli": 5, "__init__": 6}
+"""The package's modules, lowest first: a module may import at run time
+only from a lower layer."""
+
+
+def runtime_relative_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each relative import in ``source``, at any depth,
+    but for those under ``if TYPE_CHECKING:``."""
+    tree = ast.parse(source)
+    exempt = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+              and node.test.id == "TYPE_CHECKING"
+              for stmt in node.body for inner in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in exempt:
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [(node.lineno, module.split(".")[0]) for module in modules]
+    return sorted(found)
+
+
+def test_relative_imports_are_found_but_for_type_checking():
+    source = "from typing import TYPE_CHECKING\nfrom . import cli\nif TYPE_CHECKING:\n" \
+             "    from .detector import X\ndef f():\n    from .monitor import Y\n"
+    assert runtime_relative_imports(source) == [(2, "cli"), (6, "monitor")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_point_down_the_layers(path):
+    """So the one unfold, in ``systems``, stays below every module that
+    uses it, and no import cycle comes back."""
+    for line, module in runtime_relative_imports(path.read_text(encoding="utf-8")):
+        assert LAYERS[module] < LAYERS[path.stem], f"line {line}: {path.stem} imports {module}"

@@ -25,7 +25,8 @@ from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
 import vigil
 from vigil.cli import main
-from vigil.detector import first_prefix_pair, reachable
+from vigil.detector import first_prefix_pair
+from vigil.systems import reachable
 from vigil.speclang import (
     MAX_NESTING,
     MAX_PATTERN_SIZE,
