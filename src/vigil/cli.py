@@ -25,7 +25,8 @@ import tempfile
 
 from .detector import minimal_violation_words
 from .families import check_universal_family
-from .monitor import OK, FeedViolation, Violation, monitor_lasso, monitor_online
+from .monitor import OK, FeedViolation, OnlineMonitor, Violation, _run_lasso
+from .monitor import monitor_online  # noqa: F401  not called here; bench/vigilbench/spans.py wraps it
 from .sequences import Alphabet, FiniteWordSet
 from . import speclang
 
@@ -235,7 +236,7 @@ def cmd_words(args) -> int:
 def cmd_monitor(args) -> int:
     try:
         spec = _load_spec(args.spec)
-        detector, init = speclang.compile(spec)
+        row, fault = speclang.subset_rows(spec)  # rows are built as the walk reaches them
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.lasso is not None:
@@ -243,7 +244,7 @@ def cmd_monitor(args) -> int:
             stream = spec.alphabet.lasso(args.lasso)
         except ValueError as exc:
             return _fail(str(exc))
-        verdict = monitor_lasso(detector, init, stream)
+        verdict = _run_lasso(stream, row, fault)
         if isinstance(verdict, Violation):
             report = _report(
                 "violation",
@@ -259,8 +260,8 @@ def cmd_monitor(args) -> int:
         except OSError as exc:
             return _fail(str(exc))
         try:
-            return _monitor_trace(spec.alphabet, monitor_online(detector, init), source,
-                                  args.format)
+            return _monitor_trace(spec.alphabet, OnlineMonitor._on_rows(spec.alphabet, row, fault),
+                                  source, args.format)
         finally:
             if args.trace != "-":
                 source.close()

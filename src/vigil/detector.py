@@ -34,7 +34,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _require_total_map, reachable
+from .systems import FAULT, UNKNOWN, _require_total_map, lazy_rows, reachable
 
 
 class BudgetExhausted(RuntimeError):
@@ -74,17 +74,16 @@ class FiniteDetector:
 
     def dense(self) -> tuple[dict, dict]:
         """The table as linked rows, built once: ``index[x]`` is state
-        ``x``'s row, a dict from each symbol to the row of its successor.
-        Every step to FAULT leads to the returned ``fault`` row, which maps
-        each symbol to itself, so a walk stays there once it faults.  Rows
-        refer to one another: compare them with ``is``, never ``==``."""
+        ``x``'s :class:`~vigil.systems.LazyRow`, filled, a dict from each
+        symbol to the row of its successor.  Every step to FAULT leads to
+        the returned ``fault`` row, which maps each symbol to itself, so a
+        walk stays there once it faults."""
         if self._dense is None:
-            index = {x: {} for x in self.states}
-            fault = {}
-            fault.update(dict.fromkeys(self.alphabet.symbols, fault))
-            row_of = {**index, FAULT: fault}
-            for x, row in index.items():
-                row.update({n: row_of[self.step_table[(x, n)]] for n in self.alphabet.symbols})
+            row_of, fault = lazy_rows(self.alphabet.symbols, self.row)
+            index = {x: row_of(x) for x in self.states}
+            first = self.alphabet.symbols[0]
+            for row in index.values():
+                row[first]  # fills the row
             self._dense = index, fault
         return self._dense
 
@@ -248,11 +247,21 @@ class RegularPrefixFreeSet:
         target = self.transitions[(self.initial, n)]
         if target == self.accept:
             return FAULT
-        # the automaton is already checked, so it is shared, not rebuilt
-        moved = object.__new__(RegularPrefixFreeSet)
-        moved.alphabet, moved.states, moved.accept = self.alphabet, self.states, self.accept
-        moved.transitions, moved.initial = self.transitions, target
-        return moved
+        return self._of(self.alphabet, self.states, target, self.accept, self.transitions)
+
+    @classmethod
+    def _of(cls, alphabet, states: tuple, initial, accept, transitions: dict):
+        """An automaton that is checked already, so it is shared, not rebuilt."""
+        p = cls.__new__(cls)
+        p.alphabet, p.states, p.initial, p.accept, p.transitions = (
+            alphabet, states, initial, accept, transitions)
+        return p
+
+    def _row(self, q) -> list:
+        """State ``q``'s successors in alphabet order, read as a detector's:
+        a step into the accepting state is :data:`FAULT`."""
+        accept, transitions = self.accept, self.transitions
+        return [FAULT if (t := transitions[q, n]) == accept else t for n in self.alphabet.symbols]
 
     def words_up_to(self, depth: int) -> FiniteWordSet:
         """All members of length <= depth."""
@@ -362,7 +371,7 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     symbols = a.alphabet.symbols
     table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(symbols, row)}
     table.update((("acc", n), "acc") for n in symbols)
-    return RegularPrefixFreeSet(a.alphabet, names, "d0", "acc", table)
+    return RegularPrefixFreeSet._of(a.alphabet, tuple(names), "d0", "acc", table)
 
 
 def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
@@ -370,19 +379,19 @@ def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hash
     :func:`anamorphism_regular`: the reachable states but the accepting one
     are detector states, the initial state is the automaton's, and a step
     into the accepting state faults."""
-    moves = {key: FAULT if t == p.accept else t for key, t in p.transitions.items()}
-    symbols = p.alphabet.symbols
-    order, rows = reachable(p.initial, lambda q: [moves[q, n] for n in symbols])
+    order, rows = reachable(p.initial, p._row)
     return _from_rows(p.alphabet, order, rows), p.initial
 
 
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
-    """The detector on ``states``, in row order, that steps as ``rows`` say."""
+    """The detector on ``states``, in row order, that steps as ``rows`` say;
+    rows of the one unfold are total and closed, so they are not checked."""
     targets = [*states, FAULT]  # row entry -1 reads FAULT
     symbols = alphabet.symbols
-    return FiniteDetector(alphabet, states, {
-        (q, n): targets[t] for q, row in zip(states, rows) for n, t in zip(symbols, row)
-    })
+    a = object.__new__(FiniteDetector)
+    a.alphabet, a.states, a._dense = alphabet, tuple(states), None
+    a.step_table = {(q, n): targets[t] for q, row in zip(states, rows) for n, t in zip(symbols, row)}
+    return a
 
 
 def minimal_detector(alphabet: Alphabet, rows: list) -> tuple[FiniteDetector, str]:

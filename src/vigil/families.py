@@ -287,15 +287,17 @@ class EnumeratedPrefixFreeSet:
         longer = concat(self.consumed, Word(self.alphabet, (n,)))
         survived = EnumeratedPrefixFreeSet(self.enumerator, longer, self.budget)
         word, enumerator = longer.symbols, self.enumerator
+        k = enumerator.first_hit(word)
+        if k is not None:
+            return FAULT if len(enumerator.word_at(k)) == len(word) else survived
         last = enumerator.drawn + self.budget  # the number drawn once the budget is spent
-        while True:
-            k = enumerator.first_hit(word)
-            if k is not None:
-                return FAULT if len(enumerator.word_at(k)) == len(word) else survived
-            if enumerator.drawn == last:
-                return UNKNOWN
-            if enumerator.word_at(enumerator.drawn) is None:
+        while enumerator.drawn < last:  # no drawn item decides: only a fresh one can
+            item = enumerator.word_at(enumerator.drawn)
+            if item is None:
                 return survived
+            if item.symbols and word[:len(item)] == item.symbols:
+                return FAULT if len(item) == len(word) else survived
+        return UNKNOWN
 
 
 def re_detector(e: Enumerator, budget: int) -> DetectorHandle:

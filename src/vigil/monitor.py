@@ -26,7 +26,7 @@ from .detector import (
     anamorphism_regular,
 )
 from .sequences import LassoStream, Word, _require_same_alphabet, slice_range
-from .systems import FAULT, OK, SSystem, TSystem
+from .systems import FAULT, OK, SSystem, TSystem, lazy_rows
 
 
 @dataclass(frozen=True)
@@ -80,43 +80,45 @@ def join_map(f: Mapping, g: Mapping) -> dict:
     return {(x, y): (f[x], g[y]) for x in f for y in g}
 
 
-def _run_lasso(s: LassoStream, start, step, key, fault) -> MonitorVerdict:
-    """Run ``step(state, symbol)`` along a lasso from ``start`` until it
-    reaches ``fault`` or ``key(state)`` repeats at the start of a period.
+def _run_lasso(s: LassoStream, row, fault) -> MonitorVerdict:
+    """Walk linked rows (:class:`~vigil.systems.LazyRow`) along a lasso from
+    ``row`` until the walk reaches ``fault`` or a row repeats at the start
+    of a period.
 
-    The prefix, then each turn of the period, is one ``reduce``; ``step``
-    keeps ``fault`` at ``fault``, and a block that ends there is walked
-    again from its first state, symbol by symbol, to the first fault.  The
-    state at a period start fixes the one at the next, so a repeated key
-    proves that the run never faults.
+    The prefix, then each turn of the period, is one ``reduce``; the fault
+    row keeps a walk there, and a block that ends there is walked again,
+    symbol by symbol, to the first fault.  The row at a period start fixes
+    the one at the next, so a repeated row proves that the run never faults.
     """
-    block, state, done, seen = s.prefix.symbols, start, 0, set()
-    while (end := reduce(step, block, state)) is not fault:
-        state, done, block = end, done + len(block), s.period.symbols
-        if (turn := key(state)) in seen:
+    block, done, seen = s.prefix.symbols, 0, set()
+    while (end := reduce(dict.__getitem__, block, row)) is not fault:
+        row, done, block = end, done + len(block), s.period.symbols
+        if id(row) in seen:
             return CertifiedSafe()
-        seen.add(turn)
+        seen.add(id(row))
     for m, symbol in enumerate(block, done + 1):
-        state = step(state, symbol)
-        if state is fault:
+        row = row[symbol]
+        if row is fault:
             return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
 
 
 def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     """Exact verdict of a finite detector on a lasso stream.
 
-    The detector state at the start of each turn of the period ranges over
-    a finite set, so either some step faults — yielding the minimal bad
-    prefix — or a state repeats there, certifying that no prefix ever
-    faults.  Only finite detectors can certify safety; drive a
-    handle-backed detector with :func:`monitor_online` instead.
+    The detector's row at the start of each turn of the period
+    (:meth:`FiniteDetector.dense`) ranges over a finite set, so either some
+    step faults — yielding the minimal bad prefix — or a row repeats there,
+    certifying that no prefix ever faults.  ``vigil monitor --lasso`` runs
+    the same walk over a spec's unforced subset graph.  Only finite
+    detectors can certify safety; drive a handle-backed detector with
+    :func:`monitor_online` instead.
     """
     if not isinstance(a, FiniteDetector):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
     a.require_state(x)
     index, fault = a.dense()
-    return _run_lasso(s, index[x], dict.__getitem__, id, fault)
+    return _run_lasso(s, index[x], fault)
 
 
 def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
@@ -152,21 +154,27 @@ class OnlineMonitor:
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
     lasso form.  A finite detector is walked along the linked rows of
-    :meth:`FiniteDetector.dense`, holding the current row; a handle is
-    stepped symbol by symbol.
+    :meth:`FiniteDetector.dense` (or a spec's unforced
+    :func:`~vigil.speclang.subset_rows`), holding the current row; a handle
+    is stepped symbol by symbol.
     """
 
     def __init__(self, source, state=None):
-        self.alphabet = source.alphabet
-        self.position = 0
-        self._closed = False
+        self.alphabet, self.position, self._closed = source.alphabet, 0, False
         if isinstance(source, FiniteDetector):
             source.require_state(state)
             index, self._fault = source.dense()
             self._row = index[state]
         else:
-            self._handle = source
-            self._row = None
+            self._handle, self._row = source, None
+
+    @classmethod
+    def _on_rows(cls, alphabet, row, fault) -> "OnlineMonitor":
+        """A monitor that walks linked rows over ``alphabet`` from ``row``."""
+        live = cls.__new__(cls)
+        live.alphabet, live.position, live._closed, live._row, live._fault = (
+            alphabet, 0, False, row, fault)
+        return live
 
     @property
     def closed(self) -> bool:
@@ -248,14 +256,11 @@ def monitor_online(a, x=None) -> OnlineMonitor:
 
 def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorVerdict:
     """Monitor a lasso with the violation language itself as the detector
-    state, stepping by membership-then-derivative: the automaton's
-    :meth:`~vigil.detector.RegularPrefixFreeSet.advance`."""
+    state: one row per derivative, stepped as
+    :meth:`~vigil.detector.RegularPrefixFreeSet.advance` steps it."""
     _require_same_alphabet(p.alphabet, s.alphabet)
-
-    def step(q, n):  # the fault stays the fault, as a dense fault row does
-        return q if q is FAULT else q.advance(n)
-
-    return _run_lasso(s, p, step, lambda q: q.initial, FAULT)
+    row_of, fault = lazy_rows(p.alphabet.symbols, p._row)
+    return _run_lasso(s, row_of(p.initial), fault)
 
 
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):

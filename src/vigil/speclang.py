@@ -42,7 +42,7 @@ from .detector import (
     minimal_detector,
 )
 from .sequences import Alphabet, EpsilonViolation
-from .systems import FAULT, reachable
+from .systems import FAULT, lazy_rows, reachable
 
 
 class SpecError(ValueError):
@@ -417,7 +417,10 @@ class _Positions:
         """A subset's successors on each symbol of ``alphabet``, in one pass
         over its positions; one that matches is :data:`FAULT`, and turns
         ``prefix_free`` false if a position besides ``end`` extends the
-        match (every position can still reach a match)."""
+        match (every position can still reach a match).  A pattern that
+        matches the empty word raises :class:`EpsilonViolation`."""
+        if self.end in self.initial:
+            raise EpsilonViolation("the violation pattern matches the empty observation")
         column = {n: j for j, n in enumerate(alphabet.symbols)}
         k = len(column)  # the column of symbols not in the alphabet, never read
         moves = [(column.get(n, k), frozenset(f)) for n, f in zip(self.symbols, self.follow)]
@@ -457,10 +460,18 @@ def pattern_dfa(pattern, alphabet: Alphabet):
 def _pattern_dfa(pattern, alphabet: Alphabet):
     """:func:`pattern_dfa` of a pattern already held to size, as a spec's is."""
     positions = _Positions(pattern)
-    if positions.end in positions.initial:
-        raise EpsilonViolation("the violation pattern matches the empty observation")
     order, rows = reachable(positions.initial, positions.expander(alphabet))
     return order, rows, positions.prefix_free
+
+
+def subset_rows(spec: ConstraintSpec) -> tuple:
+    """``(row, fault)``: the :class:`~vigil.systems.LazyRow` of the first
+    subset of :func:`pattern_dfa`, whose rows are built only as a walk
+    reaches them, and its fault row.  Walks give the verdicts of
+    :func:`compile`'s detector, and an epsilon pattern raises as there."""
+    positions = _Positions(spec.pattern)
+    row_of, fault = lazy_rows(spec.alphabet.symbols, positions.expander(spec.alphabet))
+    return row_of(positions.initial), fault
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:

@@ -9,7 +9,8 @@ is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
 computable: every behaviour in the package is read off one unfold,
-:func:`reachable`.
+:func:`reachable`; a monitor walks the same successors, one run at a time,
+as rows built on first visit (:func:`lazy_rows`).
 """
 
 from __future__ import annotations
@@ -175,6 +176,46 @@ def reachable(initial, expand) -> tuple[list, list]:
             row.append(i)
         rows.append(row)
     return order, rows
+
+
+class LazyRow(dict):
+    """A state's row in a graph built as it is walked (lazy determinization):
+    a dict from each symbol to the row of the state it leads to, filled
+    whole on its first lookup.  A symbol outside the alphabet raises
+    KeyError (an unhashable one, TypeError) and fills nothing.  Rows refer
+    to one another: compare them with ``is``, never ``==``."""
+
+    __slots__ = ("state", "fill")
+
+    def __missing__(self, symbol):
+        if self:  # filled already, so not a symbol
+            raise KeyError(symbol)
+        self.fill(self, symbol)
+        return self[symbol]
+
+
+def lazy_rows(symbols, successors) -> tuple:
+    """``(row_of, fault)``: ``row_of(q)`` is state ``q``'s :class:`LazyRow`,
+    made once per state, in which the ``j``-th of ``symbols`` leads to the
+    row of the ``j``-th of ``successors(q)``.  Each :data:`FAULT` among
+    them leads to ``fault``, which maps every symbol to itself."""
+    symbols = tuple(symbols)
+    fault = LazyRow()
+    fault.update(dict.fromkeys(symbols, fault))
+    rows = {FAULT: fault}
+
+    def row_of(q) -> LazyRow:
+        if (row := rows.get(q)) is None:
+            row = rows[q] = LazyRow()
+            row.state, row.fill = q, fill
+        return row
+
+    def fill(row: LazyRow, symbol) -> None:
+        if symbol not in fault:
+            raise KeyError(symbol)
+        row.update(zip(symbols, map(row_of, successors(row.state))))
+
+    return row_of, fault
 
 
 def t_anamorphism(g: TSystem, x) -> TerminationTime:

@@ -222,6 +222,26 @@ def oracle_first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
     return None
 
 
+def advance_lasso_fault(p, s: LassoStream) -> int | None:
+    """1-based position of the first fault on a lasso when the violation
+    language ``p`` itself is stepped with ``advance``, one symbol at a
+    time; None once the language at the start of a period repeats (safe)."""
+    q, position, seen = p, 0, set()
+    for symbol in s.prefix.symbols:
+        position += 1
+        q = q.advance(symbol)
+        if q is FAULT:
+            return position
+    while q.initial not in seen:
+        seen.add(q.initial)
+        for symbol in s.period.symbols:
+            position += 1
+            q = q.advance(symbol)
+            if q is FAULT:
+                return position
+    return None
+
+
 def oracle_lasso_parts(prefix: tuple, period: tuple) -> tuple:
     """The canonical (prefix, period) symbols of a lasso: the shortest
     repeating block of the period, then the prefix symbols that agree with

@@ -195,6 +195,44 @@ class TestMonitor:
         assert main(["monitor", first_b_spec, "--trace", "-"]) == 1
         assert json.loads(capsys.readouterr().out)["prefix_len"] == 2
 
+    def test_spec_errors_come_before_lasso_and_trace_errors(self, first_b_spec, tmp_path, capsys):
+        epsilon = write(tmp_path, "eps.vgl", "alphabet a b; violation a*;")
+        missing = str(tmp_path / "nothere.txt")
+        cases = [
+            ([epsilon, "--lasso", "a;;b"], "the violation pattern matches the empty observation"),
+            ([epsilon, "--trace", missing], "the violation pattern matches the empty observation"),
+            ([first_b_spec, "--lasso", "a;;b"], "lasso literal needs exactly one ';': 'a;;b'"),
+            ([first_b_spec, "--lasso", "a ;"], "lasso period must be nonempty"),
+            ([first_b_spec, "--trace", missing],
+             f"[Errno 2] No such file or directory: {missing!r}"),
+        ]
+        for argv, message in cases:
+            assert main(["monitor", *argv]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("source", ["--trace", "--lasso"])
+    def test_exponential_kernel_is_monitored_on_demand(self, tmp_path, source):
+        """``(a|b)* a (a|b)^17 b`` has a canonical detector of 2^18 states;
+        determinizing it whole takes seconds and hundreds of MiB.  The
+        violation at token 27 needs about 27 rows."""
+        k = 17
+        spec = write(tmp_path, "kth.vgl",
+                     f"alphabet a b; violation (a|b)* a {' '.join(['(a|b)'] * k)} b;")
+        head = ["b"] * 8 + ["a"] * (k + 1) + ["b"]
+        if source == "--trace":
+            argv = ["--trace", write(tmp_path, "t.txt", " ".join(head + ["a", "b"] * 87))]
+        else:
+            argv = ["--lasso", " ".join(head[:8]) + " ; " + " ".join(head[8:])]
+        start = time.perf_counter()
+        done = subprocess.run(with_peak_rss(fresh() + ["monitor", spec, *argv]),
+                              capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert done.returncode == 1, done.stderr[-300:]
+        report = json.loads(done.stdout)
+        assert (report["prefix_len"], report["bad_prefix"]) == (len(head), head)
+        peak_mib = int(done.stderr.split()[-1]) / 1024
+        assert wall < 2 and peak_mib < 100, (wall, peak_mib)
+
 
 class TestMonitorTraceEdges:
     """Trace monitoring reads blocks of whole lines and reads the trace
