@@ -1,13 +1,12 @@
-"""Behavioural equivalence of detector states and of output-system states,
-and the one partition refinement that decides it.
+"""Behavioural equivalence of detector states and of output-system states.
 
-Two detector states are bisimilar exactly when they have the same
-violation language; two output-system states exactly when they emit the
-same stream.  Moore refinement splits by the immediately observable data
-(fault profile, output token), then by successor blocks until stable: on
-the disjoint union of two carriers for the largest bisimulations, and on
-one detector state's unfold for its quotient, which the minimizer names and
-:func:`bisimilar` compares.
+Two detector states are bisimilar exactly when they have the same violation
+language; two output-system states exactly when they emit the same stream.
+:func:`bisimilar` is one union-find pair walk over linked rows (Hopcroft & Karp
+1971), as ``vigil equiv`` on two specs' lazy subset graphs.  The one partition
+refinement, Moore's, splits by observable data (fault profile, output token),
+then by successor blocks: on two carriers side by side for the largest
+bisimulations, and on one state's unfold for the minimizer.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .sequences import _require_same_alphabet
-from .systems import SSystem, reachable
+from .systems import SSystem
 
 if TYPE_CHECKING:
     from .detector import FiniteDetector
@@ -99,12 +98,37 @@ def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> State
 
 def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Whether states ``x`` of ``a`` and ``y`` of ``b`` have the same
-    violation language: whether the quotients of their unfolds, numbered
-    breadth first, are identical."""
+    violation language: :func:`rows_bisimilar` on their linked rows."""
     a.require_state(x)
     b.require_state(y)
     _require_same_alphabet(a.alphabet, b.alphabet)
-    return _minimal_rows(reachable(x, a.row)[1]) == _minimal_rows(reachable(y, b.row)[1])
+    (rows_a, fault_a), (rows_b, fault_b) = a.dense(), b.dense()
+    return rows_bisimilar(a.alphabet.symbols, rows_a[x], fault_a, rows_b[y], fault_b)
+
+
+def rows_bisimilar(symbols, x, fault_x, y, fault_y) -> bool:
+    """Whether rows ``x`` and ``y`` (:class:`~vigil.systems.LazyRow`), whose faults lead to
+    ``fault_x`` and ``fault_y``, have the same violation language: a breadth-first walk over
+    pairs of rows not yet joined by union-find, up to a first pair where one side faults."""
+    leader: dict = {}  # by id; the rows live as long as their graphs
+
+    def find(i: int) -> int:
+        while (j := leader.get(i, i)) != i:
+            leader[i] = i = leader.get(j, j)  # path halving
+        return i
+
+    todo = [(x, y)]
+    for r, s in todo:  # grows while it is walked
+        i, j = find(id(r)), find(id(s))
+        if i != j:
+            leader[i] = j
+            for n in symbols:
+                u, v = r[n], s[n]
+                if (u is fault_x) is not (v is fault_y):
+                    return False
+                if u is not fault_x:
+                    todo.append((u, v))
+    return True
 
 
 def largest_s_bisimulation(sigma: SSystem, tau: SSystem) -> StatePairRelation:

@@ -23,7 +23,8 @@ import re
 import sys
 import tempfile
 
-from .detector import minimal_violation_words
+from .bisim import rows_bisimilar
+from .detector import _from_rows, minimal_violation_words
 from .families import check_universal_family
 from .monitor import OK, FeedViolation, OnlineMonitor, Violation, _run_lasso
 from .monitor import monitor_online  # noqa: F401  not called here; bench/vigilbench/spans.py wraps it
@@ -225,10 +226,11 @@ def cmd_words(args) -> int:
         return _fail("--depth must be at least 1")
     try:
         spec = _load_spec(args.spec)
-        detector, init = speclang.compile(spec)
+        rows = speclang._pattern_dfa(spec.pattern, spec.alphabet)[1]
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    for word in minimal_violation_words(detector, init, args.depth):
+    subsets = _from_rows(spec.alphabet, range(len(rows)), rows)  # the same words, unminimized
+    for word in minimal_violation_words(subsets, 0, args.depth):
         print(word.text())
     return EXIT_OK
 
@@ -307,12 +309,12 @@ def cmd_equiv(args) -> int:
         spec_b = _load_spec(args.spec_b)
         if spec_a.alphabet != spec_b.alphabet:
             raise ValueError("the two specs declare different alphabets")
-        det_a, _ = speclang.compile(spec_a)
-        det_b, _ = speclang.compile(spec_b)
+        row_a, fault_a = speclang.subset_rows(spec_a)
+        row_b, fault_b = speclang.subset_rows(spec_b)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    # canonical forms: equal violation languages give identical tables
-    if det_a.step_table == det_b.step_table:
+    # the subset graphs are built only as far as the pair walk reaches
+    if rows_bisimilar(spec_a.alphabet.symbols, row_a, fault_a, row_b, fault_b):
         print("equivalent")
         return EXIT_OK
     print("not equivalent")

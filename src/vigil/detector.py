@@ -299,8 +299,8 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
 
     Words are grown breadth first and never past a fault, so the result is
     the set of minimal faulting words of length <= depth and is prefix-free
-    at every depth.  A word whose state can no longer fault is not grown,
-    and the walk ends once no word is left to grow.  For a
+    at every depth.  A word whose state cannot fault within the depth left
+    is not grown, and the walk ends once no word is left to grow.  For a
     :class:`DetectorHandle` pass ``x=None``; a handle that answers
     :data:`UNKNOWN` makes the truncation undecidable and raises
     :class:`BudgetExhausted` instead of returning a wrong set.
@@ -310,17 +310,17 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
     if isinstance(a, FiniteDetector):
         a.require_state(x)
         stepper = a.step
-        grows = _can_fault((q, t) for (q, _), t in a.step_table.items()).__contains__
+        distance = _fault_distances((q, t) for (q, _), t in a.step_table.items()).get
     elif isinstance(a, DetectorHandle):
         if x is not None:
             raise ValueError("handles carry their own state; pass x=None")
-        x, stepper, grows = a, (lambda h, n: h.step(n)), (lambda h: True)
+        x, stepper, distance = a, (lambda h, n: h.step(n)), (lambda h, _: 1)
     else:
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
     alphabet = a.alphabet
     frontier = [(x, ())]
     found = []
-    for _ in range(depth):
+    for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
         if not frontier:
             break
         nxt = []
@@ -333,29 +333,29 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
                     raise BudgetExhausted(
                         f"cannot decide the step on {Word(alphabet, syms + (n,)).text()!r}"
                     )
-                elif grows(target):
+                elif distance(target, depth) <= left:  # one that cannot fault is beyond depth
                     nxt.append((target, syms + (n,)))
         frontier = nxt
     return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
 
 
-def _can_fault(moves) -> set:
-    """The states from which some word faults, given every step as a
-    (state, target) pair: one walk back from the faulting steps."""
+def _fault_distances(moves) -> dict:
+    """The states from which some word faults, each with the length of the
+    shortest such word, given every step as a (state, target) pair: one
+    breadth-first walk back from the faulting steps."""
     into: dict = {}
-    hit = []
+    distance: dict = {}
     for q, target in moves:
         if target is FAULT:
-            hit.append(q)
+            distance[q] = 1
         else:
             into.setdefault(target, []).append(q)
-    seen = set(hit)
-    while hit:
-        for q in into.get(hit.pop(), ()):
-            if q not in seen:
-                seen.add(q)
-                hit.append(q)
-    return seen
+    for t in (queue := list(distance)):  # grows while it is walked
+        for q in into.get(t, ()):
+            if q not in distance:
+                distance[q] = distance[t] + 1
+                queue.append(q)
+    return distance
 
 
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
@@ -413,7 +413,8 @@ def first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
     words are the first of their length in breadth-first order.
     """
     # read with a step into acceptance as a fault, the states that can fault
-    live = _can_fault((q, FAULT if accepting[t] else t) for q, row in enumerate(rows) for t in row)
+    live = _fault_distances((q, FAULT if accepting[t] else t)
+                            for q, row in enumerate(rows) for t in row)
     q = next((q for q, hit in enumerate(accepting) if hit and q in live), None)
     if q is None:
         return None

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from operator import or_
 
 from .detector import (
     FiniteDetector,
@@ -364,8 +365,8 @@ class _Positions:
     reads its ``symbols`` entry; the number after the last position,
     ``end``, marks a completed match.  A subset holds the positions that
     may read the next symbol, and ``end`` when the input read so far
-    matches.  Reading a position's symbol leads to its ``follow`` set, so a
-    subset's move is a union of sets fixed once per pattern.
+    matches, as bit ``p`` of an int for position ``p``.  Reading a
+    position's symbol leads to its ``follow`` set: a move unites fixed sets.
     """
 
     def __init__(self, pattern):
@@ -375,7 +376,7 @@ class _Positions:
         self.end = len(self.follow)
         for p in last:
             self.follow[p].add(self.end)
-        self.initial = frozenset(first | {self.end} if nullable else first)
+        self.initial = sum(map((1).__lshift__, first | {self.end} if nullable else first))
         self.prefix_free = True
 
     def scan(self, node) -> tuple[bool, set, set]:
@@ -414,30 +415,43 @@ class _Positions:
         raise TypeError(f"not a pattern node: {node!r}")
 
     def expander(self, alphabet: Alphabet):
-        """A subset's successors on each symbol of ``alphabet``, in one pass
-        over its positions; one that matches is :data:`FAULT`, and turns
-        ``prefix_free`` false if a position besides ``end`` extends the
-        match (every position can still reach a match).  A pattern that
-        matches the empty word raises :class:`EpsilonViolation`."""
-        if self.end in self.initial:
+        """A subset's successors on each symbol of ``alphabet``, ORed from
+        one table entry per non-zero byte of it; one that matches is
+        :data:`FAULT`, and turns ``prefix_free`` false if a position besides
+        ``end`` extends the match (every position can still reach a match).
+        A pattern that matches the empty word raises :class:`EpsilonViolation`."""
+        end = self.end
+        if self.initial.bit_length() > end:  # holds end, the highest position
             raise EpsilonViolation("the violation pattern matches the empty observation")
         column = {n: j for j, n in enumerate(alphabet.symbols)}
         k = len(column)  # the column of symbols not in the alphabet, never read
-        moves = [(column.get(n, k), frozenset(f)) for n, f in zip(self.symbols, self.follow)]
-        end = self.end
+        masks = {key: sum(map((1).__lshift__, key))  # one per distinct follow set
+                 for key in dict.fromkeys(map(frozenset, self.follow))}
+        moves = [(column.get(n, k), masks[frozenset(f)]) for n, f in zip(self.symbols, self.follow)]
+        table: dict = {}  # bit offset << 5 | byte value -> the byte's follow sets per symbol
 
-        def expand(subset) -> list:
-            groups = [[] for _ in range(k + 1)]
-            for p in subset:
-                j, follow = moves[p]
-                groups[j].append(follow)
-            targets = [group[0] if len(group) == 1 else frozenset().union(*group)
-                       for group in groups[:k]]
-            for j, target in enumerate(targets):
-                if end in target:
-                    self.prefix_free = self.prefix_free and len(target) == 1
-                    targets[j] = FAULT
-            return targets
+        def expand(subset: int) -> list:
+            targets = None
+            while subset:  # from the highest non-zero byte down, so zero bytes cost nothing
+                offset = (subset.bit_length() - 1) & ~7
+                byte = subset >> offset
+                subset ^= byte << offset
+                if (found := table.get(offset << 5 | byte)) is None:  # made on first use
+                    found = [0] * (k + 1)
+                    for p in range(offset, offset + byte.bit_length()):
+                        if byte >> (p - offset) & 1:
+                            j, follow = moves[p]
+                            if found[j] is not follow:  # a shared mask is not copied
+                                found[j] = found[j] | follow if found[j] else follow
+                    found = table[offset << 5 | byte] = found[:k]
+                targets = found if targets is None else list(map(or_, targets, found))
+            row = []
+            for target in targets or [0] * k:
+                if target.bit_length() > end:  # holds end
+                    self.prefix_free = self.prefix_free and target.bit_count() == 1
+                    target = FAULT
+                row.append(target)
+            return row
 
         return expand
 
@@ -447,8 +461,8 @@ def pattern_dfa(pattern, alphabet: Alphabet):
     cut at its first matches: a step into a matching subset faults.
 
     Returns (subset order, rows, whether the pattern language is
-    prefix-free), the subsets numbered and rowed by
-    :func:`~vigil.systems.reachable`; the empty subset is the safe sink.
+    prefix-free), the subsets (:class:`_Positions` bitmasks) numbered and
+    rowed by :func:`~vigil.systems.reachable`; 0 is the safe sink.
     :func:`compile` and :func:`pattern_is_prefix_free` take it from a
     caller that needs both.
     A pattern matching the empty word raises :class:`EpsilonViolation`.

@@ -169,9 +169,8 @@ def reachable(initial, expand) -> tuple[list, list]:
     for q in order:  # grows while it is walked
         row = []
         for t in expand(q):
-            i = number.get(t)
-            if i is None:
-                i = number[t] = len(order)
+            i = number.setdefault(t, len(order))  # hashes t once
+            if i == len(order):
                 order.append(t)
             row.append(i)
         rows.append(row)

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's own stepping machinery:
 faults are located by walking raw transition tables, regex membership is
 decided by a backtracking interval matcher, and prefix-free sets are
-enumerated as antichains of the prefix forest.
+enumerated as antichains of the prefix forest.  Some keep a slower route
+the library had as the reference for its fast path: subsets as
+frozensets, bisimilarity as identical canonical quotients, and spec
+equivalence as identical canonical tables.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import itertools
 import sys
 from functools import lru_cache
 
+from vigil.bisim import _minimal_rows
 from vigil.detector import FiniteDetector
 from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
-from vigil.speclang import Alt, Lit, Opt, Plus, Seq, Star
-from vigil.systems import FAULT, UNKNOWN, SSystem
+from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, Star
+from vigil.speclang import compile as compile_spec
+from vigil.systems import FAULT, UNKNOWN, SSystem, reachable
 
 
 def binary() -> Alphabet:
@@ -49,6 +54,19 @@ def oracle_minimal_words(det: FiniteDetector, state, depth: int) -> set[Word]:
         if oracle_first_fault(det, state, w.symbols) == len(w):
             result.add(w)
     return result
+
+
+def unpruned_violation_words(det: FiniteDetector, state, depth: int) -> list[tuple]:
+    """:func:`oracle_minimal_words` as symbol tuples in word order (shorter
+    first, then in alphabet order), every word of each length tried."""
+    return [w.symbols for w in all_words(det.alphabet, depth, min_len=1)
+            if oracle_first_fault(det, state, w.symbols) == len(w)]
+
+
+def quotient_bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
+    """Bisimilarity as identical canonical quotients: the minimizer's merged
+    rows of each state's unfold, numbered breadth first, compared."""
+    return _minimal_rows(reachable(x, a.row)[1]) == _minimal_rows(reachable(y, b.row)[1])
 
 
 def lasso_symbols(s: LassoStream, count: int) -> tuple[str, ...]:
@@ -459,6 +477,89 @@ def minimal_matches(node, alphabet: Alphabet, max_len: int) -> set[Word]:
             continue
         out.add(w)
     return out
+
+
+def subset_of(mask: int) -> frozenset:
+    """The positions of a subset held as a bitmask, bit ``p`` for position ``p``."""
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+class FrozensetSubsets:
+    """The subset construction of a pattern's positions (a
+    ``speclang._Positions``) with each subset a frozenset of positions:
+    ``initial``, and ``expand``, a subset's successors in alphabet order,
+    each the union of the follow sets of its positions that read the
+    symbol, :data:`FAULT` for one that holds ``end``.  ``prefix_free`` turns
+    false once such a successor holds another position too."""
+
+    def __init__(self, positions, alphabet: Alphabet):
+        self.positions, self.alphabet = positions, alphabet
+        self.initial = subset_of(positions.initial)
+        self.prefix_free = True
+
+    def expand(self, subset: frozenset) -> list:
+        pos, row = self.positions, []
+        for n in self.alphabet.symbols:
+            target = frozenset().union(*[pos.follow[p] for p in subset if pos.symbols[p] == n])
+            if pos.end in target:
+                self.prefix_free = self.prefix_free and len(target) == 1
+                target = FAULT
+            row.append(target)
+        return row
+
+
+def reordered(node):
+    """The same pattern with every alternation's branches reversed."""
+    if isinstance(node, Lit):
+        return node
+    if isinstance(node, (Seq, Alt)):
+        items = tuple(map(reordered, node.items))
+        return Alt(items[::-1]) if isinstance(node, Alt) else Seq(items)
+    return type(node)(reordered(node.item))
+
+
+def sigma_closed(node, alphabet: Alphabet):
+    """The pattern followed by any word: the same minimal bad prefixes."""
+    return Seq((node, Star(Alt(tuple(map(Lit, alphabet.symbols))))))
+
+
+def mutated(rng, node, alphabet: Alphabet):
+    """The same pattern with one literal, drawn at random, read as another
+    symbol."""
+    literals = []
+
+    def count(n):
+        if isinstance(n, Lit):
+            literals.append(n)
+        else:
+            for item in n.items if isinstance(n, (Seq, Alt)) else (n.item,):
+                count(item)
+
+    count(node)
+    target = rng.choice(literals)
+
+    def rebuild(n):
+        if n is target:
+            return Lit(rng.choice([m for m in alphabet.symbols if m != n.symbol]))
+        if isinstance(n, Lit):
+            return n
+        if isinstance(n, (Seq, Alt)):
+            return type(n)(tuple(map(rebuild, n.items)))
+        return type(n)(rebuild(n.item))
+
+    return rebuild(node)
+
+
+def compiled_equivalent(a: ConstraintSpec, b: ConstraintSpec) -> bool:
+    """Spec equivalence as identical canonical detector tables."""
+    return compile_spec(a)[0].step_table == compile_spec(b)[0].step_table
+
+
+def compiled_words(spec: ConstraintSpec, depth: int) -> str:
+    """What ``vigil words`` prints, read off the canonical detector by
+    :func:`unpruned_violation_words`."""
+    det, init = compile_spec(spec)
+    return "".join(" ".join(w) + "\n" for w in unpruned_violation_words(det, init, depth))
 
 
 def random_ast(rng, alphabet: Alphabet, depth: int):

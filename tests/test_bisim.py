@@ -13,7 +13,7 @@ from vigil.bisim import (
 )
 from vigil.detector import FiniteDetector, check_detector_morphism, minimal_violation_words
 from vigil.monitor import monitor_lasso
-from vigil.sequences import AlphabetMismatchError
+from vigil.sequences import Alphabet, AlphabetMismatchError
 from vigil.systems import FAULT, SSystem, s_anamorphism, stream_system
 
 from support import (
@@ -21,6 +21,7 @@ from support import (
     binary,
     enumerate_lassos,
     inflate_detector,
+    quotient_bisimilar,
     random_detector,
 )
 
@@ -139,6 +140,28 @@ class TestDetectorBisimulation:
             relation = largest_detector_bisimulation(big, base)
             for x, y in collapse.items():
                 assert (x, y) in relation
+
+    def test_pair_walk_agrees_with_comparing_quotients(self):
+        """``bisimilar`` against ``support.quotient_bisimilar`` on seeded
+        pairs over two or three symbols: a detector and an unrolled copy of
+        it, a state of the copy paired with its image (related) or with any
+        state, and two random detectors."""
+        rng = random.Random(197)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            a = random_detector(rng, al, rng.randint(1, 6), rng.choice([0.05, 0.2, 0.4]))
+            if rng.random() < 0.5:
+                b, collapse = inflate_detector(rng, a, 3)
+                y = rng.choice(b.states)
+                x = collapse[y] if rng.random() < 0.5 else rng.choice(a.states)
+            else:
+                b = random_detector(rng, al, rng.randint(1, 6), rng.choice([0.05, 0.2, 0.4]))
+                x, y = rng.choice(a.states), rng.choice(b.states)
+            want = quotient_bisimilar(a, x, b, y)
+            assert bisimilar(a, x, b, y) == bisimilar(b, y, a, x) == want
+            seen[want] += 1
+        assert min(seen.values()) > 150, seen
 
     def test_related_states_give_equal_verdicts(self):
         rng = random.Random(191)

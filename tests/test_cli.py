@@ -13,7 +13,16 @@ import pytest
 import vigil
 from vigil.cli import main, verdict_exit_code
 
-from support import with_peak_rss
+from support import (
+    compiled_equivalent,
+    compiled_words,
+    mutated,
+    random_ast,
+    regex_matches,
+    reordered,
+    sigma_closed,
+    with_peak_rss,
+)
 
 FIRST_B = "alphabet a b;\nviolation a* b;\n"
 
@@ -417,6 +426,25 @@ class TestEquiv:
         assert main(["equiv", one, two]) == 2
         capsys.readouterr()
 
+    def test_specs_that_differ_early_are_told_apart_on_demand(self, tmp_path):
+        """``a | (a|b)* a (a|b)^20 b`` faults on ``a``, ``(a|b)* a (a|b)^20
+        b`` does not, and each has a canonical detector of about 2^21
+        states.  The pair walk stops at its first pair, so the subset graphs
+        are built no further.  The child's address space is capped at 1
+        GiB, so that a walk that builds them fails fast instead of taking
+        the machine's memory."""
+        tail = "(a|b)* a " + " ".join(["(a|b)"] * 20) + " b"
+        one = write(tmp_path, "one.vgl", f"alphabet a b; violation a | {tail};")
+        two = write(tmp_path, "two.vgl", f"alphabet a b; violation {tail};")
+        cap = "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+        argv = with_peak_rss(fresh("import resource", cap) + ["equiv", one, two])
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (1, b"not equivalent\n"), done.stderr[-300:]
+        peak_mib = int(done.stderr.split()[-1]) / 1024
+        assert wall < 2 and peak_mib < 100, (wall, peak_mib)
+
 
 class TestFamily:
     def test_trivial_family_closed(self, tmp_path, capsys):
@@ -552,6 +580,41 @@ def test_equiv_agrees_with_depth8_language_comparison(tmp_path, capsys):
             )
             assert code == (0 if same else 1)
             assert bisimilar(det_l, init_l, det_r, init_r) == same
+
+
+def test_equiv_and_words_agree_with_the_compiled_tables(tmp_path, capsys):
+    """On seeded random specs: ``equiv`` against the same spec with its
+    alternations reordered, followed by any word, and with one literal
+    changed, each decided by comparing canonical detector tables; and
+    ``words`` against every word tried on the canonical detector."""
+    from vigil.sequences import Alphabet
+    from vigil.speclang import ConstraintSpec, pretty
+
+    def spec_file(name, alphabet, node):
+        return write(tmp_path, name, f"alphabet {' '.join(alphabet)}; violation {pretty(node)};")
+
+    rng = random.Random(1811)
+    seen = {0: 0, 1: 0}
+    made = 0
+    while made < 150:
+        al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+        node = random_ast(rng, al, rng.randint(1, 5))
+        if regex_matches(node, ()):
+            continue
+        spec, path = ConstraintSpec("s", al, node), spec_file("s.vgl", al, node)
+        for other in (reordered(node), sigma_closed(node, al), mutated(rng, node, al)):
+            if regex_matches(other, ()):
+                continue
+            code = main(["equiv", path, spec_file("o.vgl", al, other)])
+            want = 0 if compiled_equivalent(spec, ConstraintSpec("o", al, other)) else 1
+            assert (code, capsys.readouterr().out) == (
+                want, ["equivalent\n", "not equivalent\n"][want]), (pretty(node), pretty(other))
+            seen[want] += 1
+        depth = rng.randint(1, 7)
+        assert main(["words", path, "--depth", str(depth)]) == 0
+        assert capsys.readouterr().out == compiled_words(spec, depth), pretty(node)
+        made += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_report_schema_on_random_corpus(tmp_path, capsys):

@@ -49,6 +49,7 @@ from support import (
     random_ast,
     random_detector,
     random_word,
+    unpruned_violation_words,
 )
 
 
@@ -169,6 +170,29 @@ class TestMinimalViolationWords:
             x = rng.choice(det.states)
             got = minimal_violation_words(det, x, 5)
             assert set(got.words) == oracle_minimal_words(det, x, 5)
+
+    def test_pruned_walk_agrees_with_growing_every_word(self):
+        """The words of ``support.unpruned_violation_words``, in its order,
+        at depths 1..8: on seeded random detectors, many with states far
+        from a fault or with none in reach, and on handles of them."""
+        rng = random.Random(47)
+        sinks = 0
+        for i in range(150):
+            al = Alphabet(["a", "b", "c"][: rng.choice([2, 2, 2, 3])])
+            det = random_detector(rng, al, rng.randint(1, 8), rng.choice([0.02, 0.1, 0.3]))
+            x = rng.choice(det.states)
+            every = unpruned_violation_words(det, x, 8)
+            for depth in range(1, 9):
+                want = [w for w in every if len(w) <= depth]
+                assert [w.symbols for w in minimal_violation_words(det, x, depth)] == want
+                if i % 5 == 0:
+                    handle = FiniteDetectorHandle(det, x)
+                    assert [w.symbols for w in minimal_violation_words(handle, None, depth)] == want
+            live = {q for q in det.states if FAULT in det.row(q)}  # grown to a fixpoint
+            while more := {q for q in det.states if live.intersection(det.row(q))} - live:
+                live |= more
+            sinks += len(live) < len(det.states)  # some state can never fault
+        assert sinks > 30, sinks
 
     def test_spec_detectors_against_minimal_match_oracle(self):
         """Compiled specs, most of which have states that can no longer

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from dataclasses import fields, make_dataclass
 
 import pytest
@@ -48,6 +49,7 @@ from vigil.speclang import (
 )
 
 from support import (
+    FrozensetSubsets,
     all_words,
     binary,
     lasso_symbols,
@@ -58,6 +60,7 @@ from support import (
     random_prefix_free,
     regex_matcher,
     regex_matches,
+    subset_of,
     with_peak_rss,
 )
 
@@ -74,8 +77,9 @@ def full_walk(pattern, alphabet: Alphabet):
                                     if p != end and positions.symbols[p] == n])
                 for n in alphabet.symbols]
 
-    order, rows = reachable(positions.initial, moves)
-    return order, rows, positions.initial, [end in subset for subset in order]
+    initial = subset_of(positions.initial)
+    order, rows = reachable(initial, moves)
+    return order, rows, initial, [end in subset for subset in order]
 
 
 class TestParse:
@@ -182,7 +186,7 @@ class TestPatternDepth:
         assert parse(f"alphabet a b; violation {pretty(pattern)};", name="deep") == spec
         order, _, initial, accepting = full_walk(pattern, ab)
         assert order[0] == initial and not accepting[0]
-        assert pattern_dfa(pattern, ab)[0][0] == initial
+        assert subset_of(pattern_dfa(pattern, ab)[0][0]) == initial
         assert compile(spec)[0].states == ("s0",)
 
     @pytest.mark.parametrize("levels", [52, 300, 5000])
@@ -564,6 +568,48 @@ class TestPatternIsPrefixFree:
             "spec: hostile", "alphabet: a b", "detector states: 17",
             "kernel changed language: yes"]
         assert int(done.stderr) / 1024 < 250
+
+
+class TestBitmaskSubsets:
+    """Subsets are int bitmasks, each move ORed out of a table of byte
+    entries; ``support.FrozensetSubsets`` makes the same walk over
+    frozensets, one union of follow sets per move."""
+
+    def test_rows_and_flag_match_the_frozenset_construction(self):
+        """On seeded random patterns, some of them reading symbols outside
+        the alphabet: the same subsets in the same order, the same rows
+        and the same flag."""
+        rng = random.Random(9013)
+        abc = Alphabet(["a", "b", "c"])
+        checked = wide = 0
+        while checked < 1500:
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            parts = [random_ast(rng, abc, rng.randint(0, 6)) for _ in range(rng.randint(1, 4))]
+            ast = parts[0] if len(parts) == 1 else Seq(tuple(parts))
+            if regex_matches(ast, ()):
+                with pytest.raises(EpsilonViolation):
+                    pattern_dfa(ast, al)
+                continue
+            oracle = FrozensetSubsets(_Positions(ast), al)
+            order, rows = reachable(oracle.initial, oracle.expand)
+            masks, got_rows, flag = pattern_dfa(ast, al)
+            assert ([subset_of(m) for m in masks], got_rows, flag) == (
+                order, rows, oracle.prefix_free), pretty(ast)
+            checked += 1
+            wide += _Positions(ast).end >= 16  # subsets of three bytes or more
+        assert wide > 200, wide
+
+    def test_a_20000_literal_chain_unfolds_within_two_seconds(self, ab):
+        """One subset per literal, each one set bit among 20,000: a move
+        that shifted through the zero bytes would take quadratic time."""
+        rng = random.Random(9029)
+        chain = Seq(tuple(Lit(rng.choice("ab")) for _ in range(20000)))
+        start = time.perf_counter()
+        masks, rows, flag = pattern_dfa(chain, ab)
+        wall = time.perf_counter() - start
+        assert len(rows) == 20001 and flag
+        assert sorted(masks[:3]) == [0, 1, 2] and masks[-1] == 1 << 19999
+        assert wall < 2, wall
 
 
 def _random_specs(seed: int, count: int, depth: int):
