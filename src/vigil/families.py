@@ -19,6 +19,8 @@ whose states range over exactly that family.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .detector import (
@@ -36,11 +38,11 @@ from .sequences import (
     FiniteWordSet,
     PrefixFreeViolation,
     Word,
+    _require_same_alphabet,
     _sort_keys,
-    concat,
+    _word,
     is_token,
     require_prefix_free,
-    slice_range,
 )
 from .systems import FAULT, reachable
 
@@ -85,29 +87,15 @@ class EilenbergMachine:
         return frozenset(r for q in subset for r in self._moves.get((q, n), ()))
 
     def accepts(self, u: Word) -> bool:
-        subset = self.initial
-        for n in u:
-            subset = self.successors(subset, n)
-        return bool(subset & self.final)
+        return bool(reduce(self.successors, u, self.initial) & self.final)
 
     def words_up_to(self, depth: int) -> FiniteWordSet:
-        """All accepted words of length <= depth (including the empty word
-        when it is accepted)."""
-        found = []
-        if self.initial & self.final:
-            found.append(Word(self.alphabet))
-        frontier = [(self.initial, ())]
-        for _ in range(depth):
-            nxt = []
-            for subset, syms in frontier:
-                for n in self.alphabet:
-                    target = self.successors(subset, n)
-                    if not target:
-                        continue
-                    if target & self.final:
-                        found.append(Word(self.alphabet, syms + (n,)))
-                    nxt.append((target, syms + (n,)))
-            frontier = nxt
+        """All accepted words of length <= depth, the empty word too if it is accepted."""
+        found, frontier = [], [(self.initial, ())]  # the words of one length, with their subsets
+        for length in range(max(depth, 0) + 1):
+            found += [_word(self.alphabet, w) for subset, w in frontier if subset & self.final]
+            frontier = [(target, w + (n,)) for subset, w in frontier if length < depth
+                        for n in self.alphabet if (target := self.successors(subset, n))]
         return FiniteWordSet(self.alphabet, found)
 
 
@@ -144,11 +132,10 @@ def machine_derivative(m: EilenbergMachine, n: str) -> EilenbergMachine:
     continues past a fault).
     """
     m.alphabet.index(n)
-    if m.accepts(Word(m.alphabet, (n,))):
+    initial = m.successors(m.initial, n)
+    if initial & m.final:
         raise ValueError(f"cannot take the derivative by {n!r}: it is already a violation")
-    return EilenbergMachine(
-        m.alphabet, m.states, m.transitions, m.successors(m.initial, n), m.final
-    )
+    return EilenbergMachine(m.alphabet, m.states, m.transitions, initial, m.final)
 
 
 class DecisionProcedure:
@@ -169,10 +156,11 @@ class DecisionProcedure:
         self.alphabet = alphabet
         self.decides = decides
         self.consumed = Word(alphabet) if consumed is None else consumed
+        _require_same_alphabet(alphabet, self.consumed.alphabet)
 
     def final_step(self, n: str):
         self.alphabet.index(n)
-        word = concat(self.consumed, Word(self.alphabet, (n,)))
+        word = _word(self.alphabet, self.consumed.symbols + (n,))
         if self.decides(word):
             return FAULT
         return DecisionProcedure(self.alphabet, self.decides, word)
@@ -185,14 +173,14 @@ class _AuditedDecisionHandle(SetHandle):
     __slots__ = ()
 
     def step(self, symbol: str):
-        p = self.language
-        word = concat(p.consumed, Word(self.alphabet, (symbol,)))
+        p, alphabet = self.language, self.alphabet
+        alphabet.index(symbol)
+        word = p.consumed.symbols + (symbol,)
         for k in range(1, len(word)):
-            prefix = slice_range(word, 0, k)
-            if p.decides(prefix):
+            if p.decides(prefix := _word(alphabet, word[:k])):
                 # the detector survived past a member: the claimed language
                 # is not prefix-free (or the predicate is not deterministic)
-                raise PrefixFreeViolation(prefix, word)
+                raise PrefixFreeViolation(prefix, _word(alphabet, word))
         nxt = p.final_step(symbol)
         return FAULT if nxt is FAULT else _AuditedDecisionHandle(nxt)
 
@@ -212,49 +200,54 @@ class Enumerator:
     """A deterministic, resumable enumeration of the members of a violation
     language.
 
-    ``word_at(k)`` returns the k-th enumerated word, drawing lazily from
-    the underlying iterable and caching every item so that separate
-    detector steps observe one and the same enumeration order.  A finite
-    iterable that runs out means the language has been listed completely.
+    One draw loop reads, checks, indexes and caches every item, so that
+    separate detector steps observe one and the same enumeration order;
+    ``word_at(k)`` draws up to the k-th.  An iterable that runs out has
+    listed the language completely: ``finished`` turns true, and it is never
+    read again.
     """
 
-    __slots__ = ("alphabet", "_source", "_cache", "_first", "_finished")
+    __slots__ = ("alphabet", "finished", "_source", "_cache", "_first")
 
     def __init__(self, alphabet: Alphabet, words: Iterable[Word]):
         self.alphabet = alphabet
         self._source = iter(words)
         self._cache: list[Word] = []
         self._first: dict[int, dict[tuple, int]] = {}  # length -> symbols -> first index
-        self._finished = False
+        self.finished = False
 
     @property
     def drawn(self) -> int:
         return len(self._cache)
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def word_at(self, k: int) -> Word | None:
         """The k-th enumerated word, or ``None`` once the enumeration is
         exhausted before reaching ``k``."""
-        while len(self._cache) <= k and not self._finished:
-            try:
-                item = next(self._source)
-            except StopIteration:
-                self._finished = True
-                break
-            if not isinstance(item, Word) or item.alphabet != self.alphabet:
-                raise ValueError(f"enumerator produced a malformed word: {item!r}")
-            self._first.setdefault(len(item), {}).setdefault(item.symbols, len(self._cache))
-            self._cache.append(item)
+        self._first_hit((), max(k + 1 - len(self._cache), 0))
         return self._cache[k] if k < len(self._cache) else None
 
-    def first_hit(self, word: tuple) -> int | None:
-        """Index of the first drawn item that is ``word`` or a nonempty prefix of it."""
-        hits = [first[word[:m]] for m, first in self._first.items()
-                if 0 < m <= len(word) and word[:m] in first]
-        return min(hits, default=None)
+    def _first_hit(self, word: tuple, budget: int) -> int | None:
+        """The length of the first item that is ``word`` or a nonempty prefix
+        of it, looked up among the drawn items, else sought by the one draw
+        loop among up to ``budget`` fresh ones; None if there is none."""
+        hits = [(k, m) for m, first in self._first.items()
+                if 0 < m <= len(word) and (k := first.get(word[:m])) is not None]
+        if hits or self.finished:
+            return min(hits, default=(None, None))[1]
+        cache, first, alphabet, start = self._cache, self._first, self.alphabet, len(self._cache)
+        for item in islice(self._source, budget):
+            if not isinstance(item, Word) or (
+                    item.alphabet is not alphabet and item.alphabet != alphabet):
+                raise ValueError(f"enumerator produced a malformed word: {item!r}")
+            symbols = item.symbols
+            if (by_symbols := first.get(len(symbols))) is None:
+                by_symbols = first[len(symbols)] = {}
+            by_symbols.setdefault(symbols, len(cache))
+            cache.append(item)
+            if symbols and word[:len(symbols)] == symbols:
+                return len(symbols)
+        self.finished = len(cache) - start < budget
+        return None
 
 
 class EnumeratedPrefixFreeSet:
@@ -266,8 +259,9 @@ class EnumeratedPrefixFreeSet:
     candidate word answers fault, or that is a proper prefix of it answers
     survival (a prefix-free language cannot also contain the full word);
     exhaustion answers survival definitively.  Items drawn already are
-    looked up, not rescanned; at most ``budget`` fresh items are drawn per
-    step.  If the budget runs out undecided the step answers
+    looked up, not rescanned; the enumerator's one draw loop reads at most
+    ``budget`` fresh items per step, and none once the enumeration has ended.
+    If the budget runs out undecided the step answers
     :data:`~vigil.detector.UNKNOWN`; stepping again later resumes the scan
     where it stopped.
     """
@@ -277,27 +271,19 @@ class EnumeratedPrefixFreeSet:
     def __init__(self, enumerator: Enumerator, consumed: Word, budget: int):
         if budget < 1:
             raise ValueError("enumeration budget must be at least 1")
-        self.enumerator = enumerator
-        self.consumed = consumed
-        self.budget = budget
+        _require_same_alphabet(enumerator.alphabet, consumed.alphabet)
+        self.enumerator, self.consumed, self.budget = enumerator, consumed, budget
         self.alphabet = enumerator.alphabet
 
     def final_step(self, n: str):
         self.alphabet.index(n)
-        longer = concat(self.consumed, Word(self.alphabet, (n,)))
-        survived = EnumeratedPrefixFreeSet(self.enumerator, longer, self.budget)
-        word, enumerator = longer.symbols, self.enumerator
-        k = enumerator.first_hit(word)
-        if k is not None:
-            return FAULT if len(enumerator.word_at(k)) == len(word) else survived
-        last = enumerator.drawn + self.budget  # the number drawn once the budget is spent
-        while enumerator.drawn < last:  # no drawn item decides: only a fresh one can
-            item = enumerator.word_at(enumerator.drawn)
-            if item is None:
-                return survived
-            if item.symbols and word[:len(item)] == item.symbols:
-                return FAULT if len(item) == len(word) else survived
-        return UNKNOWN
+        word = self.consumed.symbols + (n,)
+        m = self.enumerator._first_hit(word, self.budget)
+        if m is None and not self.enumerator.finished:
+            return UNKNOWN
+        if m == len(word):
+            return FAULT
+        return EnumeratedPrefixFreeSet(self.enumerator, _word(self.alphabet, word), self.budget)
 
 
 def re_detector(e: Enumerator, budget: int) -> DetectorHandle:

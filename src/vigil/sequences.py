@@ -114,7 +114,7 @@ class Alphabet:
 
 
 def _require_same_alphabet(a: Alphabet, b: Alphabet) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise AlphabetMismatchError(f"alphabet mismatch: {a!r} vs {b!r}")
 
 

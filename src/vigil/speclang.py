@@ -92,7 +92,21 @@ class _Node:
         return tuple(terms)
 
     def __eq__(self, other: object) -> bool:
-        return self is other or isinstance(other, _Node) and self._terms() == other._terms()
+        """Equal :meth:`_terms`: a pairwise walk, each pair once, up to the first difference."""
+        todo, seen = [other, self], set()  # pairs, flat, so no tuple outlives its step
+        while todo:
+            a, b = todo.pop(), todo.pop()
+            if a is b or (pair := id(a) << 64 | id(b)) in seen:  # an int: no collector work
+                continue
+            seen.add(pair)
+            if type(a) is not type(b) or len(pa := a._parts()) != len(pb := b._parts()):
+                return False
+            for x, y in zip(reversed(pa), reversed(pb)):  # the leftmost pair is taken next
+                if isinstance(x, _Node) and isinstance(y, _Node):
+                    todo += y, x
+                elif isinstance(x, _Node) or isinstance(y, _Node) or not (x is y or x == y):
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self._terms())

@@ -22,6 +22,7 @@ from vigil.detector import (
 from vigil.families import (
     DecisionProcedure,
     EilenbergMachine,
+    EnumeratedPrefixFreeSet,
     Enumerator,
     check_universal_family,
     decidable_detector,
@@ -35,6 +36,7 @@ from vigil.families import (
 from vigil.monitor import monitor_online
 from vigil.sequences import (
     Alphabet,
+    AlphabetMismatchError,
     EpsilonViolation,
     FiniteWordSet,
     PrefixFreeViolation,
@@ -432,37 +434,122 @@ class TestReDetector:
                 consumed, handle = want, got
         assert min(seen.values()) >= 50, seen
 
+    def test_scan_agrees_on_malformed_items_ended_sources_and_budget_edges(self):
+        """Against the scan, on seeded random enumerations: a malformed item
+        raises the same ValueError at the same ``drawn``, before it is
+        cached; a source that would yield again after it has ended is never
+        read again; an enumeration that ends exactly where a step's budget
+        does answers UNKNOWN, then survival on the retry."""
+
+        class Restarting:
+            """Its items, then the end once, then ``late`` forever."""
+
+            def __init__(self, items, late):
+                self.items, self.late, self.at, self.late_reads = items, late, 0, 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.at += 1
+                if self.at <= len(self.items):
+                    return self.items[self.at - 1]
+                if self.at == len(self.items) + 1:
+                    raise StopIteration
+                self.late_reads += 1
+                return self.late
+
+        def outcome(step):
+            try:
+                return step()
+            except ValueError as error:
+                return error
+
+        rng = random.Random(131)
+        al, other = binary(), Alphabet(["x", "y"])
+        seen = {"malformed": 0, "read after the end": 0, "ended at the budget": 0}
+        for round_ in range(300):
+            kind = ("malformed", "ended", "boundary")[round_ % 3]
+            budget = rng.randint(1, 4)
+            if kind == "boundary":  # items longer than any walk: none decides a step
+                items = [random_word(rng, al, 9) for _ in range(budget * rng.randint(1, 3))]
+            else:
+                items = [random_word(rng, al, rng.randint(0, 4)) for _ in range(rng.randint(0, 10))]
+            bad = rng.randint(0, len(items))
+            if kind == "malformed":
+                items.insert(bad, rng.choice([other.word("x"), ("a",), "a", None]))
+            sources = [Restarting(items, al.word("a")) for _ in range(2)]
+            ref_e, new_e = (Enumerator(al, source) for source in sources)
+            consumed, handle = (), re_detector(new_e, budget)
+            for n in (rng.choice(al.symbols) for _ in range(rng.randint(1, 8))):
+                want, retry = UNKNOWN, None
+                while want is UNKNOWN:
+                    before, ended = ref_e.drawn, ref_e.finished
+                    want = outcome(lambda: scan_enumerated_step(ref_e, consumed, n, budget))
+                    got = outcome(lambda: handle.step(n))
+                    assert new_e.drawn == ref_e.drawn
+                    seen["read after the end"] += ended
+                    if isinstance(want, ValueError):
+                        assert type(got) is type(want) and str(got) == str(want)
+                        assert kind == "malformed" and new_e.drawn == bad
+                        seen["malformed"] += 1
+                        break
+                    if want is UNKNOWN or want is FAULT:
+                        assert got is want
+                    else:
+                        assert got.language.consumed.symbols == want
+                    if retry is UNKNOWN and want is not UNKNOWN and ref_e.drawn == before:
+                        assert want is not FAULT and new_e.finished
+                        seen["ended at the budget"] += kind == "boundary"
+                    retry = want
+                if want is FAULT or isinstance(want, ValueError):
+                    break
+                consumed, handle = want, got
+            assert sources[0].late_reads == sources[1].late_reads == 0
+        assert min(seen.values()) >= 50, seen
+
     def test_a_step_reads_only_fresh_items(self, ab):
         """Items drawn by earlier steps are looked up, not read again: with
-        2,000 items drawn, each later step reads at most ``budget`` fresh
-        items and the one that decides it."""
+        2,000 items drawn, each later step pulls at most ``budget`` fresh
+        items from the source and the one that decides it (or finds its
+        end)."""
+        reads = [0]
 
-        class Counting(Enumerator):
-            __slots__ = ("reads",)
+        def counted(items):
+            for item in items:
+                reads[0] += 1
+                yield item
+            reads[0] += 1  # the pull that finds the end
 
-            def word_at(self, k):
-                self.reads += 1
-                return super().word_at(k)
-
-        e = Counting(ab, itertools.chain([ab.word("b b a")] * 2000, [ab.word("a")]))
-        e.reads = 0
+        tail = [ab.word("a a a")] * 2  # still unread once the first 2,001 are drawn
+        e = Enumerator(ab, counted(itertools.chain([ab.word("b b a")] * 2000, [ab.word("a")], tail)))
         handle = re_detector(e, 3)
-        while handle.step("a") is UNKNOWN:  # the language decides 'a' at its last item
+        while handle.step("a") is UNKNOWN:  # the language decides 'a' at item 2,001
             pass
-        assert e.drawn == 2001
+        assert e.drawn == 2001 and reads[0] == 2001
         for word, faults in (("b b a", True), ("b b b", False), ("a", True)):
-            e.reads = 0
+            reads[0] = 0
             *head, last = word.split()
             cur = handle
             for n in head:
                 cur = cur.step(n)
             got = cur.step(last)
             assert (got is FAULT) == faults and got is not UNKNOWN
-            assert e.reads <= len(word.split()) * (3 + 1)
+            assert reads[0] <= len(word.split()) * (3 + 1)
+        assert e.drawn == 2003 and e.finished
 
     def test_budget_must_be_positive(self, ab):
         with pytest.raises(ValueError, match="at least 1"):
             re_detector(Enumerator(ab, iter([])), 0)
+
+    def test_consumed_word_over_another_alphabet_is_rejected(self, ab):
+        """A step builds the longer word without checking its alphabet
+        again, so a consumed word over another alphabet fails at once."""
+        other = Alphabet(["x", "y"])
+        with pytest.raises(AlphabetMismatchError):
+            EnumeratedPrefixFreeSet(Enumerator(ab, iter([])), other.word("x"), 3)
+        with pytest.raises(AlphabetMismatchError):
+            DecisionProcedure(ab, lambda w: False, other.word("x"))
 
 
 class TestUniversalFamily:

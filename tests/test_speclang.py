@@ -272,13 +272,15 @@ class TestPatternEquality:
 
     def test_agrees_with_the_structural_rendering(self):
         """Two nodes are equal exactly when their dataclass reprs, which
-        name every node, are; equal nodes hash alike."""
+        name every node, are, and exactly when their ``_terms`` are, also
+        against a twin that shares every repeated subterm; equal nodes hash
+        alike."""
         rng = random.Random(5150)
         alphabet = Alphabet(["a", "b"])
         nodes = [random_ast(rng, alphabet, depth=rng.randint(0, 3)) for _ in range(300)]
         for x in nodes:
-            for y in rng.sample(nodes, 20) + [copy.deepcopy(x)]:
-                assert (x == y) == (repr(x) == repr(y))
+            for y in rng.sample(nodes, 20) + [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]:
+                assert (x == y) == (repr(x) == repr(y)) == (x._terms() == y._terms())
                 if x == y:
                     assert hash(x) == hash(y)
         assert Star(Lit("a")) != Plus(Lit("a")) != Opt(Lit("a"))
