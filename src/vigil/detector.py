@@ -15,15 +15,15 @@ prefix-free sets themselves behave as detector states.
 Every route between a detector and its violation language goes through the
 one unfold, :func:`~vigil.systems.reachable`, which numbers the states it
 finds and whose step may fault and is then not walked past: the anamorphism
-into the automaton, its inverse, the derivative-closure detector of an
-explicit set, the spec and machine compilers, and the one minimizer.
+into the automaton, the derivative-closure detector of an explicit set, the
+spec and machine compilers, and the one minimizer.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .bisim import _minimal_rows, bisimilar
+from .bisim import _minimal_rows, rows_bisimilar
 from .sequences import (
     Alphabet,
     EpsilonViolation,
@@ -186,10 +186,11 @@ class RegularPrefixFreeSet:
     prefix-free by construction).  The empty word is never accepted: the
     initial state may not be the accepting state.
 
-    Equality is language equality, decided by bisimilarity of the two
-    automata read as detectors — two structurally different automata for
-    the same language compare equal.  Consequently these values are not
-    hashable.
+    Equality is language equality, decided by the union-find pair walk
+    (:func:`~vigil.bisim.rows_bisimilar`) over the two automata's rows read
+    as a detector's (:meth:`_row`) — two structurally different automata
+    for the same language compare equal.  Consequently these values are
+    not hashable.
     """
 
     __slots__ = ("alphabet", "states", "initial", "accept", "transitions")
@@ -269,18 +270,21 @@ class RegularPrefixFreeSet:
             raise ValueError("depth must be nonnegative")
         if depth == 0:
             return FiniteWordSet(self.alphabet)
-        return minimal_violation_words(*detector_from_regular(self), depth)
+        order, rows = reachable(self.initial, self._row)
+        return minimal_violation_words(_from_rows(self.alphabet, order, rows), self.initial, depth)
 
     def is_empty(self) -> bool:
-        return FAULT not in detector_from_regular(self)[0].step_table.values()
+        return not any(-1 in row for row in reachable(self.initial, self._row)[1])
 
     def equivalent(self, other: "RegularPrefixFreeSet") -> bool:
-        """Language equality: the two automata, read as detectors, are bisimilar."""
+        """Language equality: the two automata's rows, read as a detector's, are bisimilar."""
         if not isinstance(other, RegularPrefixFreeSet):
             return NotImplemented
         if self.alphabet != other.alphabet:
             return False
-        return bisimilar(*detector_from_regular(self), *detector_from_regular(other))
+        symbols = self.alphabet.symbols
+        (row_a, fault_a), (row_b, fault_b) = (lazy_rows(symbols, p._row) for p in (self, other))
+        return rows_bisimilar(symbols, row_a(self.initial), fault_a, row_b(other.initial), fault_b)
 
     __eq__ = equivalent
     __hash__ = None  # language equality is not hash-compatible
@@ -288,7 +292,7 @@ class RegularPrefixFreeSet:
     def minimized(self) -> "RegularPrefixFreeSet":
         """Language-equal automaton with merged states and canonical names
         (breadth first from the initial state, the accepting state last)."""
-        return anamorphism_regular(*canonical_form(*detector_from_regular(self)))
+        return _automaton(self.alphabet, _minimal_rows(reachable(self.initial, self._row)[1]))
 
     def __repr__(self) -> str:
         return f"RegularPrefixFreeSet({len(self.states)} states over {list(self.alphabet.symbols)})"
@@ -366,21 +370,17 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     state ``acc``.
     """
     a.require_state(x)
-    rows = reachable(x, a.row)[1]
+    return _automaton(a.alphabet, reachable(x, a.row)[1])
+
+
+def _automaton(alphabet: Alphabet, rows: list) -> RegularPrefixFreeSet:
+    """State 0's violation language of rows as :func:`~vigil.systems.reachable`
+    gives them, as an automaton on ``d0, d1, ...`` in row order; a fault is ``acc``."""
     names = [f"d{i}" for i in range(len(rows))] + ["acc"]  # row entry -1 reads "acc"
-    symbols = a.alphabet.symbols
+    symbols = alphabet.symbols
     table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(symbols, row)}
     table.update((("acc", n), "acc") for n in symbols)
-    return RegularPrefixFreeSet._of(a.alphabet, tuple(names), "d0", "acc", table)
-
-
-def detector_from_regular(p: RegularPrefixFreeSet) -> tuple[FiniteDetector, Hashable]:
-    """Read a violation-language automaton as a detector, the inverse of
-    :func:`anamorphism_regular`: the reachable states but the accepting one
-    are detector states, the initial state is the automaton's, and a step
-    into the accepting state faults."""
-    order, rows = reachable(p.initial, p._row)
-    return _from_rows(p.alphabet, order, rows), p.initial
+    return RegularPrefixFreeSet._of(alphabet, tuple(names), "d0", "acc", table)
 
 
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:

@@ -36,12 +36,8 @@ import re
 from dataclasses import dataclass, fields
 from operator import or_
 
-from .detector import (
-    FiniteDetector,
-    RegularPrefixFreeSet,
-    anamorphism_regular,
-    minimal_detector,
-)
+from .bisim import _minimal_rows
+from .detector import FiniteDetector, RegularPrefixFreeSet, _automaton, minimal_detector
 from .sequences import Alphabet, EpsilonViolation
 from .systems import FAULT, lazy_rows, reachable
 
@@ -109,7 +105,11 @@ class _Node:
         return True
 
     def __hash__(self) -> int:
-        return hash(self._terms())
+        """The hash of :meth:`_terms`, kept on the node after the first call:
+        a node whose ``items`` is a list must not be mutated once hashed."""
+        if (h := self.__dict__.get("_hash")) is None:
+            h = self.__dict__["_hash"] = hash(self._terms())  # frozen: past __setattr__
+        return h
 
     def __repr__(self) -> str:
         """The dataclass ``repr``, e.g. ``Star(item=Lit(symbol='a'))``, or a
@@ -209,24 +209,21 @@ def _children(node) -> tuple:
 
 def _require_small(pattern) -> None:
     """Raise ``ValueError`` if ``pattern`` is deeper than :func:`parse` can
-    build, walking it level by level (shared nodes once per level), or
-    expands to more than :data:`MAX_PATTERN_SIZE` nodes, counting each
-    shared node's expansion once."""
-    level = {id(pattern): pattern}
+    build or expands to more than :data:`MAX_PATTERN_SIZE` nodes, in one
+    walk level by level that keeps each shared node once per level with the
+    number of paths from the root to it: their sum is the expanded size."""
+    level, size = {id(pattern): (pattern, 1)}, 0
     for _ in range(_MAX_DEPTH):
-        level = {id(item): item for node in level.values() for item in _children(node)}
-        if not level:
+        below: dict = {}
+        for node, paths in level.values():
+            size += paths
+            for item in _children(node):
+                below[id(item)] = item, below.get(id(item), (None, 0))[1] + paths
+        if not (level := below):
             break
     else:
         raise ValueError(f"pattern deeper than {_MAX_DEPTH} nodes ({MAX_NESTING} nesting levels)")
-    sizes: dict[int, int] = {}
-
-    def size(node) -> int:  # recursion no deeper than the walk above
-        if id(node) not in sizes:
-            sizes[id(node)] = 1 + sum(map(size, _children(node)))
-        return sizes[id(node)]
-
-    if size(pattern) > MAX_PATTERN_SIZE:
+    if size > MAX_PATTERN_SIZE:
         raise ValueError(f"pattern expands to more than {MAX_PATTERN_SIZE} nodes")
 
 
@@ -377,56 +374,60 @@ class _Positions:
 
     Each literal occurrence is a position, numbered left to right, that
     reads its ``symbols`` entry; the number after the last position,
-    ``end``, marks a completed match.  A subset holds the positions that
-    may read the next symbol, and ``end`` when the input read so far
-    matches, as bit ``p`` of an int for position ``p``.  Reading a
+    ``end``, marks a completed match.  A set of positions is an int, bit
+    ``p`` for position ``p``: a subset holds the positions that may read the
+    next symbol, and ``end`` when the input read so far matches.  Reading a
     position's symbol leads to its ``follow`` set: a move unites fixed sets.
     """
 
     def __init__(self, pattern):
-        self.follow: list[set] = []
+        self.follow: list[int] = []
         self.symbols: list[str] = []
         nullable, first, last = self.scan(pattern)
         self.end = len(self.follow)
-        for p in last:
-            self.follow[p].add(self.end)
-        self.initial = sum(map((1).__lshift__, first | {self.end} if nullable else first))
+        self.extend(last, 1 << self.end)
+        self.initial = first | 1 << self.end if nullable else first
         self.prefix_free = True
 
-    def scan(self, node) -> tuple[bool, set, set]:
-        """Whether ``node`` matches the empty word, and its first and last
-        positions; fills ``follow`` for the positions inside ``node``."""
+    def scan(self, node) -> tuple[bool, int, list]:
+        """Whether ``node`` matches the empty word, its first positions and a
+        list of its last ones; fills ``follow`` for the positions inside it."""
         if isinstance(node, Lit):
             p = len(self.follow)
-            self.follow.append(set())
+            self.follow.append(0)
             self.symbols.append(node.symbol)
-            return False, {p}, {p}
+            return False, 1 << p, [p]
         if isinstance(node, Alt):
-            nullable, first, last = False, set(), set()
+            nullable, first, last = False, 0, []
             for item in node.items:
                 item_nullable, item_first, item_last = self.scan(item)
                 nullable = nullable or item_nullable
                 first |= item_first
-                last |= item_last
+                last += item_last
             return nullable, first, last
         if isinstance(node, Seq):
-            nullable, first, last = True, set(), set()
+            nullable, first, last = True, 0, []
             for item in node.items:
                 item_nullable, item_first, item_last = self.scan(item)
-                for p in last:
-                    self.follow[p] |= item_first
-                if nullable:
-                    first |= item_first
-                last = last | item_last if item_nullable else item_last
+                self.extend(last, item_first)
+                first = first | item_first if nullable else first
+                last = last + item_last if item_nullable else item_last
                 nullable = nullable and item_nullable
             return nullable, first, last
         if isinstance(node, (Star, Plus, Opt)):
             nullable, first, last = self.scan(node.item)
             if not isinstance(node, Opt):  # a repetition loops back
-                for p in last:
-                    self.follow[p] |= first
+                self.extend(last, first)
             return nullable or not isinstance(node, Plus), first, last
         raise TypeError(f"not a pattern node: {node!r}")
+
+    def extend(self, positions: list, mask: int):
+        """Unite ``mask`` into the follow sets of ``positions``, once per shared set."""
+        done: dict = {}  # id of an old follow set -> (it, kept alive; its union with mask)
+        for p in positions:
+            old = self.follow[p]
+            got = done.get(id(old)) or done.setdefault(id(old), (old, old | mask if old else mask))
+            self.follow[p] = got[1]
 
     def expander(self, alphabet: Alphabet):
         """A subset's successors on each symbol of ``alphabet``, ORed from
@@ -439,9 +440,7 @@ class _Positions:
             raise EpsilonViolation("the violation pattern matches the empty observation")
         column = {n: j for j, n in enumerate(alphabet.symbols)}
         k = len(column)  # the column of symbols not in the alphabet, never read
-        masks = {key: sum(map((1).__lshift__, key))  # one per distinct follow set
-                 for key in dict.fromkeys(map(frozenset, self.follow))}
-        moves = [(column.get(n, k), masks[frozenset(f)]) for n, f in zip(self.symbols, self.follow)]
+        moves = [(column.get(n, k), f) for n, f in zip(self.symbols, self.follow)]
         table: dict = {}  # bit offset << 5 | byte value -> the byte's follow sets per symbol
 
         def expand(subset: int) -> list:
@@ -506,8 +505,8 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     """The minimal-bad-prefix language of a pattern: words that match with
     no earlier match on the way, as a minimized automaton.
 
-    Implemented by :func:`compile`, whose pattern automaton stops every run
-    at its first match.  When the pattern language is already prefix-free
+    Read off the quotient of :func:`pattern_dfa`'s rows, whose runs stop at
+    their first match.  When the pattern language is already prefix-free
     this is the language itself.  Accepts a pattern node or an existing
     :class:`RegularPrefixFreeSet` (making idempotence directly checkable).
     A pattern matching the empty word is rejected.
@@ -516,7 +515,7 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
         if pattern.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
         return pattern.minimized()
-    return anamorphism_regular(*compile(ConstraintSpec("kernel", alphabet, pattern)))
+    return _automaton(alphabet, _minimal_rows(pattern_dfa(pattern, alphabet)[1]))
 
 
 def pattern_is_prefix_free(spec: ConstraintSpec, dfa=None) -> bool:

@@ -5,8 +5,9 @@ faults are located by walking raw transition tables, regex membership is
 decided by a backtracking interval matcher, and prefix-free sets are
 enumerated as antichains of the prefix forest.  Some keep a slower route
 the library had as the reference for its fast path: subsets as
-frozensets, bisimilarity as identical canonical quotients, and spec
-equivalence as identical canonical tables.
+frozensets, bisimilarity as identical canonical quotients, spec
+equivalence as identical canonical tables, and the pattern size guard as a
+depth walk plus a memoized recursive size.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from vigil.bisim import _minimal_rows
 from vigil.detector import FiniteDetector
 from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
+from vigil.speclang import MAX_NESTING, MAX_PATTERN_SIZE, _MAX_DEPTH, _children
 from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, Star
 from vigil.speclang import compile as compile_spec
 from vigil.systems import FAULT, UNKNOWN, SSystem, reachable
@@ -484,12 +486,34 @@ def subset_of(mask: int) -> frozenset:
     return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
+def oracle_require_small(pattern) -> None:
+    """The pattern size guard as two walks: a level-by-level depth walk
+    (shared nodes once per level), then the expanded size, each shared
+    node's expansion counted once by a memoized recursion."""
+    level = {id(pattern): pattern}
+    for _ in range(_MAX_DEPTH):
+        level = {id(item): item for node in level.values() for item in _children(node)}
+        if not level:
+            break
+    else:
+        raise ValueError(f"pattern deeper than {_MAX_DEPTH} nodes ({MAX_NESTING} nesting levels)")
+    sizes: dict[int, int] = {}
+
+    def size(node) -> int:  # recursion no deeper than the walk above
+        if id(node) not in sizes:
+            sizes[id(node)] = 1 + sum(map(size, _children(node)))
+        return sizes[id(node)]
+
+    if size(pattern) > MAX_PATTERN_SIZE:
+        raise ValueError(f"pattern expands to more than {MAX_PATTERN_SIZE} nodes")
+
+
 class FrozensetSubsets:
     """The subset construction of a pattern's positions (a
     ``speclang._Positions``) with each subset a frozenset of positions:
     ``initial``, and ``expand``, a subset's successors in alphabet order,
-    each the union of the follow sets of its positions that read the
-    symbol, :data:`FAULT` for one that holds ``end``.  ``prefix_free`` turns
+    each the union of the follow sets (read as frozensets) of its positions
+    that read the symbol, :data:`FAULT` for one that holds ``end``.  ``prefix_free`` turns
     false once such a successor holds another position too."""
 
     def __init__(self, positions, alphabet: Alphabet):
@@ -500,7 +524,8 @@ class FrozensetSubsets:
     def expand(self, subset: frozenset) -> list:
         pos, row = self.positions, []
         for n in self.alphabet.symbols:
-            target = frozenset().union(*[pos.follow[p] for p in subset if pos.symbols[p] == n])
+            target = frozenset().union(*[subset_of(pos.follow[p]) for p in subset
+                                         if pos.symbols[p] == n])
             if pos.end in target:
                 self.prefix_free = self.prefix_free and len(target) == 1
                 target = FAULT

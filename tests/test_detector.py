@@ -25,6 +25,7 @@ from vigil.detector import (
     final_step,
     minimal_violation_words,
 )
+from vigil.bisim import bisimilar
 from vigil.sequences import (
     Alphabet,
     AlphabetMismatchError,
@@ -372,6 +373,61 @@ class TestRegularPrefixFreeSet:
         stepped = lang.advance("a")
         assert stepped.transitions is lang.transitions and stepped.states is lang.states
         assert stepped == lang and lang.advance("b") is FAULT
+
+
+class TestAutomatonFromRows:
+    """``minimized``, ``equivalent``, ``is_empty`` and ``words_up_to`` read
+    an automaton's own rows; each agrees with what the detector built from
+    the automaton by the public constructor gives."""
+
+    @staticmethod
+    def random_automaton(rng, alphabet: Alphabet, n_states: int) -> RegularPrefixFreeSet:
+        """States named out of order, some of them unreachable."""
+        names = rng.sample([f"q{i}" for i in range(3 * n_states + 3)], n_states + 1)
+        accept, states = names[0], names[1:]
+        table = {(accept, n): accept for n in alphabet}
+        for q in states:
+            for n in alphabet:
+                table[q, n] = accept if rng.random() < 0.25 else rng.choice(states)
+        return RegularPrefixFreeSet(alphabet, names, rng.choice(states), accept, table)
+
+    @staticmethod
+    def as_detector(lang: RegularPrefixFreeSet) -> FiniteDetector:
+        """A step into the accepting state is FAULT."""
+        states = [q for q in lang.states if q != lang.accept]
+        return FiniteDetector(lang.alphabet, states, {
+            (q, n): FAULT if lang.transitions[q, n] == lang.accept else lang.transitions[q, n]
+            for q in states for n in lang.alphabet})
+
+    def test_against_the_detector_of_the_automaton(self):
+        rng = random.Random(4021)
+        answers = {"equal": 0, "unequal": 0, "empty": 0, "nonempty": 0}
+        earlier = []
+        for _ in range(400):
+            al = binary() if rng.random() < 0.7 else Alphabet(["a", "b", "c"])
+            lang = self.random_automaton(rng, al, rng.randint(1, 4))
+            det = self.as_detector(lang)
+            small = lang.minimized()
+            want = anamorphism_regular(*canonical_form(det, lang.initial))
+            assert (small.states, small.initial, small.accept, small.transitions) == (
+                want.states, want.initial, want.accept, want.transitions)
+            reached, faults = [lang.initial], False
+            for q in reached:  # grows while it is walked
+                for n in al:
+                    t = det.step_table[q, n]
+                    faults = faults or t is FAULT
+                    if t is not FAULT and t not in reached:
+                        reached.append(t)
+            assert lang.is_empty() is not faults
+            answers["nonempty" if faults else "empty"] += 1
+            assert lang.words_up_to(5) == minimal_violation_words(det, lang.initial, 5)
+            for other in [small, *rng.sample(earlier, min(len(earlier), 3))]:
+                if other.alphabet == al:
+                    same = bisimilar(det, lang.initial, self.as_detector(other), other.initial)
+                    assert lang.equivalent(other) is same and other.equivalent(lang) is same
+                    answers["equal" if same else "unequal"] += 1
+            earlier.append(lang)
+        assert min(answers.values()) > 40, answers
 
 
 class TestFinalStep:

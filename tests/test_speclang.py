@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from vigil.detector import (
     FAULT,
+    anamorphism_regular,
     canonical_form,
     detector_from_explicit_set,
     detector_to_text,
@@ -29,6 +30,7 @@ from vigil.cli import main
 from vigil.detector import first_prefix_pair
 from vigil.systems import reachable
 from vigil.speclang import (
+    _MAX_DEPTH,
     MAX_NESTING,
     MAX_PATTERN_SIZE,
     Alt,
@@ -39,7 +41,9 @@ from vigil.speclang import (
     Seq,
     SpecError,
     Star,
+    _Node,
     _Positions,
+    _require_small,
     compile,
     parse,
     pattern_dfa,
@@ -55,6 +59,7 @@ from support import (
     lasso_symbols,
     oracle_first_fault,
     minimal_matches,
+    oracle_require_small,
     random_ast,
     random_lasso,
     random_prefix_free,
@@ -73,7 +78,7 @@ def full_walk(pattern, alphabet: Alphabet):
     end = positions.end
 
     def moves(subset):
-        return [frozenset().union(*[positions.follow[p] for p in subset
+        return [frozenset().union(*[subset_of(positions.follow[p]) for p in subset
                                     if p != end and positions.symbols[p] == n])
                 for n in alphabet.symbols]
 
@@ -270,6 +275,21 @@ class TestPatternEquality:
             unequal = twin != expanded and not twin == shared
             assert unequal
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        """The first ``hash()`` builds ``_terms`` and the node keeps it;
+        equal nodes that share different subterms hash alike, and so do the
+        nodes that ``copy`` and ``pickle`` rebuild."""
+        builds = []
+        terms = _Node._terms
+        monkeypatch.setattr(_Node, "_terms", lambda node: builds.append(node) or terms(node))
+        x = Lit("a")
+        shared, unshared = Seq((Alt((x, x)), Star(x))), Seq((Alt((Lit("a"), x)), Star(Lit("a"))))
+        assert hash(shared) == hash(shared) and builds == [shared]
+        assert hash(unshared) == hash(shared) == hash(unshared)
+        assert builds == [shared, unshared]
+        for twin in (copy.copy(shared), copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+            assert twin is not shared and hash(twin) == hash(shared)
+
     def test_agrees_with_the_structural_rendering(self):
         """Two nodes are equal exactly when their dataclass reprs, which
         name every node, are, and exactly when their ``_terms`` are, also
@@ -372,6 +392,52 @@ class TestPatternSize:
                           lambda: pretty(big)):
                 with pytest.raises(ValueError, match=f"more than {MAX_PATTERN_SIZE} nodes"):
                     build()
+
+    @staticmethod
+    def guard_outcome(guard, pattern):
+        try:
+            guard(pattern)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    def test_one_walk_guard_agrees_with_the_two_walk_oracle(self):
+        """On seeded random patterns whose nodes share parts, a string among
+        them now and then, and on doubling chains of every depth and size
+        around the two bounds: the same ``ValueError`` message, or none."""
+        rng = random.Random(2027)
+        patterns = []
+        for _ in range(400):
+            built = [Lit("a"), Lit("b")]
+            for _ in range(rng.randint(1, 400)):
+                parts = rng.choices(built[-4:], k=rng.randint(2, 3))
+                if rng.random() < 0.02:
+                    parts[0] = "x"  # not a node: a leaf to the guard
+                kind = rng.choice([Seq, Alt, Star, Plus, Opt])
+                built.append(kind(tuple(parts)) if kind in (Seq, Alt) else kind(parts[-1]))
+            patterns.append(built[-1])
+        for levels in range(20, 26):
+            doubled = Lit("a")
+            for _ in range(levels):
+                doubled = Alt((doubled, doubled))  # 2**(levels + 1) - 1 nodes
+            for pad in range(_MAX_DEPTH - levels - 3, _MAX_DEPTH - levels + 1):
+                for top in (doubled, Opt(doubled), Seq((doubled, Lit("b")))):
+                    for _ in range(pad):
+                        top = Star(top)
+                    patterns.append(top)
+        seen = {}
+        for pattern in patterns:
+            got = self.guard_outcome(_require_small, pattern)
+            assert got == self.guard_outcome(oracle_require_small, pattern)
+            kind = got and got.split()[1]  # None, "deeper" or "expands"
+            seen[kind] = seen.get(kind, 0) + 1
+        assert min(seen.get(k, 0) for k in (None, "deeper", "expands")) > 40, seen
+
+    def test_a_part_that_is_not_a_node_passes_the_guard_and_fails_the_scan(self, ab):
+        pattern = Seq(("x", Lit("a")))
+        assert ConstraintSpec("odd", ab, pattern).pattern is pattern
+        with pytest.raises(TypeError, match="not a pattern node: 'x'"):
+            pattern_dfa(pattern, ab)
 
     def test_parsed_patterns_have_fewer_nodes_than_twice_their_text(self):
         """So every spec up to 8 MiB is under the bound."""
@@ -480,6 +546,24 @@ class TestKernel:
             assert set(kernel.words_up_to(6).words) == minimal_matches(ast, al, 6)
             checked += 1
 
+    def test_kernel_is_the_anamorphism_of_the_compiled_detector(self):
+        """The automaton read straight off the quotient rows is the one the
+        compiled detector unfolds to, names and all, also for patterns
+        reading symbols outside the alphabet."""
+        rng = random.Random(9041)
+        abc = Alphabet(["a", "b", "c"])
+        checked = 0
+        while checked < 400:
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            ast = random_ast(rng, abc, rng.randint(0, 5))
+            if regex_matches(ast, ()):
+                continue
+            got = prefix_free_kernel(ast, al)
+            want = anamorphism_regular(*compile(ConstraintSpec("k", al, ast)))
+            assert (got.states, got.initial, got.accept, got.transitions) == (
+                want.states, want.initial, want.accept, want.transitions), pretty(ast)
+            checked += 1
+
     def test_kernel_output_is_prefix_free(self):
         rng = random.Random(211)
         al = binary()
@@ -570,6 +654,61 @@ class TestPatternIsPrefixFree:
             "spec: hostile", "alphabet: a b", "detector states: 17",
             "kernel changed language: yes"]
         assert int(done.stderr) / 1024 < 250
+
+
+    @staticmethod
+    def check_wide(tmp_path, pattern):
+        """``vigil check`` on ``pattern`` over ``a b``, in a child capped at a
+        512 MiB address space: its stdout lines, wall time and peak RSS in MiB."""
+        spec = tmp_path / "wide.vgl"
+        spec.write_text(f"alphabet a b; violation {pattern};\n", encoding="utf-8")
+        script = "; ".join([
+            "import resource, sys", "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+            "from vigil.cli import main", "sys.exit(main())"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        start = time.perf_counter()
+        done = subprocess.run(with_peak_rss([sys.executable, "-c", script, "check", str(spec)]),
+                              capture_output=True, env=env, timeout=120)
+        wall = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout.decode().splitlines(), wall, int(done.stderr.split()[-1]) / 1024
+
+    def test_positions_share_their_follow_masks(self):
+        """In ``(a | b | ...)* a b`` the 2,000 branch positions have one
+        follow set, and hold it as one object: with the follow sets of the
+        last ``a`` and ``b``, three objects in all."""
+        branches = " | ".join(["a", "b"] * 1000)
+        follow = _Positions(parse(f"alphabet a b; violation ({branches})* a b;").pattern).follow
+        assert len(follow) == 2002 and len({id(f) for f in follow}) == 3
+        assert follow[0] == (1 << 2001) - 1
+
+    def test_wide_alternation_checks_in_small_memory(self, tmp_path):
+        """``(a | b | a | b | ...) a`` with 100,000 branches: every position
+        is followed by the last one, and one mask shared between them keeps
+        the check within 10 s and 150 MiB, where a mask per position took
+        1.3 GB."""
+        branches = " | ".join(["a", "b"] * 50000)
+        lines, wall, peak_mib = self.check_wide(tmp_path, f"({branches}) a")
+        assert lines == [
+            "spec: wide", "alphabet: a b", "detector states: 3", "kernel changed language: no"]
+        assert wall < 10 and peak_mib < 150, (wall, peak_mib)
+
+    def test_wide_starred_alternation_checks_in_small_memory(self, tmp_path):
+        """``(a | b | a | b | ...)* a b`` with 20,000 and with 80,000
+        branches: each position follows all of them, which as sets of
+        positions ran out of a 512 MiB address space at 20,000.  As one
+        shared bitmask the peak grows by well under 1 KiB a branch (a mask
+        per position grew by about 8 KiB a branch), and each check takes
+        under 10 s."""
+        peaks = []
+        for n in (20000, 80000):
+            branches = " | ".join(["a", "b"] * (n // 2))
+            lines, wall, peak_mib = self.check_wide(tmp_path, f"({branches})* a b")
+            assert lines == [
+                "spec: wide", "alphabet: a b", "detector states: 2", "kernel changed language: yes"]
+            assert wall < 10, (n, wall)
+            peaks.append(peak_mib)
+        assert (peaks[1] - peaks[0]) * 1024 / 60000 < 1, peaks
 
 
 class TestBitmaskSubsets:
