@@ -4,9 +4,9 @@ Two detector states are bisimilar exactly when they have the same violation
 language; two output-system states exactly when they emit the same stream.
 :func:`bisimilar` is one union-find pair walk over linked rows (Hopcroft & Karp
 1971), as ``vigil equiv`` on two specs' lazy subset graphs.  The one partition
-refinement, Moore's, splits by observable data (fault profile, output token),
-then by successor blocks: on two carriers side by side for the largest
-bisimulations, and on one state's unfold for the minimizer.
+refinement, Moore's, starts from observable data (distance to a fault, output
+token), then splits by successor blocks: on two carriers side by side for the
+largest bisimulations, and on one state's unfold for the minimizer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .sequences import _require_same_alphabet
-from .systems import SSystem
+from .systems import FAULT, SSystem, _fault_distances
 
 if TYPE_CHECKING:
     from .detector import FiniteDetector
@@ -42,13 +42,15 @@ def _refine(rows, classes) -> list:
     """Moore refinement over items numbered from 0: ``classes[i]`` is the
     initial class of item ``i``, ``rows[i]`` its successors' numbers, -1
     marking a step out of the carrier (such as a fault), a block of its
-    own.  Returns each item's block number in the coarsest stable partition.
-    """
+    own.  The first blocks split each class by distance to such a step,
+    which equal behaviours share, so a chain is stable after one round.
+    Returns each item's block number in the coarsest stable partition."""
+    dist = _fault_distances((i, FAULT if t < 0 else t) for i, row in enumerate(rows) for t in row)
     # an item's key in a round: its own block, then its successors' blocks;
     # index -1 reads the block of a step out of the carrier
     keys = [itemgetter(i, *row) for i, row in enumerate(rows)]
     renumber: dict = {}
-    block = [renumber.setdefault(c, len(renumber)) for c in classes]
+    block = [renumber.setdefault((c, dist.get(i)), len(renumber)) for i, c in enumerate(classes)]
     count = len(renumber)
     while True:
         block.append(-1)  # the block of a step out of the carrier
@@ -64,7 +66,7 @@ def _minimal_rows(rows: list) -> list:
     each reachable from row 0, by equal violation languages: one merged row
     per block, the blocks numbered breadth first, which is the order in
     which the refinement numbers them, by their first states."""
-    block = _refine(rows, [0] * len(rows))  # the first round splits by fault profile
+    block = _refine(rows, [0] * len(rows))
     stand_in = {b: i for i, b in enumerate(block)}  # any state of a block has its row
     block.append(-1)  # row entry -1 stays a fault
     return [[block[t] for t in rows[stand_in[b]]] for b in range(len(stand_in))]
@@ -107,7 +109,7 @@ def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
 
 
 def rows_bisimilar(symbols, x, fault_x, y, fault_y) -> bool:
-    """Whether rows ``x`` and ``y`` (:class:`~vigil.systems.LazyRow`), whose faults lead to
+    """Whether linked rows ``x`` and ``y`` (dicts, lazy or dense), whose faults lead to
     ``fault_x`` and ``fault_y``, have the same violation language: a breadth-first walk over
     pairs of rows not yet joined by union-find, up to a first pair where one side faults."""
     leader: dict = {}  # by id; the rows live as long as their graphs

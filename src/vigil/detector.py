@@ -34,7 +34,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _require_total_map, lazy_rows, reachable
+from .systems import FAULT, UNKNOWN, _fault_distances, _require_total_map, lazy_rows, reachable
 
 
 class BudgetExhausted(RuntimeError):
@@ -74,16 +74,16 @@ class FiniteDetector:
 
     def dense(self) -> tuple[dict, dict]:
         """The table as linked rows, built once: ``index[x]`` is state
-        ``x``'s :class:`~vigil.systems.LazyRow`, filled, a dict from each
-        symbol to the row of its successor.  Every step to FAULT leads to
-        the returned ``fault`` row, which maps each symbol to itself, so a
-        walk stays there once it faults."""
+        ``x``'s row, a plain dict from each symbol to the row of its
+        successor.  Every step to FAULT leads to the returned ``fault`` row,
+        which maps each symbol to itself, so a walk stays there once it faults."""
         if self._dense is None:
-            row_of, fault = lazy_rows(self.alphabet.symbols, self.row)
-            index = {x: row_of(x) for x in self.states}
-            first = self.alphabet.symbols[0]
-            for row in index.values():
-                row[first]  # fills the row
+            fault: dict = {}
+            fault.update(dict.fromkeys(self.alphabet.symbols, fault))
+            index = {x: {} for x in self.states}
+            row = {**index, FAULT: fault}
+            for (x, n), t in self.step_table.items():  # by state, then in alphabet order
+                index[x][n] = row[t]
             self._dense = index, fault
         return self._dense
 
@@ -341,25 +341,6 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
                     nxt.append((target, syms + (n,)))
         frontier = nxt
     return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
-
-
-def _fault_distances(moves) -> dict:
-    """The states from which some word faults, each with the length of the
-    shortest such word, given every step as a (state, target) pair: one
-    breadth-first walk back from the faulting steps."""
-    into: dict = {}
-    distance: dict = {}
-    for q, target in moves:
-        if target is FAULT:
-            distance[q] = 1
-        else:
-            into.setdefault(target, []).append(q)
-    for t in (queue := list(distance)):  # grows while it is walked
-        for q in into.get(t, ()):
-            if q not in distance:
-                distance[q] = distance[t] + 1
-                queue.append(q)
-    return distance
 
 
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:

@@ -81,7 +81,7 @@ def join_map(f: Mapping, g: Mapping) -> dict:
 
 
 def _run_lasso(s: LassoStream, row, fault) -> MonitorVerdict:
-    """Walk linked rows (:class:`~vigil.systems.LazyRow`) along a lasso from
+    """Walk linked rows (dicts from each symbol to the next row) along a lasso from
     ``row`` until the walk reaches ``fault`` or a row repeats at the start
     of a period.
 

@@ -9,8 +9,9 @@ is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
 computable: every behaviour in the package is read off one unfold,
-:func:`reachable`; a monitor walks the same successors, one run at a time,
-as rows built on first visit (:func:`lazy_rows`).
+:func:`reachable`, and fault distances off one walk back (:func:`_fault_distances`);
+a monitor walks the same successors, one run at a time, as rows built on
+first visit (:func:`lazy_rows`).
 """
 
 from __future__ import annotations
@@ -177,12 +178,31 @@ def reachable(initial, expand) -> tuple[list, list]:
     return order, rows
 
 
+def _fault_distances(moves) -> dict:
+    """The states from which some word faults, each with the length of the
+    shortest such word, given every step as a (state, target) pair: one
+    breadth-first walk back from the faulting steps."""
+    into: dict = {}
+    distance: dict = {}
+    for q, target in moves:
+        if target is FAULT:
+            distance[q] = 1
+        else:
+            into.setdefault(target, []).append(q)
+    for t in (queue := list(distance)):  # grows while it is walked
+        for q in into.get(t, ()):
+            if q not in distance:
+                distance[q] = distance[t] + 1
+                queue.append(q)
+    return distance
+
+
 class LazyRow(dict):
-    """A state's row in a graph built as it is walked (lazy determinization):
-    a dict from each symbol to the row of the state it leads to, filled
-    whole on its first lookup.  A symbol outside the alphabet raises
-    KeyError (an unhashable one, TypeError) and fills nothing.  Rows refer
-    to one another: compare them with ``is``, never ``==``."""
+    """A state's row in a graph walked on demand (a finite table links plain
+    dicts instead): a dict from each symbol to the row of the state it leads
+    to, filled whole on its first lookup.  A symbol outside the alphabet
+    raises KeyError (an unhashable one, TypeError) and fills nothing.  Rows
+    refer to one another: compare them with ``is``, never ``==``."""
 
     __slots__ = ("state", "fill")
 
@@ -194,10 +214,10 @@ class LazyRow(dict):
 
 
 def lazy_rows(symbols, successors) -> tuple:
-    """``(row_of, fault)``: ``row_of(q)`` is state ``q``'s :class:`LazyRow`,
-    made once per state, in which the ``j``-th of ``symbols`` leads to the
-    row of the ``j``-th of ``successors(q)``.  Each :data:`FAULT` among
-    them leads to ``fault``, which maps every symbol to itself."""
+    """``(row_of, fault)`` of a graph determinized as it is walked: ``row_of(q)``
+    is state ``q``'s :class:`LazyRow`, made once per state, in which the
+    ``j``-th of ``symbols`` leads to the row of the ``j``-th of ``successors(q)``.
+    Each :data:`FAULT` among them leads to ``fault``, which maps every symbol to itself."""
     symbols = tuple(symbols)
     fault = LazyRow()
     fault.update(dict.fromkeys(symbols, fault))

@@ -6,8 +6,9 @@ decided by a backtracking interval matcher, and prefix-free sets are
 enumerated as antichains of the prefix forest.  Some keep a slower route
 the library had as the reference for its fast path: subsets as
 frozensets, bisimilarity as identical canonical quotients, spec
-equivalence as identical canonical tables, and the pattern size guard as a
-depth walk plus a memoized recursive size.
+equivalence as identical canonical tables, the pattern size guard as a
+depth walk plus a memoized recursive size, and Moore's refinement started
+from the classes alone.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache
+from operator import itemgetter
 
 from vigil.bisim import _minimal_rows
 from vigil.detector import FiniteDetector
@@ -69,6 +71,25 @@ def quotient_bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Bisimilarity as identical canonical quotients: the minimizer's merged
     rows of each state's unfold, numbered breadth first, compared."""
     return _minimal_rows(reachable(x, a.row)[1]) == _minimal_rows(reachable(y, b.row)[1])
+
+
+def moore_refine(rows, classes) -> list:
+    """Moore refinement as ``bisim._refine`` computes it, but with the
+    first blocks the classes alone, not split by distance to a fault: one
+    round per distinguishing depth, so quadratic on a chain.  Items,
+    ``rows`` with -1 for a step out of the carrier, and the block numbers
+    returned read as there."""
+    keys = [itemgetter(i, *row) for i, row in enumerate(rows)]
+    renumber: dict = {}
+    block = [renumber.setdefault(c, len(renumber)) for c in classes]
+    count = len(renumber)
+    while True:
+        block.append(-1)  # the block of a step out of the carrier
+        renumber = {}
+        block = [renumber.setdefault(key(block), len(renumber)) for key in keys]
+        if len(renumber) == count:
+            return block
+        count = len(renumber)
 
 
 def lasso_symbols(s: LassoStream, count: int) -> tuple[str, ...]:

@@ -2,11 +2,16 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vigil.bisim import (
     StatePairRelation,
+    _pairs,
+    _refine,
     bisimilar,
     largest_detector_bisimulation,
     largest_s_bisimulation,
@@ -21,8 +26,11 @@ from support import (
     binary,
     enumerate_lassos,
     inflate_detector,
+    inflate_ssystem,
+    moore_refine,
     quotient_bisimilar,
     random_detector,
+    random_ssystem,
 )
 
 
@@ -210,6 +218,101 @@ class TestSystemBisimulation:
                 for y in tau.states:
                     same = s_anamorphism(sigma, x) == s_anamorphism(tau, y)
                     assert ((x, y) in relation) == same
+
+
+def detector_rows(*detectors) -> list:
+    """The rows of detectors' states side by side, in order, numbered as
+    :func:`largest_detector_bisimulation` numbers them: -1 for a fault."""
+    states = [(d, x) for d in detectors for x in d.states]
+    number = {(id(d), x): i for i, (d, x) in enumerate(states)}
+    return [[number.get((id(d), t), -1) for t in d.row(x)] for d, x in states]
+
+
+class TestRefinementFromFaultDistances:
+    """``_refine`` starts from each class split by distance to a fault;
+    ``support.moore_refine`` from the classes alone.  The block lists must
+    be equal, numbering included."""
+
+    def test_equals_unseeded_moore_on_detectors(self):
+        """Seeded random detectors over two or three symbols, and unrolled
+        copies of them, whose copies of a state share its block."""
+        rng = random.Random(211)
+        split = 0
+        for _ in range(400):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            det = random_detector(rng, al, rng.randint(1, 12), rng.choice([0.05, 0.2, 0.4]))
+            if rng.random() < 0.5:
+                det = inflate_detector(rng, det, 3)[0]
+            rows = detector_rows(det)
+            want = moore_refine(rows, [0] * len(rows))
+            assert _refine(rows, [0] * len(rows)) == want
+            split += len(set(want)) > 1
+        assert split > 300, split
+
+    def test_equals_unseeded_moore_on_two_detectors_side_by_side(self):
+        """The rows :func:`largest_detector_bisimulation` refines: a detector
+        beside a random one or beside an unrolled copy of itself; the
+        relation is the one read off the unseeded blocks."""
+        rng = random.Random(223)
+        for _ in range(300):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            a = random_detector(rng, al, rng.randint(1, 8), rng.choice([0.05, 0.2, 0.4]))
+            if rng.random() < 0.5:
+                b = inflate_detector(rng, a, 3)[0]
+            else:
+                b = random_detector(rng, al, rng.randint(1, 8), rng.choice([0.05, 0.2, 0.4]))
+            rows = detector_rows(a, b)
+            want = moore_refine(rows, [0] * len(rows))
+            assert _refine(rows, [0] * len(rows)) == want
+            assert largest_detector_bisimulation(a, b) == _pairs(want, a.states, b.states)
+
+    def test_equals_unseeded_moore_on_output_systems(self):
+        """Output systems never step out of their carrier, so their first
+        blocks are their output classes, as before."""
+        rng = random.Random(227)
+        for _ in range(300):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            sigma = random_ssystem(rng, al, rng.randint(1, 8))
+            if rng.random() < 0.5:
+                tau = inflate_ssystem(rng, sigma, 3)[0]
+            else:
+                tau = random_ssystem(rng, al, rng.randint(1, 8))
+            states = [(s, x) for s in (sigma, tau) for x in s.states]
+            number = {(id(s), x): i for i, (s, x) in enumerate(states)}
+            rows = [[number[id(s), s.tr(x)]] for s, x in states]
+            classes = [s.out(x) for s, x in states]
+            want = moore_refine(rows, classes)
+            assert _refine(rows, classes) == want
+            assert largest_s_bisimulation(sigma, tau) == _pairs(want, sigma.states, tau.states)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_unseeded_moore_on_any_rows_and_classes(self, data):
+        """Any rows of one to four successors, -1 among them or not, with
+        any classes."""
+        n = data.draw(st.integers(1, 10))
+        width = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(st.integers(-1, n - 1), min_size=width, max_size=width),
+                                  min_size=n, max_size=n))
+        classes = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        assert _refine(rows, classes) == moore_refine(rows, classes)
+
+    def test_a_4001_state_chain_relates_within_two_seconds(self, ab):
+        """The detector of ``a^4000``: a chain of 4,000 states, each moving
+        on along ``a``, the last one faulting, and falling into a safe sink
+        on ``b``.  Every state is alone in its block.  Refined from the
+        classes alone, or from whether a state can fault at all, it took
+        one round per state, quadratic in the chain."""
+        n = 4000
+        table = {(n, "a"): n, (n, "b"): n}
+        table.update(((i, "a"), i + 1 if i + 1 < n else FAULT) for i in range(n))
+        table.update(((i, "b"), n) for i in range(n))
+        det = FiniteDetector(ab, range(n + 1), table)
+        start = time.perf_counter()
+        relation = largest_detector_bisimulation(det, det)
+        wall = time.perf_counter() - start
+        assert relation.pairs == {(x, x) for x in det.states}
+        assert wall < 2, wall
 
 
 def test_relation_container_protocol():

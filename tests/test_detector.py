@@ -26,6 +26,7 @@ from vigil.detector import (
     minimal_violation_words,
 )
 from vigil.bisim import bisimilar
+from vigil.monitor import OK, FeedViolation, OnlineMonitor
 from vigil.sequences import (
     Alphabet,
     AlphabetMismatchError,
@@ -81,12 +82,15 @@ class TestFiniteDetector:
             first_b.step("nope", "a")
 
     def test_dense_rows_link_the_table(self):
+        """Plain dicts, one per state, linked straight from the table: no
+        row type that fills itself on a first lookup."""
         rng = random.Random(131)
         al = Alphabet(["a", "b", "c"])
         for _ in range(60):
             det = random_detector(rng, al, rng.randint(1, 6))
             index, fault = det.dense()
             assert det.dense() is det.dense()  # built once
+            assert type(fault) is dict and all(type(row) is dict for row in index.values())
             assert list(index) == list(det.states)
             assert list(fault) == list(al.symbols)
             assert all(fault[n] is fault for n in al.symbols)
@@ -95,6 +99,19 @@ class TestFiniteDetector:
                 for n in al.symbols:
                     target = det.step_table[(x, n)]
                     assert row[n] is (fault if target is FAULT else index[target])
+
+    def test_feed_on_dense_rows_rejects_foreign_and_unhashable_symbols(self, first_b):
+        """A foreign symbol is a ValueError naming the alphabet, an
+        unhashable one a TypeError; neither counts as a step."""
+        live = OnlineMonitor(first_b, "x")
+        assert live.feed("a") is OK
+        for symbol in ("z", None):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                live.feed(symbol)
+        with pytest.raises(TypeError):
+            live.feed(["a"])
+        assert live.position == 1 and not live.closed
+        assert live.feed("b") == FeedViolation(2)
 
     def test_copies_leave_the_dense_rows_behind(self, ab):
         """A long chain nests its linked rows thousands deep; copying a
