@@ -7,7 +7,7 @@ describe the same constraint, and ``vigil family`` checks that explicit
 word-set files are closed under derivatives.
 
 Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
-2 spec or usage error, 3 undecided within budget.
+2 spec or usage error, 3 undecided within budget (or: out of memory).
 """
 
 from __future__ import annotations
@@ -394,7 +394,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        pass  # its traceback holds the walk's graphs, which go only when this block ends
+    print("error: out of memory before an answer was reached", file=sys.stderr)
+    return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

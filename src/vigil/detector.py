@@ -8,9 +8,10 @@ into the fault.
 
 This module provides the finite, table-driven detector, a generic stepping
 handle for detectors whose state spaces are not finite tables, the
-automaton representation of a violation language, and the language-level
-step (fault on membership, otherwise take the symbol derivative) that makes
-prefix-free sets themselves behave as detector states.
+automaton representation of a violation language (a state of a finite
+detector), and the language-level step (fault on membership, otherwise
+take the symbol derivative) that makes prefix-free sets themselves behave
+as detector states.
 
 Every route between a detector and its violation language goes through the
 one unfold, :func:`~vigil.systems.reachable`, which numbers the states it
@@ -21,9 +22,10 @@ spec and machine compilers, and the one minimizer.
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable, Iterable, Mapping
 
-from .bisim import _minimal_rows, rows_bisimilar
+from .bisim import _minimal_rows, bisimilar
 from .sequences import (
     Alphabet,
     EpsilonViolation,
@@ -34,7 +36,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _fault_distances, _require_total_map, lazy_rows, reachable
+from .systems import FAULT, UNKNOWN, _fault_distances, _require_total_map, reachable
 
 
 class BudgetExhausted(RuntimeError):
@@ -186,44 +188,37 @@ class RegularPrefixFreeSet:
     prefix-free by construction).  The empty word is never accepted: the
     initial state may not be the accepting state.
 
-    Equality is language equality, decided by the union-find pair walk
-    (:func:`~vigil.bisim.rows_bisimilar`) over the two automata's rows read
-    as a detector's (:meth:`_row`) — two structurally different automata
-    for the same language compare equal.  Consequently these values are
-    not hashable.
+    The language is a state of a finite detector: ``detector`` runs on the
+    automaton's other states, a step into the accepting state is
+    :data:`FAULT`, and the language is the violation language of its state
+    ``initial``.  Every method reads that detector.  Equality is language
+    equality, decided by :func:`~vigil.bisim.bisimilar` on the two
+    detectors — two structurally different automata for the same language
+    compare equal.  Consequently these values are not hashable.
     """
 
-    __slots__ = ("alphabet", "states", "initial", "accept", "transitions")
+    __slots__ = ("alphabet", "states", "initial", "accept", "transitions", "detector")
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        states: Iterable[Hashable],
-        initial,
-        accept,
-        transitions: Mapping,
-    ):
+    def __init__(self, alphabet: Alphabet, states: Iterable[Hashable], initial, accept,
+                 transitions: Mapping):
         self.alphabet = alphabet
         self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate automaton states")
         members = set(self.states)
+        if len(members) != len(self.states):
+            raise ValueError("duplicate automaton states")
         if initial not in members or accept not in members:
             raise ValueError("initial and accepting states must be automaton states")
         if initial == accept:
             raise EpsilonViolation("the empty word may not belong to a violation language")
         table = dict(transitions)
-        self.transitions = {}
-        for q in self.states:
-            for n in alphabet:
-                if (q, n) not in table:
-                    raise ValueError(f"transition undefined for ({q!r}, {n!r})")
-                target = table[(q, n)]
-                if target not in members:
-                    raise ValueError(f"transition target {target!r} is not a state")
-                if q == accept and target != accept:
-                    raise ValueError("the accepting state must be absorbing")
-                self.transitions[(q, n)] = target
+        if FAULT in members or FAULT in table.values():
+            raise ValueError("FAULT marks a detector's fault; it is not an automaton state")
+        if any(table.get((accept, n), FAULT) != accept for n in alphabet.symbols):
+            raise ValueError("the accepting state must be absorbing, on every symbol")
+        # the detector's constructor checks that the other states' table is total and closed
+        self.detector = FiniteDetector(alphabet, [q for q in self.states if q != accept],
+                                       {k: FAULT if t == accept else t for k, t in table.items()})
+        self.transitions = {(q, n): table[q, n] for q in self.states for n in alphabet.symbols}
         self.initial = initial
         self.accept = accept
 
@@ -231,38 +226,23 @@ class RegularPrefixFreeSet:
         """Membership: the run reaches the accepting state exactly at the
         end of ``u`` and not earlier."""
         _require_same_alphabet(self.alphabet, u.alphabet)
-        if len(u) == 0:
-            return False
         cur = self.initial
-        for i, n in enumerate(u):
-            cur = self.transitions[(cur, n)]
-            if cur == self.accept:
-                return i == len(u) - 1
+        for i, n in enumerate(u, 1):
+            cur = self.detector.step(cur, n)
+            if cur is FAULT:
+                return i == len(u)
         return False
 
     def advance(self, n: str):
         """Language-level step by one symbol: :data:`FAULT` if ``n`` itself
-        belongs, otherwise the derivative language (same automaton, moved
-        initial state)."""
-        self.alphabet.index(n)
-        target = self.transitions[(self.initial, n)]
-        if target == self.accept:
+        belongs, otherwise the derivative language (the same automaton and
+        detector, shared, with a moved initial state)."""
+        target = self.detector.step(self.initial, n)
+        if target is FAULT:
             return FAULT
-        return self._of(self.alphabet, self.states, target, self.accept, self.transitions)
-
-    @classmethod
-    def _of(cls, alphabet, states: tuple, initial, accept, transitions: dict):
-        """An automaton that is checked already, so it is shared, not rebuilt."""
-        p = cls.__new__(cls)
-        p.alphabet, p.states, p.initial, p.accept, p.transitions = (
-            alphabet, states, initial, accept, transitions)
+        p = copy.copy(self)
+        p.initial = target
         return p
-
-    def _row(self, q) -> list:
-        """State ``q``'s successors in alphabet order, read as a detector's:
-        a step into the accepting state is :data:`FAULT`."""
-        accept, transitions = self.accept, self.transitions
-        return [FAULT if (t := transitions[q, n]) == accept else t for n in self.alphabet.symbols]
 
     def words_up_to(self, depth: int) -> FiniteWordSet:
         """All members of length <= depth."""
@@ -270,21 +250,17 @@ class RegularPrefixFreeSet:
             raise ValueError("depth must be nonnegative")
         if depth == 0:
             return FiniteWordSet(self.alphabet)
-        order, rows = reachable(self.initial, self._row)
-        return minimal_violation_words(_from_rows(self.alphabet, order, rows), self.initial, depth)
+        return minimal_violation_words(self.detector, self.initial, depth)
 
     def is_empty(self) -> bool:
-        return not any(-1 in row for row in reachable(self.initial, self._row)[1])
+        return not any(-1 in row for row in reachable(self.initial, self.detector.row)[1])
 
     def equivalent(self, other: "RegularPrefixFreeSet") -> bool:
-        """Language equality: the two automata's rows, read as a detector's, are bisimilar."""
+        """Language equality: the two detector states are bisimilar."""
         if not isinstance(other, RegularPrefixFreeSet):
             return NotImplemented
-        if self.alphabet != other.alphabet:
-            return False
-        symbols = self.alphabet.symbols
-        (row_a, fault_a), (row_b, fault_b) = (lazy_rows(symbols, p._row) for p in (self, other))
-        return rows_bisimilar(symbols, row_a(self.initial), fault_a, row_b(other.initial), fault_b)
+        return self.alphabet == other.alphabet and bisimilar(
+            self.detector, self.initial, other.detector, other.initial)
 
     __eq__ = equivalent
     __hash__ = None  # language equality is not hash-compatible
@@ -292,7 +268,8 @@ class RegularPrefixFreeSet:
     def minimized(self) -> "RegularPrefixFreeSet":
         """Language-equal automaton with merged states and canonical names
         (breadth first from the initial state, the accepting state last)."""
-        return _automaton(self.alphabet, _minimal_rows(reachable(self.initial, self._row)[1]))
+        rows = reachable(self.initial, self.detector.row)[1]
+        return _automaton(self.alphabet, _minimal_rows(rows))
 
     def __repr__(self) -> str:
         return f"RegularPrefixFreeSet({len(self.states)} states over {list(self.alphabet.symbols)})"
@@ -356,12 +333,16 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
 
 def _automaton(alphabet: Alphabet, rows: list) -> RegularPrefixFreeSet:
     """State 0's violation language of rows as :func:`~vigil.systems.reachable`
-    gives them, as an automaton on ``d0, d1, ...`` in row order; a fault is ``acc``."""
+    gives them, as an automaton on ``d0, d1, ...`` in row order, a fault being ``acc``,
+    whose detector steps as the rows say (:func:`_from_rows`)."""
     names = [f"d{i}" for i in range(len(rows))] + ["acc"]  # row entry -1 reads "acc"
     symbols = alphabet.symbols
     table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(symbols, row)}
     table.update((("acc", n), "acc") for n in symbols)
-    return RegularPrefixFreeSet._of(alphabet, tuple(names), "d0", "acc", table)
+    p = object.__new__(RegularPrefixFreeSet)  # rows of the one unfold are total and closed
+    p.alphabet, p.states, p.initial, p.accept, p.transitions, p.detector = (
+        alphabet, tuple(names), "d0", "acc", table, _from_rows(alphabet, names[:-1], rows))
+    return p
 
 
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:

@@ -22,11 +22,10 @@ from .detector import (
     UNKNOWN,
     DetectorHandle,
     FiniteDetector,
-    RegularPrefixFreeSet,
     anamorphism_regular,
 )
 from .sequences import LassoStream, Word, _require_same_alphabet, slice_range
-from .systems import FAULT, OK, SSystem, TSystem, lazy_rows
+from .systems import FAULT, OK, SSystem, TSystem
 
 
 @dataclass(frozen=True)
@@ -254,20 +253,11 @@ def monitor_online(a, x=None) -> OnlineMonitor:
     raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
 
 
-def _monitor_lasso_language(p: RegularPrefixFreeSet, s: LassoStream) -> MonitorVerdict:
-    """Monitor a lasso with the violation language itself as the detector
-    state: one row per derivative, stepped as
-    :meth:`~vigil.detector.RegularPrefixFreeSet.advance` steps it."""
-    _require_same_alphabet(p.alphabet, s.alphabet)
-    row_of, fault = lazy_rows(p.alphabet.symbols, p._row)
-    return _run_lasso(s, row_of(p.initial), fault)
-
-
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):
     """Monitor the same lasso twice: through the detector itself, and
-    through its violation language run as a state of the language-level
-    detector.  The two verdicts agree; both are returned so the agreement
-    is directly checkable."""
-    direct = monitor_lasso(a, x, s)
+    through its violation language, the initial state of the
+    language's own detector (:func:`~vigil.detector.anamorphism_regular`).
+    The two verdicts agree; both are returned so the agreement is
+    directly checkable."""
     language = anamorphism_regular(a, x)
-    return direct, _monitor_lasso_language(language, s)
+    return monitor_lasso(a, x, s), monitor_lasso(language.detector, language.initial, s)

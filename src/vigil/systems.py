@@ -10,8 +10,8 @@ is the output stream, which on a finite carrier is always a lasso.
 Carriers are restricted to finite state sets so that behaviours are exactly
 computable: every behaviour in the package is read off one unfold,
 :func:`reachable`, and fault distances off one walk back (:func:`_fault_distances`);
-a monitor walks the same successors, one run at a time, as rows built on
-first visit (:func:`lazy_rows`).
+a monitor of a spec walks its subset graph, one run at a time, as rows
+built on first visit (:func:`lazy_rows`).
 """
 
 from __future__ import annotations
@@ -198,9 +198,10 @@ def _fault_distances(moves) -> dict:
 
 
 class LazyRow(dict):
-    """A state's row in a graph walked on demand (a finite table links plain
-    dicts instead): a dict from each symbol to the row of the state it leads
-    to, filled whole on its first lookup.  A symbol outside the alphabet
+    """A state's row in a spec's subset graph, walked on demand
+    (:func:`~vigil.speclang.subset_rows`; a finite table links plain dicts
+    instead): a dict from each symbol to the row of the state it leads to,
+    filled whole on its first lookup.  A symbol outside the alphabet
     raises KeyError (an unhashable one, TypeError) and fills nothing.  Rows
     refer to one another: compare them with ``is``, never ``==``."""
 
@@ -217,7 +218,8 @@ def lazy_rows(symbols, successors) -> tuple:
     """``(row_of, fault)`` of a graph determinized as it is walked: ``row_of(q)``
     is state ``q``'s :class:`LazyRow`, made once per state, in which the
     ``j``-th of ``symbols`` leads to the row of the ``j``-th of ``successors(q)``.
-    Each :data:`FAULT` among them leads to ``fault``, which maps every symbol to itself."""
+    Each :data:`FAULT` among them leads to ``fault``, which maps every symbol to itself.
+    A spec's subset graph is the one graph walked so (:func:`~vigil.speclang.subset_rows`)."""
     symbols = tuple(symbols)
     fault = LazyRow()
     fault.update(dict.fromkeys(symbols, fault))

@@ -502,6 +502,23 @@ class TestExitCodeContract:
         assert err.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["equiv", "S", "S"], ["check", "S"],
+                                         ["words", "S", "--depth", "3"]])
+    def test_out_of_memory_is_3(self, tmp_path, command):
+        """``(a|b)* a (a|b)^20 b`` has a subset graph of about 2^21 rows, which
+        ``equiv`` on the spec and itself, ``check`` and ``words`` build whole.
+        In a child whose address space is capped at 128 MiB the build runs
+        out of memory: that is "undecided within budget", not the "not
+        equivalent" or "violation" of exit 1, and it prints one line."""
+        tail = " ".join(["(a|b)"] * 20)
+        spec = write(tmp_path, "wide.vgl", f"alphabet a b; violation (a|b)* a {tail} b;")
+        cap = "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))"
+        argv = fresh("import resource", cap) + [spec if arg == "S" else arg for arg in command]
+        done = subprocess.run(argv, capture_output=True, env=fresh_env(), timeout=120)
+        assert (done.returncode, done.stdout) == (3, b""), done.stderr[-300:]
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
 
 class TestOneParserPerProcess:
     """``main`` builds its argument parser once per process and reuses it;

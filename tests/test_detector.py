@@ -389,13 +389,78 @@ class TestRegularPrefixFreeSet:
         lang = anamorphism_regular(first_b, "x")
         stepped = lang.advance("a")
         assert stepped.transitions is lang.transitions and stepped.states is lang.states
+        assert stepped.detector is lang.detector
         assert stepped == lang and lang.advance("b") is FAULT
+
+    @staticmethod
+    def valid_table() -> dict:
+        """``q`` and ``r`` over a b, with ``f`` accepting."""
+        return {("q", "a"): "r", ("q", "b"): "f", ("r", "a"): "q", ("r", "b"): "f",
+                ("f", "a"): "f", ("f", "b"): "f"}
+
+    @pytest.mark.parametrize("case", [
+        "duplicate state", "initial not a state", "accept not a state",
+        "missing step", "missing accepting step", "target not a state",
+        "FAULT as a target", "accept not absorbing"])
+    def test_constructor_rejects(self, ab, case):
+        states, initial, accept, table = ["q", "r", "f"], "q", "f", self.valid_table()
+        assert RegularPrefixFreeSet(ab, states, initial, accept, table).words_up_to(2) == \
+            FiniteWordSet.from_texts(ab, ["b", "a b"])
+        if case == "duplicate state":
+            states = ["q", "r", "q", "f"]
+        elif case == "initial not a state":
+            initial = "z"
+        elif case == "accept not a state":
+            accept = "z"
+        elif case == "missing step":
+            del table["r", "b"]
+        elif case == "missing accepting step":
+            del table["f", "a"]
+        elif case == "target not a state":
+            table["q", "a"] = "z"
+        elif case == "FAULT as a target":
+            table["q", "a"] = FAULT
+        else:
+            table["f", "b"] = "q"
+        with pytest.raises(ValueError):
+            RegularPrefixFreeSet(ab, states, initial, accept, table)
+
+    def test_constructor_builds_the_detector_of_the_automaton(self, ab):
+        """The language is state ``initial`` of the detector on the other
+        states, in which a step into the accepting state faults."""
+        lang = RegularPrefixFreeSet(ab, ["q", "r", "f"], "q", "f", self.valid_table())
+        assert lang.detector.states == ("q", "r")
+        assert lang.detector.step_table == {("q", "a"): "r", ("q", "b"): FAULT,
+                                            ("r", "a"): "q", ("r", "b"): FAULT}
+        assert lang.transitions == self.valid_table() and lang.initial == "q"
+        assert repr(lang) == "RegularPrefixFreeSet(3 states over ['a', 'b'])"
+
+    def test_copies_do_not_recurse_along_the_dense_rows(self, ab):
+        """After ``==`` has linked a 5,000-state chain's rows, pickle and
+        deepcopy leave them behind, and a shallow copy shares the
+        detector with them, as ``advance`` does; none of them recurses."""
+        n = 5000
+        names = [f"c{i}" for i in range(n)] + ["acc"]
+        table = {(q, "a"): t for q, t in zip(names, names[1:])}
+        table.update({(q, "b"): "c0" for q in names[:-1]})
+        table.update({("acc", "a"): "acc", ("acc", "b"): "acc"})
+        lang = RegularPrefixFreeSet(ab, names, "c0", "acc", table)
+        assert lang == lang.minimized()
+        rows = lang.detector.dense()[0]
+        for twin in (pickle.loads(pickle.dumps(lang)), copy.deepcopy(lang)):
+            assert twin.detector._dense is None and twin.detector is not lang.detector
+            assert (twin.states, twin.initial, twin.accept, twin.transitions) == (
+                lang.states, lang.initial, lang.accept, lang.transitions)
+            assert twin == lang and twin.detector.dense()[0]["c0"] is not rows["c0"]
+        twin = copy.copy(lang)
+        assert twin.detector is lang.detector and twin == lang
+        assert twin.contains(ab.word(" ".join(["a"] * n)))
 
 
 class TestAutomatonFromRows:
     """``minimized``, ``equivalent``, ``is_empty`` and ``words_up_to`` read
-    an automaton's own rows; each agrees with what the detector built from
-    the automaton by the public constructor gives."""
+    the automaton's own detector; each agrees with what the detector built
+    from the automaton's table by the public constructor gives."""
 
     @staticmethod
     def random_automaton(rng, alphabet: Alphabet, n_states: int) -> RegularPrefixFreeSet:

@@ -1,5 +1,7 @@
-"""Rows built on first visit: the lazy row type, the spec's subset graph
-that ``vigil monitor`` walks unforced, and the language-level lasso walk."""
+"""Rows built on first visit: the lazy row type and the spec's subset
+graph that ``vigil monitor`` walks unforced; and the lasso walk of a
+violation language's own detector, checked against stepping the
+language."""
 
 import random
 from functools import reduce
@@ -13,7 +15,6 @@ from vigil.monitor import (
     FeedViolation,
     OnlineMonitor,
     Violation,
-    _monitor_lasso_language,
     _run_lasso,
     monitor_lasso,
     monitor_online,
@@ -187,8 +188,9 @@ class TestSpecGraph:
 
 class TestLanguageRows:
     def test_row_walk_equals_stepping_advance(self):
-        """On 300 seeded lassos, the rows of a language's automaton decide
-        as stepping the language with ``advance`` symbol by symbol."""
+        """On 300 seeded lassos, the lasso walk from the initial state of a
+        language's detector decides as stepping the language with
+        ``advance`` symbol by symbol."""
         rng = random.Random(229)
         al = binary()
         seen = {"violation": 0, "safe": 0}
@@ -200,6 +202,6 @@ class TestLanguageRows:
             fault = advance_lasso_fault(p, s)
             want = CertifiedSafe() if fault is None else Violation(
                 prefix_len=fault, bad_prefix=slice_range(s, 0, fault), ana_value=fault - 1)
-            assert _monitor_lasso_language(p, s) == want
+            assert monitor_lasso(p.detector, p.initial, s) == want
             seen["safe" if fault is None else "violation"] += 1
         assert min(seen.values()) >= 50, seen

@@ -4,6 +4,8 @@ nothing outside the standard library, uses none of the library names
 added after that version, and imports its own modules only downwards."""
 
 import ast
+import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,3 +159,22 @@ def test_package_imports_point_down_the_layers(path):
     uses it, and no import cycle comes back."""
     for line, module in runtime_relative_imports(path.read_text(encoding="utf-8")):
         assert LAYERS[module] < LAYERS[path.stem], f"line {line}: {path.stem} imports {module}"
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    """Under the repository's pytest settings, which turn warnings into
+    errors, hypothesis's failure report must not end the session in an
+    INTERNALERROR: the report imports libcst, which uses a deprecated
+    ``mypy_extensions`` name."""
+    if importlib.util.find_spec("libcst") is None:
+        pytest.skip("hypothesis imports libcst only when it is installed")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 5\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    report = done.stdout + done.stderr
+    assert done.returncode == 1 and "INTERNALERROR" not in report, report[-600:]
+    assert "1 failed" in done.stdout
