@@ -238,7 +238,7 @@ def cmd_words(args) -> int:
 def cmd_monitor(args) -> int:
     try:
         spec = _load_spec(args.spec)
-        row, fault = speclang.subset_rows(spec)  # rows are built as the walk reaches them
+        live = OnlineMonitor._on_rows(spec.alphabet, *speclang.subset_rows(spec))  # built lazily
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.lasso is not None:
@@ -246,7 +246,7 @@ def cmd_monitor(args) -> int:
             stream = spec.alphabet.lasso(args.lasso)
         except ValueError as exc:
             return _fail(str(exc))
-        verdict = _run_lasso(stream, row, fault)
+        verdict = _run_lasso(stream, live)
         if isinstance(verdict, Violation):
             report = _report(
                 "violation",
@@ -262,8 +262,7 @@ def cmd_monitor(args) -> int:
         except OSError as exc:
             return _fail(str(exc))
         try:
-            return _monitor_trace(spec.alphabet, OnlineMonitor._on_rows(spec.alphabet, row, fault),
-                                  source, args.format)
+            return _monitor_trace(spec.alphabet, live, source, args.format)
         finally:
             if args.trace != "-":
                 source.close()

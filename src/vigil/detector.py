@@ -370,40 +370,30 @@ def first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
 
     ``rows`` come from :func:`~vigil.systems.reachable`, with no faults;
     ``accepting[i]`` says whether state ``i`` accepts.  ``u`` leads to the
-    first accepting state, in numbering order, from which a nonempty word
-    reaches acceptance, and ``uv`` is its shortest such extension; both
-    words are the first of their length in breadth-first order.
+    first accepting state ``q``, in numbering order, from which a nonempty
+    word reaches acceptance, and ``uv`` is its shortest such extension.
+    Both descend fault distances (:func:`~vigil.systems._fault_distances`):
+    ``u`` from state 0, a step into ``q`` read as a fault, and ``v`` from
+    ``q``, a step into acceptance read as one.  Each step takes the first
+    symbol, in alphabet order, that cuts the distance by one, so each word
+    is the first of its length in breadth-first order.
     """
-    # read with a step into acceptance as a fault, the states that can fault
+    def descend(start, distance, goal) -> tuple:
+        word = []
+        for left in range(distance[start] - 1, -1, -1):
+            n, start = next((n, t) for n, t in zip(alphabet.symbols, rows[start])
+                            if (goal(t) if left == 0 else distance.get(t) == left))
+            word.append(n)
+        return tuple(word)
+
     live = _fault_distances((q, FAULT if accepting[t] else t)
                             for q, row in enumerate(rows) for t in row)
     q = next((q for q, hit in enumerate(accepting) if hit and q in live), None)
     if q is None:
         return None
-    symbols = alphabet.symbols
-    u = () if q == 0 else _first_path(rows, symbols, 0, q.__eq__)
-    v = _first_path(rows, symbols, q, accepting.__getitem__)
-    return Word(alphabet, u), Word(alphabet, u + v)
-
-
-def _first_path(rows: list, symbols: tuple, start: int, goal) -> tuple:
-    """The symbols of the first shortest nonempty path in breadth-first
-    order, symbols in alphabet order, from state ``start`` to a state for
-    which ``goal`` holds, where one exists; the walk does not go past such
-    a state."""
-    parent = {start: None}
-    queue = [start]
-    for cur in queue:  # grows while it is walked
-        for n, t in zip(symbols, rows[cur]):
-            if goal(t):
-                path = [n]
-                while cur != start:
-                    cur, n = parent[cur]
-                    path.append(n)
-                return tuple(reversed(path))
-            if t not in parent:
-                parent[t] = cur, n
-                queue.append(t)
+    u = () if q == 0 else descend(0, _fault_distances(
+        (p, FAULT if t == q else t) for p, row in enumerate(rows) for t in row), q.__eq__)
+    return Word(alphabet, u), Word(alphabet, u + descend(q, live, accepting.__getitem__))
 
 
 def final_step(p, n: str):

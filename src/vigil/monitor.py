@@ -79,45 +79,37 @@ def join_map(f: Mapping, g: Mapping) -> dict:
     return {(x, y): (f[x], g[y]) for x in f for y in g}
 
 
-def _run_lasso(s: LassoStream, row, fault) -> MonitorVerdict:
-    """Walk linked rows (dicts from each symbol to the next row) along a lasso from
-    ``row`` until the walk reaches ``fault`` or a row repeats at the start
-    of a period.
-
-    The prefix, then each turn of the period, is one ``reduce``; the fault
-    row keeps a walk there, and a block that ends there is walked again,
-    symbol by symbol, to the first fault.  The row at a period start fixes
-    the one at the next, so a repeated row proves that the run never faults.
-    """
-    block, done, seen = s.prefix.symbols, 0, set()
-    while (end := reduce(dict.__getitem__, block, row)) is not fault:
-        row, done, block = end, done + len(block), s.period.symbols
-        if id(row) in seen:
+def _run_lasso(s: LassoStream, live: OnlineMonitor) -> MonitorVerdict:
+    """Feed a lasso to a fresh monitor on rows: the prefix, then the period
+    turn after turn, each through :meth:`OnlineMonitor.feed_many`, until a
+    symbol faults or a row repeats at the start of a turn.  The row at a
+    turn's start fixes the one at the next, so a repeated row proves that
+    the run never faults."""
+    block, seen = s.prefix.symbols, set()
+    while (outcome := live.feed_many(block)) is OK:
+        if id(live._row) in seen:
             return CertifiedSafe()
-        seen.add(id(row))
-    for m, symbol in enumerate(block, done + 1):
-        row = row[symbol]
-        if row is fault:
-            return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
+        seen.add(id(live._row))
+        block = s.period.symbols
+    m = outcome.position
+    return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
 
 
 def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
-    """Exact verdict of a finite detector on a lasso stream.
+    """Exact verdict of a finite detector on a lasso stream, fed to an
+    :class:`OnlineMonitor` of ``x`` a turn at a time.
 
     The detector's row at the start of each turn of the period
     (:meth:`FiniteDetector.dense`) ranges over a finite set, so either some
     step faults — yielding the minimal bad prefix — or a row repeats there,
-    certifying that no prefix ever faults.  ``vigil monitor --lasso`` runs
-    the same walk over a spec's unforced subset graph.  Only finite
-    detectors can certify safety; drive a handle-backed detector with
-    :func:`monitor_online` instead.
+    certifying that no prefix ever faults.  ``vigil monitor --lasso`` feeds
+    a monitor on a spec's unforced subset graph alike.  A handle's states
+    never repeat, so drive one with :func:`monitor_online` instead.
     """
     if not isinstance(a, FiniteDetector):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
-    a.require_state(x)
-    index, fault = a.dense()
-    return _run_lasso(s, index[x], fault)
+    return _run_lasso(s, OnlineMonitor(a, x))
 
 
 def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
@@ -152,20 +144,26 @@ class OnlineMonitor:
     :data:`OK`, a :class:`FeedViolation`, or a :class:`FeedUnknown`.
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
-    lasso form.  A finite detector is walked along the linked rows of
+    lasso form (:func:`monitor_lasso` feeds a monitor a turn at a time).  A
+    finite detector state is walked along the linked rows of
     :meth:`FiniteDetector.dense` (or a spec's unforced
-    :func:`~vigil.speclang.subset_rows`), holding the current row; a handle
-    is stepped symbol by symbol.
+    :func:`~vigil.speclang.subset_rows`), holding the current row; a handle,
+    given no state, is stepped symbol by symbol.  Any other source raises.
     """
 
     def __init__(self, source, state=None):
-        self.alphabet, self.position, self._closed = source.alphabet, 0, False
         if isinstance(source, FiniteDetector):
             source.require_state(state)
             index, self._fault = source.dense()
             self._row = index[state]
+        elif not isinstance(source, DetectorHandle):
+            raise TypeError(
+                f"expected a FiniteDetector or DetectorHandle, got {type(source).__name__}")
+        elif state is not None:
+            raise ValueError("handles carry their own state; pass x=None")
         else:
             self._handle, self._row = source, None
+        self.alphabet, self.position, self._closed = source.alphabet, 0, False
 
     @classmethod
     def _on_rows(cls, alphabet, row, fault) -> "OnlineMonitor":
@@ -244,13 +242,9 @@ class OnlineMonitor:
 
 
 def monitor_online(a, x=None) -> OnlineMonitor:
-    """Build an online monitor from a finite detector state or from any
-    detector handle."""
-    if isinstance(a, DetectorHandle) and x is not None:
-        raise ValueError("handles carry their own state; pass x=None")
-    if isinstance(a, (FiniteDetector, DetectorHandle)):
-        return OnlineMonitor(a, x)
-    raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
+    """An online monitor of a finite detector state ``x`` or of a detector
+    handle (``x=None``); :class:`OnlineMonitor` checks both."""
+    return OnlineMonitor(a, x)
 
 
 def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):

@@ -326,12 +326,13 @@ def slice_from(s, m: int):
         raise ValueError("slice offset must be nonnegative")
     if isinstance(s, Word):
         return Word(s.alphabet, s.symbols[m:])
-    if isinstance(s, LassoStream):
-        if m <= len(s.prefix):
-            return LassoStream(s.alphabet, Word(s.alphabet, s.prefix.symbols[m:]), s.period)
-        r = (m - len(s.prefix)) % len(s.period)
-        rotated = s.period.symbols[r:] + s.period.symbols[:r]
-        return LassoStream(s.alphabet, Word(s.alphabet), Word(s.alphabet, rotated))
+    if isinstance(s, LassoStream):  # a suffix of a canonical lasso is canonical as it stands
+        pre, per = s.prefix.symbols, s.period.symbols
+        r = max(0, m - len(pre)) % len(per)
+        suffix = object.__new__(LassoStream)
+        suffix.alphabet, suffix.prefix = s.alphabet, _word(s.alphabet, pre[m:])
+        suffix.period = _word(s.alphabet, per[r:] + per[:r]) if r else s.period
+        return suffix
     raise TypeError(f"cannot slice {type(s).__name__}")
 
 

@@ -9,9 +9,10 @@ is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
 computable: every behaviour in the package is read off one unfold,
-:func:`reachable`, and fault distances off one walk back (:func:`_fault_distances`);
-a monitor of a spec walks its subset graph, one run at a time, as rows
-built on first visit (:func:`lazy_rows`).
+:func:`reachable`, and fault distances, which a machine's prefix witness
+descends, off one walk back (:func:`_fault_distances`); a monitor of a spec
+walks its subset graph, one run at a time, as rows built on first visit
+(:func:`lazy_rows`), and a lasso is fed to that monitor a turn at a time.
 """
 
 from __future__ import annotations
@@ -272,9 +273,11 @@ def stream_system(s: LassoStream) -> tuple[SSystem, LassoStream]:
     Unfolding the result from its initial state reproduces ``s`` exactly.
     """
     order, rows = reachable(s, lambda t: [slice_from(t, 1)])
-    out_table = {t: t.at(0) for t in order}
-    tr_table = {t: order[row[0]] for t, row in zip(order, rows)}
-    return SSystem(s.alphabet, order, out_table, tr_table), s
+    sigma = object.__new__(SSystem)  # the unfold's tables are total and closed: not checked
+    sigma.alphabet, sigma.states = s.alphabet, tuple(order)
+    sigma.out_table = {t: t.at(0) for t in order}
+    sigma.tr_table = {t: order[row[0]] for t, row in zip(order, rows)}
+    return sigma, s
 
 
 def _require_total_map(f: Mapping, domain: Iterable, codomain: Iterable) -> None:

@@ -148,6 +148,23 @@ class TestMachineToDetector:
             witnessed += pair is not None
         assert 100 < witnessed < 500
 
+    def test_witness_from_an_accepting_state_0_has_an_empty_u(self, ab):
+        rows, accepting = [[1, 2], [0, 2], [2, 2]], [True, False, False]  # 'a a' returns to 0
+        pair = first_prefix_pair(rows, ab, accepting)
+        assert pair == (ab.word(""), ab.word("a a"))
+        assert pair == oracle_first_prefix_pair(rows, ab, accepting)
+
+    def test_witness_words_are_alphabet_first_among_the_shortest(self):
+        """Two shortest words reach the accepting state 3, and two shortest
+        nonempty words lead from it back to acceptance; each pair differs
+        only in order, and the alphabet is declared b before a."""
+        ba = Alphabet(["b", "a"])  # rows list the b-step, then the a-step
+        rows = [[1, 2], [4, 3], [3, 4], [5, 6], [4, 4], [4, 3], [3, 4]]
+        accepting = [False, False, False, True, False, False, False]
+        pair = first_prefix_pair(rows, ba, accepting)
+        assert pair == (ba.word("b a"), ba.word("b a b a"))
+        assert pair == oracle_first_prefix_pair(rows, ba, accepting)
+
     def test_witness_search_is_linear(self):
         """``a* b`` beside a dead 20,000-cycle: 20,000 accepting subsets,
         each with the whole cycle behind it, in a child held to 30 s;

@@ -19,7 +19,7 @@ from vigil.monitor import (
     monitor_lasso,
     monitor_online,
 )
-from vigil.sequences import Alphabet, EpsilonViolation, slice_range
+from vigil.sequences import Alphabet, EpsilonViolation, Word, slice_range
 from vigil.speclang import ConstraintSpec, compile, parse, subset_rows
 from vigil.systems import FAULT, lazy_rows
 
@@ -56,6 +56,32 @@ def rows_reached(row, fault) -> list:
 def assert_empty_or_full(row, fault, alphabet: Alphabet):
     for r in rows_reached(row, fault):
         assert list(r) in ([], list(alphabet.symbols))
+
+
+def unrolled_verdict(det, init, s):
+    """The verdict on a lasso by walking the raw table along its prefix and
+    ``len(det.states) + 1`` turns of its period: the state at a turn's start
+    repeats within them, so a run that survives them never faults."""
+    symbols = s.prefix.symbols + s.period.symbols * (len(det.states) + 1)
+    m = oracle_first_fault(det, init, symbols)
+    if m is None:
+        return CertifiedSafe()
+    return Violation(prefix_len=m, bad_prefix=Word(s.alphabet, symbols[:m]), ana_value=m - 1)
+
+
+def lasso_kind(det, init, s, verdict) -> str:
+    """Where a lasso faults: in its prefix, its first turn or a later one;
+    or, if it is safe, whether the detector's state at a turn's start
+    repeats only after several turns (then so does the subset graph's row,
+    which fixes that state)."""
+    if isinstance(verdict, Violation):
+        turn = -(-(verdict.prefix_len - len(s.prefix)) // len(s.period))
+        return "prefix fault" if turn <= 0 else "first-turn fault" if turn == 1 else "later fault"
+    starts, cur = [], reduce(lambda q, n: det.step_table[(q, n)], s.prefix.symbols, init)
+    while cur not in starts:
+        starts.append(cur)
+        cur = reduce(lambda q, n: det.step_table[(q, n)], s.period.symbols, cur)
+    return "safe, late repeat" if len(starts) >= 3 else "safe"
 
 
 class TestLazyRow:
@@ -102,12 +128,32 @@ class TestSpecGraph:
         with pytest.raises(EpsilonViolation, match="matches the empty observation"):
             subset_rows(spec)
 
+    # faults after the first turn, and safe runs whose turn-start row repeats only late
+    LATE_LASSOS = [
+        ("alphabet a b; violation (a|b)* a a a a;", ["; a", "b ; a", "a b ; a", "; a a b a a a"]),
+        ("alphabet a b; violation (a|b)* a b a b a b;", ["; a b", "; b a", "a a ; a b", "b ; a b"]),
+        ("alphabet a b; violation (a a a)* b;", ["; a", "; a a", "; a a a a"]),
+        ("alphabet a b c; violation (a a a a a)* b;", ["; a", "; a a", "c ; a a a", "; a a c a"]),
+    ]
+
     def test_walks_agree_with_the_compiled_detector(self):
         """First-fault positions of traces, fed in one batch and symbol by
         symbol, and lasso verdicts with their bad prefixes, on seeded random
-        specs; one graph serves every walk of a spec."""
+        specs and on the lassos above; one graph serves every walk of a
+        spec.  A lasso's verdict is checked against the compiled detector's
+        walk and against the raw table along the lasso unrolled."""
         rng = random.Random(211)
         seen = {"fault": 0, "ok": 0, "violation": 0, "safe": 0}
+        kinds = dict.fromkeys(("empty prefix", "prefix fault", "first-turn fault", "later fault",
+                               "safe, late repeat", "safe"), 0)
+
+        def check_lasso(det, init, row, fault, s):
+            verdict = _run_lasso(s, OnlineMonitor._on_rows(s.alphabet, row, fault))
+            assert verdict == monitor_lasso(det, init, s) == unrolled_verdict(det, init, s), s
+            kinds[lasso_kind(det, init, s, verdict)] += 1
+            kinds["empty prefix"] += not s.prefix
+            return verdict
+
         for _ in range(400):
             al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
             spec = ConstraintSpec("random", al, random_ast(rng, al, rng.randint(1, 6)))
@@ -130,12 +176,17 @@ class TestSpecGraph:
                 assert fed == [OK] * (len(trace) if want is None else want - 1) + (
                     [] if want is None else [outcome])
                 assert batch.position == single.position == (want or len(trace))
-                s = random_lasso(rng, al, 6, 6)
-                verdict = _run_lasso(s, row, fault)
-                assert verdict == monitor_lasso(det, init, s)
+                verdict = check_lasso(det, init, row, fault, random_lasso(rng, al, 6, 6))
                 seen["safe" if verdict == CertifiedSafe() else "violation"] += 1
             assert_empty_or_full(row, fault, al)
+        for text, lassos in self.LATE_LASSOS:
+            spec = parse(text)
+            (det, init), (row, fault) = compile(spec), subset_rows(spec)
+            for lasso in lassos:
+                check_lasso(det, init, row, fault, spec.alphabet.lasso(lasso))
+            assert_empty_or_full(row, fault, spec.alphabet)
         assert min(seen.values()) >= 100, seen
+        assert min(kinds.values()) >= 10, kinds
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 40, 200])
     def test_a_k_token_feed_fills_at_most_k_plus_one_rows(self, k):

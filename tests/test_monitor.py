@@ -221,6 +221,11 @@ class TestJoinMap:
 
 
 class TestMonitorLasso:
+    def test_a_handle_is_rejected(self, ab, first_b):
+        """A handle's states never repeat, so a safe lasso would never end."""
+        with pytest.raises(TypeError, match="use monitor_online for handles"):
+            monitor_lasso(FiniteDetectorHandle(first_b, "x"), None, ab.lasso("; a"))
+
     def test_all_a_stream_is_safe(self, ab, first_b):
         assert monitor_lasso(first_b, "x", ab.lasso("; a")) == CertifiedSafe()
 
@@ -433,6 +438,23 @@ class TestOnlineMonitor:
     def test_requires_handle_or_detector(self):
         with pytest.raises(TypeError, match="FiniteDetector or DetectorHandle"):
             monitor_online(42)
+
+    def test_the_constructor_checks_its_source_as_monitor_online_does(self, first_b):
+        """A non-detector is a TypeError and a handle given a state a
+        ValueError, with the same message whichever way the monitor is
+        built."""
+        handle = FiniteDetectorHandle(first_b, "x")
+        for source, state, error in ((object(), None, TypeError), (42, "x", TypeError),
+                                     (handle, "x", ValueError)):
+            messages = []
+            for build in (OnlineMonitor, monitor_online):
+                with pytest.raises(error) as caught:
+                    build(source, state)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+        assert messages[0] == "handles carry their own state; pass x=None"
+        assert str(pytest.raises(TypeError, OnlineMonitor, object()).value) == (
+            "expected a FiniteDetector or DetectorHandle, got object")
 
 
 @st.composite

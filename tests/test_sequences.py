@@ -242,6 +242,25 @@ class TestSlicing:
                     for i in range(41):
                         assert double.at(i) == s.at(i + m + k)
 
+    def test_a_lasso_suffix_equals_the_constructors(self):
+        """A suffix is built from the lasso's parts, not canonicalized
+        again; on seeded lassos, at every offset 0..11, its parts equal
+        those the public constructor gives the same stream, read off
+        ``at`` as a full-length prefix and the period after it."""
+        rng = random.Random(1409)
+        for _ in range(3000):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            s = random_lasso(rng, al, 6, 6)
+            pre, per = len(s.prefix), len(s.period)
+            for m in range(12):
+                window = lasso_symbols(s, m + pre + per)
+                want = LassoStream(al, Word(al, window[m:m + pre]), Word(al, window[m + pre:]))
+                got = slice_from(s, m)
+                assert got == want and got.alphabet is al
+                assert (got.prefix.symbols, got.period.symbols) == (
+                    want.prefix.symbols, want.period.symbols)
+                assert got.prefix.alphabet is got.period.alphabet is al
+
 
 class TestDerivative:
     def test_empty_set(self, ab):

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from vigil.sequences import LassoStream, Word
+from vigil.sequences import Alphabet, LassoStream, Word
 from vigil.systems import (
     FAULT,
     INFINITE,
@@ -141,11 +142,27 @@ class TestStreamSystem:
         for _ in range(100):
             s = random_lasso(rng, al, max_prefix=4, max_period=4)
             sys_, init = stream_system(s)
+            assert SSystem(al, sys_.states, sys_.out_table, sys_.tr_table).states == sys_.states
             back = s_anamorphism(sys_, init)
             assert back == s
             horizon = 3 * (len(s.prefix) + len(s.period))
             for k in range(horizon):
                 assert back.at(k) == s.at(k)
+
+
+    def test_a_long_period_takes_under_a_second(self):
+        """Each suffix is built from its parts and hashed a few times, so
+        a period of 4,000 (4,020 suffixes) unfolds well within a second."""
+        rng = random.Random(1423)
+        al = Alphabet(["a", "b", "c"])
+        s = LassoStream(al, Word(al, rng.choices(al.symbols, k=20)),
+                        Word(al, rng.choices(al.symbols, k=4000)))
+        start = time.perf_counter()
+        sys_, init = stream_system(s)
+        elapsed = time.perf_counter() - start
+        assert len(sys_.states) == len(s.prefix) + len(s.period) == 4020
+        assert s_anamorphism(sys_, init) == s
+        assert elapsed < 1.0, elapsed
 
 
 class TestMorphismChecks:
