@@ -11,22 +11,20 @@ largest bisimulations, and on one state's unfold for the minimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator
 
-from .sequences import _require_same_alphabet
+from .sequences import _Record, _require_same_alphabet
 from .systems import FAULT, SSystem, _fault_distances
 
-if TYPE_CHECKING:
-    from .detector import FiniteDetector
 
-
-@dataclass(frozen=True)
-class StatePairRelation:
+class StatePairRelation(_Record):
     """A set of (left-system state, right-system state) pairs."""
 
-    pairs: frozenset
+    __match_args__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset):
+        self.__dict__["pairs"] = pairs
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs

@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 from .bisim import rows_bisimilar
 from .detector import _from_rows, minimal_violation_words
@@ -275,8 +274,11 @@ def _monitor_trace(alphabet: Alphabet, live, source, fmt: str) -> int:
     violation the trace is read again up to it: from where ``source``
     started if it can seek, otherwise from a temporary file that every
     read was copied to."""
-    spool = None if source.seekable() else tempfile.TemporaryFile(  # any text round-trips
-        "w+", encoding="utf-8", errors="surrogatepass", newline="")
+    spool = None
+    if not source.seekable():
+        import tempfile  # here, not at start-up: only a pipe needs it
+
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
     again, start = (source, source.tell()) if spool is None else (spool, 0)
     longest = max(TOKEN_SHOWN, *map(len, alphabet))
     with spool or contextlib.nullcontext():

@@ -23,7 +23,7 @@ spec and machine compilers, and the one minimizer.
 from __future__ import annotations
 
 import copy
-from typing import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 
 from .bisim import _minimal_rows, bisimilar
 from .sequences import (

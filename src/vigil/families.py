@@ -19,9 +19,9 @@ whose states range over exactly that family.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from functools import reduce
 from itertools import islice
-from typing import Callable, Hashable, Iterable, Mapping
 
 from .detector import (
     UNKNOWN,

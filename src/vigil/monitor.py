@@ -14,9 +14,8 @@ prefix and the number of surviving steps before it (``ana_value``, always
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import reduce
-from typing import Mapping, Union
 
 from .detector import (
     UNKNOWN,
@@ -24,40 +23,39 @@ from .detector import (
     FiniteDetector,
     anamorphism_regular,
 )
-from .sequences import LassoStream, Word, _require_same_alphabet, slice_range
+from .sequences import LassoStream, Word, _Record, _require_same_alphabet, slice_range
 from .systems import FAULT, OK, SSystem, TSystem
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """The monitored behaviour violates the constraint: ``bad_prefix`` is
     the minimal faulting prefix, of length ``prefix_len``; ``ana_value`` is
     the number of surviving steps before the fault."""
 
-    prefix_len: int
-    bad_prefix: Word
-    ana_value: int
+    __match_args__ = ("prefix_len", "bad_prefix", "ana_value")
 
-    def __post_init__(self):
-        if self.prefix_len < 1 or self.ana_value != self.prefix_len - 1:
+    def __init__(self, prefix_len: int, bad_prefix: Word, ana_value: int):
+        if prefix_len < 1 or ana_value != prefix_len - 1:
             raise ValueError("a violation verdict requires ana_value == prefix_len - 1 >= 0")
-        if len(self.bad_prefix) != self.prefix_len:
+        if len(bad_prefix) != prefix_len:
             raise ValueError("bad_prefix length must equal prefix_len")
+        self.__dict__.update(prefix_len=prefix_len, bad_prefix=bad_prefix, ana_value=ana_value)
 
 
-@dataclass(frozen=True)
-class CertifiedSafe:
+class CertifiedSafe(_Record):
     """The behaviour provably never faults (finite detector, lasso stream)."""
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Record):
     """The monitor ran out of budget after ``steps_consumed`` symbols."""
 
-    steps_consumed: int
+    __match_args__ = ("steps_consumed",)
+
+    def __init__(self, steps_consumed: int):
+        self.__dict__["steps_consumed"] = steps_consumed
 
 
-MonitorVerdict = Union[Violation, CertifiedSafe, Unknown]
+MonitorVerdict = Violation | CertifiedSafe | Unknown
 
 
 def join(sigma: SSystem, a: FiniteDetector) -> TSystem:
@@ -123,18 +121,22 @@ class MonitorClosedError(RuntimeError):
     symbols."""
 
 
-@dataclass(frozen=True)
-class FeedViolation:
+class FeedViolation(_Record):
     """The symbol at this 1-based position completed a minimal bad prefix."""
 
-    position: int
+    __match_args__ = ("position",)
+
+    def __init__(self, position: int):
+        self.__dict__["position"] = position
 
 
-@dataclass(frozen=True)
-class FeedUnknown:
+class FeedUnknown(_Record):
     """The detector could not decide this symbol within its budget."""
 
-    position: int
+    __match_args__ = ("position",)
+
+    def __init__(self, position: int):
+        self.__dict__["position"] = position
 
 
 class OnlineMonitor:

@@ -13,8 +13,8 @@ All values are immutable and hashable; operations are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import repeat
-from typing import Iterable, Iterator
 
 
 class AlphabetMismatchError(ValueError):
@@ -37,6 +37,36 @@ class PrefixFreeViolation(ValueError):
 class EpsilonViolation(ValueError):
     """The empty word appeared where only nonempty violation words make
     sense (violation languages never contain the empty word)."""
+
+
+class _Record:
+    """A frozen record whose fields are its ``__match_args__``: equal to a
+    record of the same class with equal fields, hashed by its fields, and
+    shown and matched as a frozen dataclass of those fields would be.  Each
+    record's ``__init__`` writes its fields into ``__dict__``."""
+
+    __match_args__: tuple = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def is_token(text) -> bool:

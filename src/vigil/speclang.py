@@ -33,12 +33,11 @@ empty observation cannot be a violation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from operator import or_
 
 from .bisim import _minimal_rows
 from .detector import FiniteDetector, RegularPrefixFreeSet, _automaton, minimal_detector
-from .sequences import Alphabet, EpsilonViolation
+from .sequences import Alphabet, EpsilonViolation, _Record
 from .systems import FAULT, lazy_rows, reachable
 
 
@@ -51,7 +50,7 @@ class SpecError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-class _Node:
+class _Node(_Record):
     """Structural equality, hashing, ``repr``, pickling and copying of
     pattern nodes, by walks without recursion, so that all of them hold at
     any depth and take a shared node once."""
@@ -112,7 +111,7 @@ class _Node:
         return h
 
     def __repr__(self) -> str:
-        """The dataclass ``repr``, e.g. ``Star(item=Lit(symbol='a'))``, or a
+        """The frozen dataclass text, e.g. ``Star(item=Lit(symbol='a'))``, or a
         placeholder for a node that expands to more than
         :data:`MAX_PATTERN_SIZE` nodes."""
         texts: dict = {}
@@ -121,7 +120,7 @@ class _Node:
             sizes[id(node)] = 1 + sum(sizes.get(id(p), 0) for p in node._parts())
             if sizes[id(node)] > MAX_PATTERN_SIZE:
                 return f"<{type(self).__name__} expanding to more than {MAX_PATTERN_SIZE} nodes>"
-            name = fields(node)[0].name
+            name = node.__match_args__[0]
             parts = [texts[id(p)] if isinstance(p, _Node) else repr(p) for p in node._parts()]
             text = ", ".join(parts)
             if isinstance(node, (Seq, Alt)):  # two items or more
@@ -143,42 +142,48 @@ def _rebuild(terms: tuple):
     return built[-1]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lit(_Node):
-    symbol: str
+    __match_args__ = ("symbol",)
+
+    def __init__(self, symbol: str):
+        self.__dict__["symbol"] = symbol
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Node):
-    items: tuple
+    __match_args__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple):
+        if len(items) < 2:
             raise ValueError("a concatenation needs at least two parts")
+        self.__dict__["items"] = items
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Alt(_Node):
-    items: tuple
+    __match_args__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple):
+        if len(items) < 2:
             raise ValueError("an alternation needs at least two branches")
+        self.__dict__["items"] = items
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Star(_Node):
-    item: object
+class _Unary(_Node):
+    __match_args__ = ("item",)
+
+    def __init__(self, item):
+        self.__dict__["item"] = item
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Plus(_Node):
-    item: object
+class Star(_Unary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Opt(_Node):
-    item: object
+class Plus(_Unary):
+    pass
+
+
+class Opt(_Unary):
+    pass
 
 
 MAX_NESTING = 50
@@ -227,14 +232,12 @@ def _require_small(pattern) -> None:
         raise ValueError(f"pattern expands to more than {MAX_PATTERN_SIZE} nodes")
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    name: str
-    alphabet: Alphabet
-    pattern: object
+class ConstraintSpec(_Record):
+    __match_args__ = ("name", "alphabet", "pattern")
 
-    def __post_init__(self):
-        _require_small(self.pattern)
+    def __init__(self, name: str, alphabet: Alphabet, pattern):
+        _require_small(pattern)
+        self.__dict__.update(name=name, alphabet=alphabet, pattern=pattern)
 
 
 def pretty(node) -> str:

@@ -18,10 +18,9 @@ walks its subset graph, one run at a time, as rows built on first visit
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 
-from .sequences import Alphabet, LassoStream, Word, _require_same_alphabet, slice_from
+from .sequences import Alphabet, LassoStream, Word, _Record, _require_same_alphabet, slice_from
 
 
 class _Marker(enum.Enum):
@@ -77,17 +76,17 @@ class TSystem:
             raise ValueError(f"unknown state {x!r}") from None
 
 
-@dataclass(frozen=True)
-class TerminationTime:
+class TerminationTime(_Record):
     """Observable behaviour of a terminating system state: the number of
     steps after which the fault occurs, or ``None`` for a run that never
     faults."""
 
-    steps: int | None
+    __match_args__ = ("steps",)
 
-    def __post_init__(self):
-        if self.steps is not None and self.steps < 0:
+    def __init__(self, steps: int | None):
+        if steps is not None and steps < 0:
             raise ValueError("termination time must be nonnegative")
+        self.__dict__["steps"] = steps
 
     @classmethod
     def finite(cls, k: int) -> "TerminationTime":

@@ -161,6 +161,61 @@ def test_package_imports_point_down_the_layers(path):
         assert LAYERS[module] < LAYERS[path.stem], f"line {line}: {path.stem} imports {module}"
 
 
+SLOW_AT_START = {"dataclasses", "inspect", "typing", "tempfile"}
+"""Standard-library modules that would cost each start of ``vigil`` some
+milliseconds (``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``
+and ``tokenize``) and that its start does not need."""
+
+
+def module_level_stdlib_imports(paths) -> set[str]:
+    """The standard-library modules imported by the module bodies of
+    ``paths``, but not those imported inside a function."""
+    found = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+    return found
+
+
+def cold_start(code: str) -> tuple[str, set[str]]:
+    """The output of a ``python -S`` child, with ``src`` first on its path,
+    that runs ``code``, and the modules loaded when it ends."""
+    code = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}\nprint(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    *output, modules = done.stdout.splitlines()
+    return "\n".join(output), set(modules.split())
+
+
+@pytest.mark.parametrize("entry", ["cli", "package"])
+def test_a_cold_start_loads_no_slow_module(tmp_path, entry):
+    """Neither ``import vigil`` nor ``vigil check`` and ``vigil monitor
+    --trace FILE`` load a module of :data:`SLOW_AT_START` that a child
+    importing only the other standard-library modules vigil imports does
+    not load too: a later Python's own imports are not blamed on vigil."""
+    (tmp_path / "spec.vgl").write_text("alphabet a b;\nviolation (a | b)* b a;\n", encoding="utf-8")
+    (tmp_path / "trace.txt").write_text("a b b\na\n", encoding="utf-8")
+    if entry == "cli":
+        spec, trace = str(tmp_path / "spec.vgl"), str(tmp_path / "trace.txt")
+        code = f"from vigil.cli import main\nprint(main(['check', {spec!r}]), " \
+               f"main(['monitor', {spec!r}, '--trace', {trace!r}]))"
+        sources = PACKAGE
+    else:
+        code = "import vigil"
+        sources = [path for path in PACKAGE if path.stem != "cli"]
+    output, loaded = cold_start(code)
+    if entry == "cli":
+        assert "detector states: 2" in output and '"prefix_len": 4' in output
+        assert output.endswith("0 1")
+    stdlib = sorted(module_level_stdlib_imports(sources) - SLOW_AT_START)
+    assert "re" in stdlib and ("argparse" in stdlib) == (entry == "cli")
+    _, baseline = cold_start("\n".join(f"import {name}" for name in stdlib))
+    assert "vigil" in loaded and sorted(SLOW_AT_START & loaded - baseline) == []
+
+
 def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     """Under the repository's pytest settings, which turn warnings into
     errors, hypothesis's failure report must not end the session in an

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import fields, make_dataclass
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -324,7 +324,7 @@ class TestPatternEquality:
     def test_repr_is_the_dataclass_repr(self):
         """Equal to the ``repr`` that plain dataclasses of the same shape
         generate, on seeded random parsed patterns and at any depth."""
-        mirrors = {kind: make_dataclass(kind.__name__, [f.name for f in fields(kind)], frozen=True)
+        mirrors = {kind: make_dataclass(kind.__name__, kind.__match_args__, frozen=True)
                    for kind in (Lit, Seq, Alt, Star, Plus, Opt)}
 
         def mirror(node):
