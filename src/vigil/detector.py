@@ -22,7 +22,6 @@ spec and machine compilers, and the one minimizer.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Hashable, Iterable, Mapping
 
 from .bisim import _minimal_rows, bisimilar
@@ -36,7 +35,7 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _fault_distances, _require_total_map, reachable
+from .systems import FAULT, UNKNOWN, _check_states, _fault_distances, _require_total_map, reachable
 
 
 class BudgetExhausted(RuntimeError):
@@ -56,19 +55,14 @@ class FiniteDetector:
 
     def __init__(self, alphabet: Alphabet, states: Iterable[Hashable], step_table: Mapping):
         self.alphabet = alphabet
-        self.states = tuple(states)
-        if not self.states:
-            raise ValueError("a detector needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state identifiers")
+        self.states = _check_states(states)
         members = set(self.states)
-        table = dict(step_table)
         self.step_table = {}
         for x in self.states:
             for n in alphabet.symbols:
-                if (x, n) not in table:
+                if (x, n) not in step_table:
                     raise ValueError(f"step undefined for state {x!r} on symbol {n!r}")
-                target = table[(x, n)]
+                target = step_table[(x, n)]
                 if target is not FAULT and target not in members:
                     raise ValueError(f"step target {target!r} of ({x!r}, {n!r}) is not a state")
                 self.step_table[(x, n)] = target
@@ -188,24 +182,20 @@ class RegularPrefixFreeSet:
     prefix-free by construction).  The empty word is never accepted: the
     initial state may not be the accepting state.
 
-    The language is a state of a finite detector: ``detector`` runs on the
-    automaton's other states, a step into the accepting state is
-    :data:`FAULT`, and the language is the violation language of its state
-    ``initial``.  Every method reads that detector.  Equality is language
-    equality, decided by :func:`~vigil.bisim.bisimilar` on the two
-    detectors — two structurally different automata for the same language
-    compare equal.  Consequently these values are not hashable.
+    The language is state ``initial`` of ``detector``, which runs on the
+    automaton's other states, a step into the accepting state faulting.  It
+    holds nothing else: ``alphabet``, ``states`` and ``transitions`` are
+    views of that detector.  Equality is language equality, decided by
+    :func:`~vigil.bisim.bisimilar` on the two detectors, so two automata for
+    one language compare equal and these values are not hashable.
     """
 
-    __slots__ = ("alphabet", "states", "initial", "accept", "transitions", "detector")
+    __slots__ = ("detector", "initial", "accept", "_transitions")
 
     def __init__(self, alphabet: Alphabet, states: Iterable[Hashable], initial, accept,
                  transitions: Mapping):
-        self.alphabet = alphabet
-        self.states = tuple(states)
-        members = set(self.states)
-        if len(members) != len(self.states):
-            raise ValueError("duplicate automaton states")
+        states = _check_states(states)
+        members = set(states)
         if initial not in members or accept not in members:
             raise ValueError("initial and accepting states must be automaton states")
         if initial == accept:
@@ -216,11 +206,34 @@ class RegularPrefixFreeSet:
         if any(table.get((accept, n), FAULT) != accept for n in alphabet.symbols):
             raise ValueError("the accepting state must be absorbing, on every symbol")
         # the detector's constructor checks that the other states' table is total and closed
-        self.detector = FiniteDetector(alphabet, [q for q in self.states if q != accept],
+        self.detector = FiniteDetector(alphabet, [q for q in states if q != accept],
                                        {k: FAULT if t == accept else t for k, t in table.items()})
-        self.transitions = {(q, n): table[q, n] for q in self.states for n in alphabet.symbols}
-        self.initial = initial
-        self.accept = accept
+        self.initial, self.accept = initial, accept
+
+    @classmethod
+    def _of(cls, detector: FiniteDetector, initial, accept) -> "RegularPrefixFreeSet":
+        """State ``initial`` of ``detector``, unchecked, its fault read as ``accept``."""
+        p = object.__new__(cls)
+        p.detector, p.initial, p.accept = detector, initial, accept
+        return p
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.detector.alphabet
+
+    @property
+    def states(self) -> tuple:
+        """The detector's states, then the accepting state."""
+        return (*self.detector.states, self.accept)
+
+    @property
+    def transitions(self) -> dict:
+        """The detector's table, built on first read, a fault read as ``accept``, which absorbs."""
+        if not hasattr(self, "_transitions"):
+            accept, table = self.accept, self.detector.step_table
+            self._transitions = {k: accept if t is FAULT else t for k, t in table.items()}
+            self._transitions.update(((accept, n), accept) for n in self.alphabet.symbols)
+        return self._transitions
 
     def contains(self, u: Word) -> bool:
         """Membership: the run reaches the accepting state exactly at the
@@ -235,14 +248,9 @@ class RegularPrefixFreeSet:
 
     def advance(self, n: str):
         """Language-level step by one symbol: :data:`FAULT` if ``n`` itself
-        belongs, otherwise the derivative language (the same automaton and
-        detector, shared, with a moved initial state)."""
+        belongs, otherwise the derivative language, a moved state of the same detector."""
         target = self.detector.step(self.initial, n)
-        if target is FAULT:
-            return FAULT
-        p = copy.copy(self)
-        p.initial = target
-        return p
+        return FAULT if target is FAULT else self._of(self.detector, target, self.accept)
 
     def words_up_to(self, depth: int) -> FiniteWordSet:
         """All members of length <= depth."""
@@ -333,16 +341,9 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
 
 def _automaton(alphabet: Alphabet, rows: list) -> RegularPrefixFreeSet:
     """State 0's violation language of rows as :func:`~vigil.systems.reachable`
-    gives them, as an automaton on ``d0, d1, ...`` in row order, a fault being ``acc``,
-    whose detector steps as the rows say (:func:`_from_rows`)."""
-    names = [f"d{i}" for i in range(len(rows))] + ["acc"]  # row entry -1 reads "acc"
-    symbols = alphabet.symbols
-    table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(symbols, row)}
-    table.update((("acc", n), "acc") for n in symbols)
-    p = object.__new__(RegularPrefixFreeSet)  # rows of the one unfold are total and closed
-    p.alphabet, p.states, p.initial, p.accept, p.transitions, p.detector = (
-        alphabet, tuple(names), "d0", "acc", table, _from_rows(alphabet, names[:-1], rows))
-    return p
+    gives them: ``d0`` of their detector on ``d0, d1, ...``, its fault ``acc``."""
+    return RegularPrefixFreeSet._of(
+        _from_rows(alphabet, [f"d{i}" for i in range(len(rows))], rows), "d0", "acc")
 
 
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:

@@ -37,7 +37,7 @@ from operator import or_
 
 from .bisim import _minimal_rows
 from .detector import FiniteDetector, RegularPrefixFreeSet, _automaton, minimal_detector
-from .sequences import Alphabet, EpsilonViolation, _Record
+from .sequences import Alphabet, EpsilonViolation, _Record, _require_same_alphabet
 from .systems import FAULT, lazy_rows, reachable
 
 
@@ -515,8 +515,7 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     A pattern matching the empty word is rejected.
     """
     if isinstance(pattern, RegularPrefixFreeSet):
-        if pattern.alphabet != alphabet:
-            raise ValueError("alphabet mismatch")
+        _require_same_alphabet(pattern.alphabet, alphabet)
         return pattern.minimized()
     return _automaton(alphabet, _minimal_rows(pattern_dfa(pattern, alphabet)[1]))
 

@@ -105,6 +105,18 @@ class TestWords:
         assert main(["words", first_b_spec, "--depth", "0"]) == 2
         assert "--depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("alphabet a b; violation (a;", "expected ')', found ';' (line 1, column 27)"),
+        ("alphabet a b; violation a*;", "the violation pattern matches the empty observation"),
+    ], ids=["missing file", "parse error", "empty word"])
+    def test_spec_errors_exit_2(self, tmp_path, capsys, text, message):
+        spec = str(tmp_path / "none.vgl") if text is None else write(tmp_path, "bad.vgl", text)
+        assert main(["words", spec, "--depth", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_length_then_lex_order(self, tmp_path, capsys):
         spec = write(tmp_path, "two.vgl", "alphabet a b; violation b a | a b | b b a;")
         assert main(["words", spec, "--depth", "4"]) == 0

@@ -1,9 +1,11 @@
 """Finite detectors, violation languages, language-level stepping."""
 
 import copy
+import gc
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from vigil.detector import (
     FiniteDetectorHandle,
     RegularPrefixFreeSet,
     SetHandle,
+    _from_rows,
     anamorphism_regular,
     canonical_form,
     check_detector_morphism,
@@ -25,7 +28,7 @@ from vigil.detector import (
     final_step,
     minimal_violation_words,
 )
-from vigil.bisim import bisimilar
+from vigil.bisim import _minimal_rows, bisimilar
 from vigil.monitor import OK, FeedViolation, OnlineMonitor
 from vigil.sequences import (
     Alphabet,
@@ -37,8 +40,9 @@ from vigil.sequences import (
     derivative_set,
     is_prefix_free,
 )
-from vigil.speclang import ConstraintSpec, Lit, Seq
+from vigil.speclang import ConstraintSpec, Lit, Seq, pattern_dfa, prefix_free_kernel
 from vigil.speclang import compile as compile_spec
+from vigil.systems import reachable
 
 from support import (
     all_detectors,
@@ -51,6 +55,7 @@ from support import (
     random_ast,
     random_detector,
     random_word,
+    regex_matches,
     unpruned_violation_words,
 )
 
@@ -388,7 +393,6 @@ class TestRegularPrefixFreeSet:
     def test_advance_shares_the_automaton(self, first_b, ab):
         lang = anamorphism_regular(first_b, "x")
         stepped = lang.advance("a")
-        assert stepped.transitions is lang.transitions and stepped.states is lang.states
         assert stepped.detector is lang.detector
         assert stepped == lang and lang.advance("b") is FAULT
 
@@ -434,6 +438,21 @@ class TestRegularPrefixFreeSet:
                                             ("r", "a"): "q", ("r", "b"): FAULT}
         assert lang.transitions == self.valid_table() and lang.initial == "q"
         assert repr(lang) == "RegularPrefixFreeSet(3 states over ['a', 'b'])"
+
+    def test_states_list_the_accepting_state_last(self, ab):
+        """The automaton is read off its detector, so a constructor call that
+        lists the accepting state first reads it last."""
+        lang = RegularPrefixFreeSet(ab, ["f", "q", "r"], "q", "f", self.valid_table())
+        assert lang.states == ("q", "r", "f") and lang.alphabet is ab
+        assert lang.transitions == self.valid_table()
+        assert list(lang.transitions)[-2:] == [("f", "a"), ("f", "b")]
+
+    def test_the_table_is_built_once_per_object(self, first_b):
+        lang = anamorphism_regular(first_b, "x")
+        table = lang.transitions
+        assert lang.transitions is table and lang.minimized().transitions == table
+        stepped = lang.advance("a")
+        assert stepped.transitions is stepped.transitions and stepped.transitions == table
 
     def test_copies_do_not_recurse_along_the_dense_rows(self, ab):
         """After ``==`` has linked a 5,000-state chain's rows, pickle and
@@ -510,6 +529,94 @@ class TestAutomatonFromRows:
                     answers["equal" if same else "unequal"] += 1
             earlier.append(lang)
         assert min(answers.values()) > 40, answers
+
+
+class TestAutomatonIsADetectorState:
+    """The automaton's states, table and names are read off the detector:
+    each equals the table built straight from the unfold's rows."""
+
+    @staticmethod
+    def oracle(alphabet: Alphabet, rows: list) -> tuple:
+        """``(states, initial, accept, transitions)`` of rows named ``d0,
+        d1, ...`` in order, a row entry -1 being the absorbing ``acc``."""
+        names = [f"d{i}" for i in range(len(rows))] + ["acc"]
+        table = {(q, n): names[t] for q, row in zip(names, rows) for n, t in zip(alphabet, row)}
+        table.update((("acc", n), "acc") for n in alphabet)
+        return tuple(names), "d0", "acc", table
+
+    @staticmethod
+    def parts(lang: RegularPrefixFreeSet) -> tuple:
+        return lang.states, lang.initial, lang.accept, lang.transitions
+
+    def test_against_the_table_of_the_rows(self):
+        rng = random.Random(5011)
+        sizes = set()
+        for _ in range(300):
+            al = binary() if rng.random() < 0.6 else Alphabet(["a", "b", "c"])
+            det = random_detector(rng, al, rng.randint(1, 6), fault_prob=0.2)
+            x = rng.choice(det.states)
+            rows = reachable(x, det.row)[1]
+            lang = anamorphism_regular(det, x)
+            assert self.parts(lang) == self.oracle(al, rows)
+            assert self.parts(lang.minimized()) == self.oracle(al, _minimal_rows(rows))
+            assert self.parts(prefix_free_kernel(lang, al)) == self.oracle(al, _minimal_rows(rows))
+            ast = random_ast(rng, al, rng.randint(1, 4))
+            if not regex_matches(ast, ()):
+                kernel = prefix_free_kernel(ast, al)
+                assert self.parts(kernel) == self.oracle(al, _minimal_rows(pattern_dfa(ast, al)[1]))
+            sizes.add(len(lang.states))
+        assert len(sizes) >= 5, sizes
+
+    def test_holds_no_more_than_its_detector(self, ab):
+        """On a 20,000-state chain the language holds at most 1.25 times
+        what the detector of the same rows holds: it builds no table."""
+        n = 20000
+        table = {(f"c{i}", "a"): f"c{i + 1}" for i in range(n - 1)}
+        table.update({(f"c{i}", "b"): "c0" for i in range(n)})
+        table[f"c{n - 1}", "a"] = FAULT
+        det = FiniteDetector(ab, [f"c{i}" for i in range(n)], table)
+        rows = reachable("c0", det.row)[1]
+
+        def held(build) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = build()  # held while it is measured
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        lang = held(lambda: anamorphism_regular(det, "c0"))
+        alone = held(lambda: _from_rows(ab, [f"d{i}" for i in range(n)], rows))
+        assert lang <= 1.25 * alone, (lang, alone)
+
+
+REJECTIONS = [
+    pytest.param(lambda ab: FiniteDetector(ab, [], {}),
+                 ValueError, "^a system needs at least one state$", id="no states"),
+    pytest.param(lambda ab: FiniteDetector(ab, ["x", "x"], {("x", "a"): "x", ("x", "b"): "x"}),
+                 ValueError, "^duplicate state identifiers$", id="duplicate states"),
+    pytest.param(lambda ab: RegularPrefixFreeSet(ab, [], "q", "f", {}),
+                 ValueError, "^a system needs at least one state$", id="no automaton states"),
+    pytest.param(lambda ab: RegularPrefixFreeSet(ab, ["q", "f", "q"], "q", "f", {}),
+                 ValueError, "^duplicate state identifiers$", id="duplicate automaton states"),
+    pytest.param(lambda ab: minimal_violation_words(ab, None, 2), TypeError,
+                 "^expected a FiniteDetector or DetectorHandle, got Alphabet$",
+                 id="words of an alphabet"),
+    pytest.param(lambda ab: detector_from_text("states: x\nalphabet: a b\nx a->x b->x\n"),
+                 ValueError, "^bad detector row: 'x a->x b->x'$", id="row without a colon"),
+    pytest.param(lambda ab: detector_from_text("states: x\nalphabet: a b\nx: a->x b->x\nx: a->x\n"),
+                 ValueError, "^duplicate row for state 'x'$", id="duplicate row"),
+    pytest.param(lambda ab: detector_from_text("states: x\nalphabet: a b\nx: a->x b\n"),
+                 ValueError, "^bad transition cell 'b'$", id="cell without an arrow"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_rejects(ab, call, error, message):
+    with pytest.raises(error, match=message):
+        call(ab)
 
 
 class TestFinalStep:

@@ -695,3 +695,36 @@ def test_every_step_rejects_a_foreign_symbol_with_one_message(ab):
         with pytest.raises(ValueError) as raised:
             step()
         assert str(raised.value) == "symbol 'z' is not in alphabet ('a', 'b')"
+
+
+REJECTIONS = [
+    pytest.param(lambda ab: EilenbergMachine(ab, ["q", "q"], [], ["q"], []),
+                 ValueError, "^duplicate machine states$", id="duplicate machine states"),
+    pytest.param(lambda ab: EilenbergMachine(ab, ["q"], [("q", "c", "q")], ["q"], []),
+                 ValueError, "^transition symbol 'c' is not in the alphabet$", id="symbol outside"),
+    pytest.param(lambda ab: EilenbergMachine(ab, ["q"], [], ["z"], []), ValueError,
+                 "^initial and final sets must consist of machine states$", id="initial outside"),
+    pytest.param(lambda ab: EilenbergMachine(ab, ["q"], [], ["q"], ["z"]), ValueError,
+                 "^initial and final sets must consist of machine states$", id="final outside"),
+    pytest.param(lambda ab: universal_detector_for([]), ValueError,
+                 "^a universal detector needs at least one member language$", id="empty family"),
+    pytest.param(lambda ab: universal_detector_for([FiniteWordSet(ab),
+                                                    FiniteWordSet(Alphabet(["x", "y"]))]),
+                 ValueError, "^family members must share one alphabet$", id="mixed alphabets"),
+    pytest.param(lambda ab: machine_to_text(EilenbergMachine(ab, [("q", 1)], [], [("q", 1)], [])),
+                 ValueError, r"^machine state \('q', 1\) is not serializable$",
+                 id="text of structured states"),
+    pytest.param(lambda ab: machine_from_text("states: q\nalphabet: a b\nfinal: q\n"), ValueError,
+                 "^machine text must declare 'initial:' next$", id="header out of order"),
+    pytest.param(lambda ab: machine_from_text(""),
+                 ValueError, "^machine text must declare 'states:' next$", id="empty text"),
+    pytest.param(lambda ab: machine_from_text("states: q\nalphabet: a b\ninitial:\nfinal:\nq a\n"),
+                 ValueError, "^bad transition line: 'q a'$", id="bad transition line"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_rejects(ab, call, error, message):
+    with pytest.raises(error, match=message):
+        call(ab)
+

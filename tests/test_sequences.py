@@ -488,3 +488,26 @@ class TestWordSetsAgainstTupleSets:
                 FiniteWordSet(al, [*words, Word(other, ())])
             with pytest.raises(AlphabetMismatchError):
                 FiniteWordSet(other, words or [Word(al, ())])
+
+
+REJECTIONS = [
+    pytest.param(lambda ab: concat(ab.word("a"), ("b",)),
+                 TypeError, "^cannot concatenate onto tuple$", id="concat onto a tuple"),
+    pytest.param(lambda ab: slice_from(ab.word("a b"), -1),
+                 ValueError, "^slice offset must be nonnegative$", id="negative offset"),
+    pytest.param(lambda ab: slice_from(("a", "b"), 1),
+                 TypeError, "^cannot slice tuple$", id="offset slice of a tuple"),
+    pytest.param(lambda ab: slice_range(ab.word("a b"), -1, 1),
+                 ValueError, "^slice bounds must be nonnegative$", id="negative start"),
+    pytest.param(lambda ab: slice_range(ab.word("a b"), 0, -1),
+                 ValueError, "^slice bounds must be nonnegative$", id="negative end"),
+    pytest.param(lambda ab: slice_range(("a", "b"), 0, 1),
+                 TypeError, "^cannot slice tuple$", id="range slice of a tuple"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_rejects(ab, call, error, message):
+    with pytest.raises(error, match=message):
+        call(ab)
+

@@ -161,7 +161,7 @@ def test_package_imports_point_down_the_layers(path):
         assert LAYERS[module] < LAYERS[path.stem], f"line {line}: {path.stem} imports {module}"
 
 
-SLOW_AT_START = {"dataclasses", "inspect", "typing", "tempfile"}
+SLOW_AT_START = {"copy", "dataclasses", "inspect", "typing", "tempfile"}
 """Standard-library modules that would cost each start of ``vigil`` some
 milliseconds (``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``
 and ``tokenize``) and that its start does not need."""
@@ -192,16 +192,18 @@ def cold_start(code: str) -> tuple[str, set[str]]:
 
 @pytest.mark.parametrize("entry", ["cli", "package"])
 def test_a_cold_start_loads_no_slow_module(tmp_path, entry):
-    """Neither ``import vigil`` nor ``vigil check`` and ``vigil monitor
-    --trace FILE`` load a module of :data:`SLOW_AT_START` that a child
-    importing only the other standard-library modules vigil imports does
-    not load too: a later Python's own imports are not blamed on vigil."""
+    """Neither ``import vigil`` nor ``vigil check``, ``vigil monitor
+    --trace FILE`` and ``vigil monitor --lasso`` load a module of
+    :data:`SLOW_AT_START` that a child importing only the other
+    standard-library modules vigil imports does not load too: a later
+    Python's own imports are not blamed on vigil."""
     (tmp_path / "spec.vgl").write_text("alphabet a b;\nviolation (a | b)* b a;\n", encoding="utf-8")
     (tmp_path / "trace.txt").write_text("a b b\na\n", encoding="utf-8")
     if entry == "cli":
         spec, trace = str(tmp_path / "spec.vgl"), str(tmp_path / "trace.txt")
         code = f"from vigil.cli import main\nprint(main(['check', {spec!r}]), " \
-               f"main(['monitor', {spec!r}, '--trace', {trace!r}]))"
+               f"main(['monitor', {spec!r}, '--trace', {trace!r}]), " \
+               f"main(['monitor', {spec!r}, '--lasso', 'a ; a b']))"
         sources = PACKAGE
     else:
         code = "import vigil"
@@ -209,7 +211,7 @@ def test_a_cold_start_loads_no_slow_module(tmp_path, entry):
     output, loaded = cold_start(code)
     if entry == "cli":
         assert "detector states: 2" in output and '"prefix_len": 4' in output
-        assert output.endswith("0 1")
+        assert output.endswith("0 1 1")
     stdlib = sorted(module_level_stdlib_imports(sources) - SLOW_AT_START)
     assert "re" in stdlib and ("argparse" in stdlib) == (entry == "cli")
     _, baseline = cold_start("\n".join(f"import {name}" for name in stdlib))

@@ -24,7 +24,14 @@ from vigil.detector import (
 from vigil.bisim import largest_detector_bisimulation
 from vigil.families import EilenbergMachine, machine_to_detector
 from vigil.monitor import CertifiedSafe, Violation, monitor_lasso
-from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, Word, is_prefix_free
+from vigil.sequences import (
+    Alphabet,
+    AlphabetMismatchError,
+    EpsilonViolation,
+    FiniteWordSet,
+    Word,
+    is_prefix_free,
+)
 import vigil
 from vigil.cli import main
 from vigil.detector import first_prefix_pair
@@ -510,6 +517,19 @@ class TestPretty:
             assert parse(text).pattern == ast
 
 
+REJECTIONS = [
+    pytest.param(lambda: pretty("a"), TypeError, "^not a pattern node: 'a'$", id="a string"),
+    pytest.param(lambda: pretty(Seq((Lit("a"), 3))), TypeError, "^not a pattern node: 3$",
+                 id="a number inside a node"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_pretty_rejects(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestKernel:
     def test_single_word_already_prefix_free(self, ab):
         kernel = prefix_free_kernel(Lit("b"), ab)
@@ -588,6 +608,13 @@ class TestKernel:
             twice = prefix_free_kernel(once, al)
             assert once == twice
             checked += 1
+
+    def test_kernel_of_a_language_over_another_alphabet(self, ab):
+        """A mismatch names both alphabets, as every other one does."""
+        kernel = prefix_free_kernel(Lit("a"), ab)
+        with pytest.raises(AlphabetMismatchError) as err:
+            prefix_free_kernel(kernel, Alphabet(["a", "c"]))
+        assert str(err.value) == "alphabet mismatch: Alphabet(['a', 'b']) vs Alphabet(['a', 'c'])"
 
     def test_kernel_identity_on_prefix_free_sets(self):
         """Lifting a random finite prefix-free set to a pattern and

@@ -227,3 +227,52 @@ def test_termination_time_validation():
         TerminationTime(-1)
     assert not INFINITE.is_finite
     assert TerminationTime.finite(3).steps == 3
+
+
+def _ssystem(ab, out=None, tr=None) -> SSystem:
+    return SSystem(ab, ["x"], {"x": "a"} if out is None else out, {"x": "x"} if tr is None else tr)
+
+
+REJECTIONS = [
+    pytest.param(lambda ab: TSystem([], {}),
+                 ValueError, "^a system needs at least one state$", id="no states"),
+    pytest.param(lambda ab: TSystem(["x", "x"], {"x": "x"}),
+                 ValueError, "^duplicate state identifiers$", id="duplicate states"),
+    pytest.param(lambda ab: TSystem(["x", "y"], {"x": "y"}),
+                 ValueError, "^step undefined for state 'y'$", id="step undefined"),
+    pytest.param(lambda ab: TSystem(["x"], {"x": "z"}),
+                 ValueError, "^step target 'z' of 'x' is not a state$", id="step target outside"),
+    pytest.param(lambda ab: chain(FAULT).step("z"),
+                 ValueError, "^unknown state 'z'$", id="step of an unknown state"),
+    pytest.param(lambda ab: _ssystem(ab, out={}),
+                 ValueError, "^output or transition undefined for state 'x'$",
+                 id="output undefined"),
+    pytest.param(lambda ab: _ssystem(ab, tr={}),
+                 ValueError, "^output or transition undefined for state 'x'$",
+                 id="transition undefined"),
+    pytest.param(lambda ab: _ssystem(ab, out={"x": "c"}),
+                 ValueError, "^output 'c' of 'x' is not an alphabet symbol$", id="output outside"),
+    pytest.param(lambda ab: _ssystem(ab, tr={"x": "z"}),
+                 ValueError, "^transition target 'z' of 'x' is not a state$",
+                 id="transition target outside"),
+    pytest.param(lambda ab: _ssystem(ab).out("z"),
+                 ValueError, "^unknown state 'z'$", id="output of an unknown state"),
+    pytest.param(lambda ab: _ssystem(ab).tr("z"),
+                 ValueError, "^unknown state 'z'$", id="transition of an unknown state"),
+    pytest.param(lambda ab: t_anamorphism(chain(FAULT), "z"),
+                 ValueError, "^unknown state 'z'$", id="termination time of an unknown state"),
+    pytest.param(lambda ab: s_anamorphism(_ssystem(ab), "z"),
+                 ValueError, "^unknown state 'z'$", id="stream of an unknown state"),
+    pytest.param(lambda ab: check_t_morphism({"c0": "z"}, chain(FAULT), chain(FAULT)),
+                 ValueError, "^state map target 'z' is not a state of the codomain system$",
+                 id="map target outside"),
+    pytest.param(lambda ab: check_s_morphism({}, _ssystem(ab), _ssystem(ab)),
+                 ValueError, "^state map undefined for 'x'$", id="map undefined"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_rejects(ab, call, error, message):
+    with pytest.raises(error, match=message):
+        call(ab)
+
