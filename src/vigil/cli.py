@@ -8,6 +8,7 @@ word-set files are closed under derivatives.
 
 Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 2 spec or usage error, 3 undecided within budget (or: out of memory).
+Help is laid out without importing ``shutil`` (:class:`_HelpFormatter`).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class _PipeText:
         return False
 
 
-TRACE_BLOCK = 1 << 16
+TRACE_BLOCK = 1 << 14
 """Characters (bytes, from a pipe) ``monitor --trace`` asks for per read,
 or as many as the unfinished token carried in, so that a token longer
 than a block doubles the read and costs linear time.  A read may end in
@@ -354,15 +355,33 @@ def cmd_family(args) -> int:
     return EXIT_VIOLATION
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout at ``shutil.get_terminal_size``'s width: ``COLUMNS``
+    if a positive number, else the terminal's on standard output, else 80."""
+
+    def __init__(self, prog):
+        try:
+            width = int(os.environ.get("COLUMNS", 0))
+        except ValueError:
+            width = 0
+        if width <= 0:
+            try:
+                width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                width = 0
+        super().__init__(prog, width=(width or 80) - 2)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first :func:`main`;
     each call parses into a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=_HelpFormatter)
+    parser = new_parser(
         prog="vigil",
         description="Compile violation specs and monitor event traces against them.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     check = sub.add_parser("check", help="parse and compile a spec")
     check.add_argument("spec", help="spec file")

@@ -19,7 +19,8 @@ comment)::
 
 Parentheses nest at most :data:`MAX_NESTING` levels deep.  A pattern
 built in code may be no deeper than the parser can build, and may expand
-to no more than :data:`MAX_PATTERN_SIZE` nodes.
+to no more than :data:`MAX_PATTERN_SIZE` nodes; one parsed from at most
+8 MiB of text is within both as built, so :func:`parse` skips the check.
 
 The pattern denotes an arbitrary regular word set.  Compilation reads it
 as a position automaton (one state per literal occurrence, no ε-moves)
@@ -188,8 +189,8 @@ class Opt(_Unary):
 
 MAX_NESTING = 50
 """Deepest parenthesis nesting a pattern may use.  It bounds the recursion
-of the parser and of everything that walks a parsed pattern (automaton
-construction, :func:`pretty`)."""
+of everything that walks a parsed pattern (automaton construction,
+:func:`pretty`)."""
 
 _MAX_DEPTH = 3 * (MAX_NESTING + 1) + 1
 """Nodes on the longest path down a parsed pattern: an alternation, a
@@ -263,112 +264,91 @@ def pretty(node) -> str:
     return show(node)
 
 
-_TOKEN = re.compile(r"(?P<space>\s+)|(?P<comment>#[^\n]*)|(?P<punct>[;|*+?()])"
-                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<char>.)")
+_TOKEN = re.compile(r"#[^\n]*|([;|*+?()]|[A-Za-z_][A-Za-z0-9_]*|\S)")
+"""A comment, its group empty, or a token: punctuation, a name or a stray
+character.  Whitespace matches nothing."""
 
-
-class _Parser:
-    """A recursive-descent parser over the tokens of a spec, each a (kind,
-    value, offset) tuple of kind "name", "punct" or "end"; a token's value
-    fixes its kind, so a fixed token is matched by its value alone."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        end = len(text)  # unless a comment runs to it: then its "#"
-        for match in _TOKEN.finditer(text):
-            kind = match.lastgroup
-            if kind == "name" or kind == "punct":
-                self.tokens.append((kind, match.group(), match.start()))
-            elif kind == "char":
-                self.fail(f"unexpected character {match.group()!r}", match.start())
-            elif kind == "comment" and match.end() == len(text):
-                end = match.start()
-        self.tokens.append(("end", "", end))
-        self.pos = 0
-        self.depth = 0
-
-    def fail(self, message: str, offset: int):
-        """Raise a :class:`SpecError` at ``offset`` of the text."""
-        line_start = self.text.rfind("\n", 0, offset)
-        raise SpecError(message, self.text.count("\n", 0, offset) + 1, offset - line_start)
-
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> tuple:
-        _, found, offset = self.peek()
-        if found != value:
-            self.fail(f"expected {value!r}, found {found or 'end of input'!r}", offset)
-        return self.take()
-
-    def parse_spec(self, name: str) -> ConstraintSpec:
-        keyword = self.expect("alphabet")
-        symbols: dict = {}  # a dict for its order and its hashed lookup
-        while self.peek()[0] == "name":
-            _, symbol, offset = self.take()
-            if symbol in symbols:
-                self.fail(f"duplicate alphabet symbol {symbol!r}", offset)
-            symbols[symbol] = None
-        if len(symbols) < 2:
-            self.fail("an alphabet needs at least two symbols", keyword[2])
-        self.expect(";")
-        alphabet = Alphabet(symbols)
-        self.expect("violation")
-        pattern = self.parse_alt(alphabet)
-        self.expect(";")
-        kind, value, offset = self.peek()
-        if kind != "end":
-            self.fail(f"unexpected trailing input {value!r}", offset)
-        return ConstraintSpec(name, alphabet, pattern)
-
-    def parse_alt(self, alphabet: Alphabet):
-        parts = [self.parse_seq(alphabet)]
-        while self.peek()[1] == "|":
-            self.take()
-            parts.append(self.parse_seq(alphabet))
-        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
-
-    def parse_seq(self, alphabet: Alphabet):
-        items = [self.parse_rep(alphabet)]
-        while self.peek()[0] == "name" or self.peek()[1] == "(":
-            items.append(self.parse_rep(alphabet))
-        return items[0] if len(items) == 1 else Seq(tuple(items))
-
-    def parse_rep(self, alphabet: Alphabet):
-        atom = self.parse_atom(alphabet)
-        op = {"*": Star, "+": Plus, "?": Opt}.get(self.peek()[1])
-        if op is None:
-            return atom
-        self.take()
-        return op(atom)
-
-    def parse_atom(self, alphabet: Alphabet):
-        kind, value, offset = self.take()
-        if kind == "name":
-            if value not in alphabet:
-                self.fail(f"undeclared symbol {value!r}", offset)
-            return Lit(value)
-        if value == "(":
-            if self.depth == MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
-            self.depth += 1
-            inner = self.parse_alt(alphabet)
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        self.fail(f"expected a symbol or '(', found {value or 'end of input'!r}", offset)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_REPEATS = {"*": Star, "+": Plus, "?": Opt}
 
 
 def parse(text: str, name: str = "constraint") -> ConstraintSpec:
-    """Parse a constraint spec; every error carries its line and column."""
-    return _Parser(text).parse_spec(name)
+    """Parse a constraint spec; every error carries its line and column.
+
+    One descent over the tokens as strings, a stack holding the open
+    parentheses.  An error tokenizes again for its offset, and is the first
+    stray character instead, if there is one."""
+    tokens = [*filter(None, _TOKEN.findall(text)), ""]  # "": the end of input
+
+    def fail(message: str, index: int):  # at token ``index``, or the end if past the last
+        end = text.find("#", text.rfind("\n") + 1)  # a comment on the last line runs to the end
+        offset, count = len(text) if end < 0 else end, 0
+        for match in _TOKEN.finditer(text):
+            token = match.group()
+            if token[0] in _NAME_START or token in ";|*+?()":
+                offset = match.start() if count == index else offset
+                count += 1
+            elif token[0] != "#":
+                message, offset = f"unexpected character {token!r}", match.start()
+                break
+        line_start = text.rfind("\n", 0, offset)
+        raise SpecError(message, text.count("\n", 0, offset) + 1, offset - line_start)
+
+    def expect(value: str, index: int) -> int:  # the index after it
+        if tokens[index] != value:
+            fail(f"expected {value!r}, found {tokens[index] or 'end of input'!r}", index)
+        return index + 1
+
+    at = expect("alphabet", 0)
+    symbols: dict = {}  # a dict for its order and its hashed lookup
+    while tokens[at][:1] in _NAME_START:
+        if tokens[at] in symbols:
+            fail(f"duplicate alphabet symbol {tokens[at]!r}", at)
+        symbols[tokens[at]] = None
+        at += 1
+    if len(symbols) < 2:
+        fail("an alphabet needs at least two symbols", 0)
+    at = expect(";", at)
+    alphabet = Alphabet(symbols)
+    at = expect("violation", at)
+    groups = []  # the branches and items of each open parenthesis
+    branches, items = [], []  # of the innermost alternation and its last concatenation
+    while True:
+        token = tokens[at]
+        if token in symbols:
+            items.append(Lit(token))
+            at += 1
+        elif token == "(":
+            if len(groups) == MAX_NESTING:
+                fail(f"parentheses nested deeper than {MAX_NESTING} levels", at)
+            groups.append((branches, items))
+            branches, items, at = [], [], at + 1
+            continue
+        elif token[:1] in _NAME_START:
+            fail(f"undeclared symbol {token!r}", at)
+        elif not items:
+            fail(f"expected a symbol or '(', found {token or 'end of input'!r}", at)
+        else:  # the end of a concatenation
+            branches.append(items[0] if len(items) == 1 else Seq(tuple(items)))
+            if token == "|":
+                items, at = [], at + 1
+                continue
+            pattern = branches[0] if len(branches) == 1 else Alt(tuple(branches))
+            at = expect(")" if groups else ";", at)
+            if not groups:
+                break
+            branches, items = groups.pop()
+            items.append(pattern)
+        if (repeat := _REPEATS.get(tokens[at])) is not None:
+            items[-1] = repeat(items[-1])
+            at += 1
+    if tokens[at]:
+        fail(f"unexpected trailing input {tokens[at]!r}", at)
+    if len(text) > MAX_PATTERN_SIZE // 2:  # else within both bounds as built, so not walked
+        return ConstraintSpec(name, alphabet, pattern)
+    spec = ConstraintSpec.__new__(ConstraintSpec)
+    spec.__dict__.update(name=name, alphabet=alphabet, pattern=pattern)
+    return spec
 
 
 class _Positions:

@@ -7,13 +7,15 @@ enumerated as antichains of the prefix forest.  Some keep a slower route
 the library had as the reference for its fast path: subsets as
 frozensets, bisimilarity as identical canonical quotients, spec
 equivalence as identical canonical tables, the pattern size guard as a
-depth walk plus a memoized recursive size, and Moore's refinement started
-from the classes alone.
+depth walk plus a memoized recursive size, Moore's refinement started
+from the classes alone, and the spec parser over (kind, value, offset)
+tokens.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from functools import lru_cache
 from operator import itemgetter
@@ -23,7 +25,7 @@ from vigil.detector import FiniteDetector
 from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
 from vigil.speclang import MAX_NESTING, MAX_PATTERN_SIZE, _MAX_DEPTH, _children
-from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, Star
+from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, SpecError, Star
 from vigil.speclang import compile as compile_spec
 from vigil.systems import FAULT, UNKNOWN, SSystem, reachable
 
@@ -634,3 +636,113 @@ def with_peak_rss(argv: list) -> list:
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)",
         "sys.exit(code)"])
     return [sys.executable, "-c", script, *argv]
+
+
+_ORACLE_TOKEN = re.compile(r"(?P<space>\s+)|(?P<comment>#[^\n]*)|(?P<punct>[;|*+?()])"
+                           r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<char>.)")
+
+
+class OracleParser:
+    """The spec parser ``speclang.parse`` replaced, kept as its oracle: a
+    recursive descent over the tokens of a spec, each a (kind, value,
+    offset) tuple of kind "name", "punct" or "end", made by one regex with
+    a named group per kind, the whole text tokenized before the descent
+    starts.  Its spec goes through the size guard of ``ConstraintSpec``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        end = len(text)  # unless a comment runs to it: then its "#"
+        for match in _ORACLE_TOKEN.finditer(text):
+            kind = match.lastgroup
+            if kind == "name" or kind == "punct":
+                self.tokens.append((kind, match.group(), match.start()))
+            elif kind == "char":
+                self.fail(f"unexpected character {match.group()!r}", match.start())
+            elif kind == "comment" and match.end() == len(text):
+                end = match.start()
+        self.tokens.append(("end", "", end))
+        self.pos = 0
+        self.depth = 0
+
+    def fail(self, message: str, offset: int):
+        """Raise a :class:`SpecError` at ``offset`` of the text."""
+        line_start = self.text.rfind("\n", 0, offset)
+        raise SpecError(message, self.text.count("\n", 0, offset) + 1, offset - line_start)
+
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            self.pos += 1
+        return tok
+
+    def expect(self, value: str) -> tuple:
+        _, found, offset = self.peek()
+        if found != value:
+            self.fail(f"expected {value!r}, found {found or 'end of input'!r}", offset)
+        return self.take()
+
+    def parse_spec(self, name: str) -> ConstraintSpec:
+        keyword = self.expect("alphabet")
+        symbols: dict = {}  # a dict for its order and its hashed lookup
+        while self.peek()[0] == "name":
+            _, symbol, offset = self.take()
+            if symbol in symbols:
+                self.fail(f"duplicate alphabet symbol {symbol!r}", offset)
+            symbols[symbol] = None
+        if len(symbols) < 2:
+            self.fail("an alphabet needs at least two symbols", keyword[2])
+        self.expect(";")
+        alphabet = Alphabet(symbols)
+        self.expect("violation")
+        pattern = self.parse_alt(alphabet)
+        self.expect(";")
+        kind, value, offset = self.peek()
+        if kind != "end":
+            self.fail(f"unexpected trailing input {value!r}", offset)
+        return ConstraintSpec(name, alphabet, pattern)
+
+    def parse_alt(self, alphabet: Alphabet):
+        parts = [self.parse_seq(alphabet)]
+        while self.peek()[1] == "|":
+            self.take()
+            parts.append(self.parse_seq(alphabet))
+        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
+
+    def parse_seq(self, alphabet: Alphabet):
+        items = [self.parse_rep(alphabet)]
+        while self.peek()[0] == "name" or self.peek()[1] == "(":
+            items.append(self.parse_rep(alphabet))
+        return items[0] if len(items) == 1 else Seq(tuple(items))
+
+    def parse_rep(self, alphabet: Alphabet):
+        atom = self.parse_atom(alphabet)
+        op = {"*": Star, "+": Plus, "?": Opt}.get(self.peek()[1])
+        if op is None:
+            return atom
+        self.take()
+        return op(atom)
+
+    def parse_atom(self, alphabet: Alphabet):
+        kind, value, offset = self.take()
+        if kind == "name":
+            if value not in alphabet:
+                self.fail(f"undeclared symbol {value!r}", offset)
+            return Lit(value)
+        if value == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
+            self.depth += 1
+            inner = self.parse_alt(alphabet)
+            self.depth -= 1
+            self.expect(")")
+            return inner
+        self.fail(f"expected a symbol or '(', found {value or 'end of input'!r}", offset)
+
+
+def oracle_parse(text: str, name: str = "constraint") -> ConstraintSpec:
+    """``speclang.parse`` as :class:`OracleParser` reads it."""
+    return OracleParser(text).parse_spec(name)

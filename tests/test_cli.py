@@ -11,6 +11,7 @@ import time
 import pytest
 
 import vigil
+from vigil import cli
 from vigil.cli import main, verdict_exit_code
 
 from support import (
@@ -576,6 +577,30 @@ class TestOneParserPerProcess:
         assert in_process == [(done.returncode, done.stdout, done.stderr) for done in runs]
         assert in_process[0][0] == 2 and in_process[1][0] == 0
         assert json.loads(in_process[3][1])["verdict"] == "violation"
+
+
+class TestHelpWidth:
+    """Help text is laid out as argparse's own formatter lays it out, at the
+    width ``shutil.get_terminal_size`` gives, with no ``shutil`` import."""
+
+    @staticmethod
+    def shown(argv, capsys) -> str:
+        """What a fresh vigil parser prints for ``argv``."""
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(argv)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200", None, "0", "wide"])
+    @pytest.mark.parametrize("argv", [["--help"], ["monitor", "--help"]])
+    def test_help_is_byte_identical_to_argparse_defaults(self, argv, columns, capsys, monkeypatch):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        ours = self.shown(argv, capsys)
+        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        assert ours == self.shown(argv, capsys)
+        assert ours.startswith("usage: vigil")
 
 
 def test_equiv_agrees_with_depth8_language_comparison(tmp_path, capsys):

@@ -161,10 +161,12 @@ def test_package_imports_point_down_the_layers(path):
         assert LAYERS[module] < LAYERS[path.stem], f"line {line}: {path.stem} imports {module}"
 
 
-SLOW_AT_START = {"copy", "dataclasses", "inspect", "typing", "tempfile"}
+SLOW_AT_START = {"copy", "dataclasses", "inspect", "typing", "tempfile", "shutil"}
 """Standard-library modules that would cost each start of ``vigil`` some
 milliseconds (``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``
-and ``tokenize``) and that its start does not need."""
+and ``tokenize``; ``shutil``, which argparse's help formatter imports for
+the terminal width, pulls in ``fnmatch``, ``bz2`` and ``lzma``) and that its
+start does not need."""
 
 
 def module_level_stdlib_imports(paths) -> set[str]:

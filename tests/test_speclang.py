@@ -4,6 +4,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -36,6 +37,7 @@ import vigil
 from vigil.cli import main
 from vigil.detector import first_prefix_pair
 from vigil.systems import reachable
+from vigil import speclang
 from vigil.speclang import (
     _MAX_DEPTH,
     MAX_NESTING,
@@ -66,6 +68,7 @@ from support import (
     lasso_symbols,
     oracle_first_fault,
     minimal_matches,
+    oracle_parse,
     oracle_require_small,
     random_ast,
     random_lasso,
@@ -153,10 +156,27 @@ class TestParse:
         ("alphabet a b; violation a # no newline", "found 'end of input'", 1, 27),
         ("alphabet a b; violation a  \n\t ", "found 'end of input'", 2, 3),
         ("alphabet a b; violation a;\r\n# done\r\n  c", "trailing input 'c'", 3, 3),
+        ("alphabet a b; violation c $;", "unexpected character '\\$'", 1, 27),
+        ("alphabet a; violation ( $", "unexpected character '\\$'", 1, 25),
+        ("alphabet a; # $ in a comment\nviolation a;", "two symbols", 1, 1),
+        ("alphabet a b; violation a", "found 'end of input'", 1, 26),
+        ("alphabet a b; violation a # c\n", "found 'end of input'", 2, 1),
+        ("alphabet a b; violation a\n#", "found 'end of input'", 2, 1),
+        ("alphabet a b; violation a\n  # tail", "found 'end of input'", 2, 3),
+        ("alphabet a b; violation aé;", "unexpected character 'é'", 1, 26),
+        ("alphabet café b; violation b;", "unexpected character 'é'", 1, 13),
+        ("alphabet a b; violation " + "(" * MAX_NESTING + "a" + ")" * (MAX_NESTING - 1) + ";",
+         "expected '\\)', found ';'", 1, 125),
+        ("alphabet a b; violation " + "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1) + ";",
+         "nested deeper", 1, 75),
     ])
     def test_error_positions(self, text, message, line, col):
         """Only ``\\n`` starts a line; any other whitespace is one column;
-        input that ends inside a comment ends at its ``#``."""
+        input that ends inside a comment ends at its ``#``; a stray
+        character is reported before any error of the grammar, even one
+        earlier in the text, but not inside a comment; a letter outside
+        ASCII is a stray character, even within a name; parentheses may
+        nest :data:`MAX_NESTING` deep, and the next one is the error."""
         with pytest.raises(SpecError, match=message) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (line, col)
@@ -178,6 +198,76 @@ class TestParse:
         with pytest.raises(SpecError, match="nested deeper") as err:
             parse(f"alphabet a b;\nviolation ({text});")
         assert (err.value.line, err.value.col) == (2, 11 + MAX_NESTING)
+
+
+class TestParseAgainstTheOracle:
+    """``parse`` gives the spec of the parser it replaced
+    (:class:`support.OracleParser`), or its ``SpecError`` with the same
+    message, line and column."""
+
+    GAPS = [" ", "  ", "\n", "\t", "\r\n", " # a comment\n", "\n# ( $ é\n  "]
+    EDITS = [*" \n\t\r#;|*+?()abcx_9$é", "alphabet", "violation", " # c\n"]
+
+    @staticmethod
+    def outcome(parser, text: str):
+        try:
+            spec = parser(text, name="fuzz")
+        except SpecError as err:
+            return str(err), err.line, err.col
+        return spec.name, spec.alphabet, spec.pattern
+
+    def spaced(self, rng, alphabet: Alphabet) -> str:
+        """A valid spec of a random pattern, with whitespace or a comment
+        between each two tokens, and now and then before the first and
+        after the last."""
+        body = pretty(random_ast(rng, alphabet, rng.randint(0, 5)))
+        tokens = ["alphabet", *alphabet.symbols, ";", "violation",
+                  *re.findall(r"\w+|\S", body), ";"]
+        text = "".join(token + rng.choice(self.GAPS) for token in tokens)
+        lead = rng.choice(["", *self.GAPS])
+        tail = rng.choice(["", "\n", " # the end", "# no newline\n"])
+        return lead + text.rstrip() + tail
+
+    def edited(self, rng, text: str) -> str:
+        """``text`` with one to three random insertions, deletions and swaps."""
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars))
+            edit = rng.random()
+            if edit < 0.4:
+                chars.insert(at, rng.choice(self.EDITS))
+            elif edit < 0.7:
+                del chars[at]
+            else:
+                other = rng.randrange(len(chars))
+                chars[at], chars[other] = chars[other], chars[at]
+        return "".join(chars)
+
+    def test_spaced_and_edited_random_specs(self):
+        rng = random.Random(2026)
+        names = ["a", "b", "c", "open", "x_1", "A9", "_"]
+        kinds = {}
+        for _ in range(1500):
+            alphabet = Alphabet(rng.sample(names, rng.randint(2, 4)))
+            text = self.spaced(rng, alphabet)
+            expected = self.outcome(oracle_parse, text)
+            assert self.outcome(parse, text) == expected == ("fuzz", alphabet, expected[2]), text
+            text = self.edited(rng, text)
+            got = self.outcome(parse, text)
+            assert got == self.outcome(oracle_parse, text), text
+            kind = "spec" if got[0] == "fuzz" else got[0].split(" (line")[0].split(" '")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds["spec"] > 150 and kinds["unexpected character"] > 150, kinds
+        assert len(kinds) >= 8, kinds
+
+    def test_nesting_around_the_limit(self):
+        """Opened and closed parentheses around :data:`MAX_NESTING`, each
+        side balanced or not, with a repetition after every group."""
+        for opened in range(MAX_NESTING - 2, MAX_NESTING + 3):
+            for closed in range(opened - 1, opened + 2):
+                for core in ("a", "a | b*", "", "$"):
+                    text = "alphabet a b; violation " + "(" * opened + core + ")*" * closed + ";"
+                    assert self.outcome(parse, text) == self.outcome(oracle_parse, text), text
 
 
 class TestPatternDepth:
@@ -458,6 +548,28 @@ class TestPatternSize:
             texts.append(f"alphabet a b c;violation {body};")
         for text in texts:
             assert self.tree_size(parse(text).pattern) < 2 * len(text)
+
+    def test_parse_runs_the_size_guard_only_past_half_the_bound(self, monkeypatch):
+        """A parsed pattern has fewer nodes than twice its text, so ``parse``
+        skips the guard up to ``MAX_PATTERN_SIZE // 2`` characters (8 MiB)
+        and runs it past that: here with the bound lowered to twice the
+        text, first with a guard that refuses every pattern, then with the
+        guard itself."""
+        text = "alphabet a b; violation " + "a " * 20 + ";"
+        spec = parse(text)
+        monkeypatch.setattr(speclang, "MAX_PATTERN_SIZE", 2 * len(text))
+        with monkeypatch.context() as patched:
+            patched.setattr(speclang, "_require_small", self.refuse)
+            assert parse(text) == spec
+            with pytest.raises(ValueError, match="refused"):
+                parse(text + " ")
+        assert parse(text + " ") == spec
+        with pytest.raises(ValueError, match=f"more than {2 * len(text)} nodes"):
+            parse("alphabet a b; violation " + "a " * 200 + ";")
+
+    @staticmethod
+    def refuse(pattern):
+        raise ValueError("refused")
 
 
 _SOUP = st.sampled_from(
