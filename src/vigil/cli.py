@@ -8,7 +8,9 @@ word-set files are closed under derivatives.
 
 Exit codes: 0 no violation, 1 violation (or: not equivalent / not closed),
 2 spec or usage error, 3 undecided within budget (or: out of memory).
-Help is laid out without importing ``shutil`` (:class:`_HelpFormatter`).
+Help is laid out without importing ``shutil`` (:class:`_HelpFormatter`),
+and a library module that one command alone uses is imported when that
+command runs, so a start compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import os
 import re
 import sys
 
-from .bisim import rows_bisimilar
-from .detector import _from_rows, minimal_violation_words
-from .families import check_universal_family
 from .monitor import OK, FeedViolation, OnlineMonitor, Violation, _run_lasso
 from .monitor import monitor_online  # noqa: F401  not called here; bench/vigilbench/spans.py wraps it
 from .sequences import Alphabet, FiniteWordSet
@@ -229,6 +228,8 @@ def cmd_words(args) -> int:
         rows = speclang._pattern_dfa(spec.pattern, spec.alphabet)[1]
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    from .detector import _from_rows, minimal_violation_words
+
     subsets = _from_rows(spec.alphabet, range(len(rows)), rows)  # the same words, unminimized
     for word in minimal_violation_words(subsets, 0, args.depth):
         print(word.text())
@@ -315,6 +316,8 @@ def cmd_equiv(args) -> int:
         row_b, fault_b = speclang.subset_rows(spec_b)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    from .bisim import rows_bisimilar
+
     # the subset graphs are built only as far as the pair walk reaches
     if rows_bisimilar(spec_a.alphabet.symbols, row_a, fault_a, row_b, fault_b):
         print("equivalent")
@@ -338,6 +341,8 @@ def _read_word_set(path: str) -> FiniteWordSet:
 
 
 def cmd_family(args) -> int:
+    from .families import check_universal_family
+
     try:
         sets = [_read_word_set(path) for path in args.sets]
         alphabets = {s.alphabet for s in sets}

@@ -15,16 +15,11 @@ prefix and the number of surviving steps before it (``ana_value``, always
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import reduce
+from functools import cache, reduce
 
-from .detector import (
-    UNKNOWN,
-    DetectorHandle,
-    FiniteDetector,
-    anamorphism_regular,
-)
+# detector and bisim are imported where they are used: `vigil monitor` compiles neither
 from .sequences import LassoStream, Word, _Record, _require_same_alphabet, slice_range
-from .systems import FAULT, OK, SSystem, TSystem
+from .systems import FAULT, OK, UNKNOWN, SSystem, TSystem
 
 
 class Violation(_Record):
@@ -93,6 +88,15 @@ def _run_lasso(s: LassoStream, live: OnlineMonitor) -> MonitorVerdict:
     return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
 
 
+@cache
+def _detector_types() -> tuple:
+    """``(FiniteDetector, DetectorHandle)``, imported on the first call and
+    kept, so building a monitor pays no import statement."""
+    from .detector import DetectorHandle, FiniteDetector
+
+    return FiniteDetector, DetectorHandle
+
+
 def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     """Exact verdict of a finite detector on a lasso stream, fed to an
     :class:`OnlineMonitor` of ``x`` a turn at a time.
@@ -104,7 +108,7 @@ def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     a monitor on a spec's unforced subset graph alike.  A handle's states
     never repeat, so drive one with :func:`monitor_online` instead.
     """
-    if not isinstance(a, FiniteDetector):
+    if not isinstance(a, _detector_types()[0]):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
     return _run_lasso(s, OnlineMonitor(a, x))
@@ -154,11 +158,12 @@ class OnlineMonitor:
     """
 
     def __init__(self, source, state=None):
-        if isinstance(source, FiniteDetector):
+        finite, handle = _detector_types()
+        if isinstance(source, finite):
             source.require_state(state)
             index, self._fault = source.dense()
             self._row = index[state]
-        elif not isinstance(source, DetectorHandle):
+        elif not isinstance(source, handle):
             raise TypeError(
                 f"expected a FiniteDetector or DetectorHandle, got {type(source).__name__}")
         elif state is not None:
@@ -255,5 +260,7 @@ def transfer_to_universal(a: FiniteDetector, x, s: LassoStream):
     language's own detector (:func:`~vigil.detector.anamorphism_regular`).
     The two verdicts agree; both are returned so the agreement is
     directly checkable."""
+    from .detector import anamorphism_regular
+
     language = anamorphism_regular(a, x)
     return monitor_lasso(a, x, s), monitor_lasso(language.detector, language.initial, s)

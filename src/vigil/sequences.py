@@ -105,6 +105,14 @@ class Alphabet:
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
 
+    @classmethod
+    def _of(cls, symbols: tuple) -> "Alphabet":
+        """The alphabet of ``symbols``, which already pass the checks of
+        ``__init__``, built without checking them again."""
+        new = object.__new__(cls)
+        new.symbols, new._index = symbols, {s: i for i, s in enumerate(symbols)}
+        return new
+
     def index(self, symbol: str) -> int:
         """The place of ``symbol`` in declaration order.  Every step that
         takes one symbol checks it with this call."""
@@ -211,11 +219,11 @@ def _word(alphabet: Alphabet, symbols: tuple) -> Word:
 
 
 def _primitive_root(symbols: tuple[str, ...]) -> tuple[str, ...]:
-    n = len(symbols)
-    for d in range(1, n + 1):
-        if n % d == 0 and symbols[:d] * (n // d) == symbols:
-            return symbols[:d]
-    return symbols
+    """The shortest ``r`` with ``symbols == r * k``.  With each symbol
+    closed by a space, the text first recurs in its own square after its
+    root, which ends at a symbol's end since no symbol holds whitespace."""
+    text = " ".join(symbols) + " "
+    return symbols[:text.count(" ", 0, (text + text).find(text, 1))]
 
 
 class LassoStream:

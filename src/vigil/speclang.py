@@ -36,8 +36,7 @@ from __future__ import annotations
 import re
 from operator import or_
 
-from .bisim import _minimal_rows
-from .detector import FiniteDetector, RegularPrefixFreeSet, _automaton, minimal_detector
+# detector and bisim are imported where they are used: `vigil monitor` compiles neither
 from .sequences import Alphabet, EpsilonViolation, _Record, _require_same_alphabet
 from .systems import FAULT, lazy_rows, reachable
 
@@ -309,7 +308,7 @@ def parse(text: str, name: str = "constraint") -> ConstraintSpec:
     if len(symbols) < 2:
         fail("an alphabet needs at least two symbols", 0)
     at = expect(";", at)
-    alphabet = Alphabet(symbols)
+    alphabet = Alphabet._of(tuple(symbols))  # distinct names, two or more: Alphabet's checks hold
     at = expect("violation", at)
     groups = []  # the branches and items of each open parenthesis
     branches, items = [], []  # of the innermost alternation and its last concatenation
@@ -494,6 +493,9 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     :class:`RegularPrefixFreeSet` (making idempotence directly checkable).
     A pattern matching the empty word is rejected.
     """
+    from .bisim import _minimal_rows
+    from .detector import RegularPrefixFreeSet, _automaton
+
     if isinstance(pattern, RegularPrefixFreeSet):
         _require_same_alphabet(pattern.alphabet, alphabet)
         return pattern.minimized()
@@ -514,5 +516,7 @@ def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
     :func:`pattern_dfa`, when the caller has it) is a detector already;
     its rows are minimized, and the returned initial state is ``"s0"``.
     """
+    from .detector import minimal_detector
+
     rows = (dfa or _pattern_dfa(spec.pattern, spec.alphabet))[1]
     return minimal_detector(spec.alphabet, rows)

@@ -9,16 +9,19 @@ frozensets, bisimilarity as identical canonical quotients, spec
 equivalence as identical canonical tables, the pattern size guard as a
 depth walk plus a memoized recursive size, Moore's refinement started
 from the classes alone, and the spec parser over (kind, value, offset)
-tokens.
+tokens.  ``cold_start`` runs code in a fresh interpreter and reports the
+modules it loaded.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import subprocess
 import sys
 from functools import lru_cache
 from operator import itemgetter
+from pathlib import Path
 
 from vigil.bisim import _minimal_rows
 from vigil.detector import FiniteDetector
@@ -285,13 +288,19 @@ def advance_lasso_fault(p, s: LassoStream) -> int | None:
     return None
 
 
+def oracle_primitive_root(symbols: tuple) -> tuple:
+    """The shortest repeating block of ``symbols``: each divisor of the
+    length tried in turn."""
+    n = len(symbols)
+    return next(symbols[:d] for d in range(1, n + 1) if n % d == 0 and symbols[:d] * (n // d) == symbols)
+
+
 def oracle_lasso_parts(prefix: tuple, period: tuple) -> tuple:
     """The canonical (prefix, period) symbols of a lasso: the shortest
     repeating block of the period, then the prefix symbols that agree with
     the loop absorbed one at a time, the loop rotated back by one for
     each."""
-    per = next(period[:d] for d in range(1, len(period) + 1)
-               if period[:d] * (len(period) // d) == period)
+    per = oracle_primitive_root(period)
     pre = prefix
     while pre and pre[-1] == per[-1]:
         per = per[-1:] + per[:-1]
@@ -746,3 +755,14 @@ class OracleParser:
 def oracle_parse(text: str, name: str = "constraint") -> ConstraintSpec:
     """``speclang.parse`` as :class:`OracleParser` reads it."""
     return OracleParser(text).parse_spec(name)
+
+
+def cold_start(code: str) -> tuple[str, set[str]]:
+    """The output of a ``python -S`` child, with ``src`` first on its path,
+    that runs ``code``, and the modules loaded when it ends."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys\nsys.path.insert(0, {str(src)!r})\n{code}\nprint(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    *output, modules = done.stdout.splitlines()
+    return "\n".join(output), set(modules.split())

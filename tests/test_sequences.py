@@ -25,6 +25,7 @@ from vigil.sequences import (
     slice_from,
     slice_range,
 )
+from vigil.sequences import _primitive_root
 
 import vigil
 from vigil.detector import FAULT, final_step
@@ -34,6 +35,7 @@ from support import (
     binary,
     lasso_symbols,
     oracle_lasso_parts,
+    oracle_primitive_root,
     prefix_free_tuples,
     random_lasso,
     random_prefix_free,
@@ -122,6 +124,32 @@ class TestWordsAndText:
             prefix += tail[rng.randint(0, len(tail)):]
             s = LassoStream(al, Word(al, prefix), Word(al, period))
             assert (s.prefix.symbols, s.period.symbols) == oracle_lasso_parts(prefix, period)
+
+    def test_primitive_root_agrees_with_trying_each_divisor(self):
+        """On seeded powers, near-powers (one symbol changed, added or
+        dropped) and plain tuples over tokens that are prefixes and
+        suffixes of one another, so a match of the joined text that starts
+        inside a token would show."""
+        rng = random.Random(6011)
+        tokens = ["a", "ab", "aab", "b", "ba", "aa"]
+        kinds = set()
+        for _ in range(4000):
+            root = tuple(rng.choices(tokens[:rng.randint(2, 6)], k=rng.randint(1, 7)))
+            symbols = root * rng.randint(1, 6)
+            kind = rng.choice(["power", "changed", "added", "dropped", "plain"])
+            if kind == "changed":
+                i = rng.randrange(len(symbols))
+                symbols = symbols[:i] + (rng.choice(tokens),) + symbols[i + 1:]
+            elif kind == "added":
+                symbols += (rng.choice(tokens),)
+            elif kind == "dropped" and len(symbols) > 1:
+                symbols = symbols[:-1]
+            elif kind == "plain":
+                symbols = tuple(rng.choices(tokens, k=rng.randint(1, 12)))
+            want = oracle_primitive_root(symbols)
+            kinds.add((kind, want == symbols))
+            assert _primitive_root(symbols) == want, symbols
+        assert len(kinds) == 10  # every kind met both with and without a shorter root
 
     def test_lasso_absorbing_a_long_prefix_is_linear(self):
         """A 64,000-symbol period behind ``b`` and two and a half periods

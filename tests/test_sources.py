@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from support import cold_start
+
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
 PACKAGE = sorted(ROOT.glob("src/vigil/*.py"))
@@ -182,23 +184,13 @@ def module_level_stdlib_imports(paths) -> set[str]:
     return found
 
 
-def cold_start(code: str) -> tuple[str, set[str]]:
-    """The output of a ``python -S`` child, with ``src`` first on its path,
-    that runs ``code``, and the modules loaded when it ends."""
-    code = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}\nprint(*sys.modules)"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr[-2000:]
-    *output, modules = done.stdout.splitlines()
-    return "\n".join(output), set(modules.split())
-
-
 @pytest.mark.parametrize("entry", ["cli", "package"])
 def test_a_cold_start_loads_no_slow_module(tmp_path, entry):
-    """Neither ``import vigil`` nor ``vigil check``, ``vigil monitor
-    --trace FILE`` and ``vigil monitor --lasso`` load a module of
-    :data:`SLOW_AT_START` that a child importing only the other
-    standard-library modules vigil imports does not load too: a later
-    Python's own imports are not blamed on vigil."""
+    """Neither ``from vigil import *``, which starts every library module,
+    nor ``vigil check``, ``vigil monitor --trace FILE`` and ``vigil monitor
+    --lasso`` load a module of :data:`SLOW_AT_START` that a child importing
+    only the other standard-library modules vigil imports does not load
+    too: a later Python's own imports are not blamed on vigil."""
     (tmp_path / "spec.vgl").write_text("alphabet a b;\nviolation (a | b)* b a;\n", encoding="utf-8")
     (tmp_path / "trace.txt").write_text("a b b\na\n", encoding="utf-8")
     if entry == "cli":
@@ -208,12 +200,14 @@ def test_a_cold_start_loads_no_slow_module(tmp_path, entry):
                f"main(['monitor', {spec!r}, '--lasso', 'a ; a b']))"
         sources = PACKAGE
     else:
-        code = "import vigil"
+        code = "from vigil import *"
         sources = [path for path in PACKAGE if path.stem != "cli"]
     output, loaded = cold_start(code)
     if entry == "cli":
         assert "detector states: 2" in output and '"prefix_len": 4' in output
         assert output.endswith("0 1 1")
+    else:
+        assert {f"vigil.{path.stem}" for path in sources if path.stem != "__init__"} <= loaded
     stdlib = sorted(module_level_stdlib_imports(sources) - SLOW_AT_START)
     assert "re" in stdlib and ("argparse" in stdlib) == (entry == "cli")
     _, baseline = cold_start("\n".join(f"import {name}" for name in stdlib))
@@ -237,3 +231,29 @@ def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     report = done.stdout + done.stderr
     assert done.returncode == 1 and "INTERNALERROR" not in report, report[-600:]
     assert "1 failed" in done.stdout
+
+
+def loaded_vigil_modules(tmp_path, *argv: str) -> set[str]:
+    """The ``vigil.*`` modules that a cold ``vigil ARGV`` (or ``import
+    vigil``, given no ARGV) has loaded when it ends."""
+    (tmp_path / "spec.vgl").write_text("alphabet a b;\nviolation (a | b)* b a;\n", encoding="utf-8")
+    (tmp_path / "trace.txt").write_text("a b b\na\n", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = f"from vigil.cli import main\nmain({argv!r})" if argv else "import vigil"
+    _, loaded = cold_start(code)
+    return {module for module in loaded if module.startswith("vigil.")}
+
+
+def test_importing_the_package_loads_none_of_its_modules(tmp_path):
+    assert loaded_vigil_modules(tmp_path) == set()
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["monitor", "{tmp}/spec.vgl", "--trace", "{tmp}/trace.txt"], {"detector", "bisim", "families"}),
+    (["monitor", "{tmp}/spec.vgl", "--lasso", "a ; a b"], {"detector", "bisim", "families"}),
+    (["check", "{tmp}/spec.vgl"], {"families"}),
+], ids=["monitor-trace", "monitor-lasso", "check"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
+    loaded = loaded_vigil_modules(tmp_path, *argv)
+    assert {"vigil.cli", "vigil.speclang"} <= loaded
+    assert sorted(loaded & {f"vigil.{name}" for name in unused}) == []

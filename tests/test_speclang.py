@@ -119,6 +119,23 @@ class TestParse:
         spec = parse("# header\nalphabet a b ; # tokens\nviolation\n  a ;")
         assert spec.pattern == Lit("a")
 
+    def test_parsed_alphabet_equals_the_checked_one(self):
+        """The parser builds its alphabet without ``Alphabet``'s checks; on
+        seeded names of every character class the tokenizer admits, in
+        declaration order, the result is the one ``Alphabet`` builds."""
+        rng = random.Random(7019)
+        head, tail = "_" + "abcxyzABCXYZ", "_" + "abcxyzABCXYZ" + "0123456789"
+        for _ in range(500):
+            names = list(dict.fromkeys(
+                rng.choice(head) + "".join(rng.choices(tail, k=rng.randint(0, 6)))
+                for _ in range(rng.randint(2, 8))))
+            if len(names) < 2:
+                continue
+            got = parse(f"alphabet {' '.join(names)} ; violation {names[-1]} ;").alphabet
+            want = Alphabet(names)
+            assert type(got) is Alphabet and got.symbols == want.symbols
+            assert got._index == want._index and got == want and hash(got) == hash(want)
+
     def test_alphabet_too_small(self):
         with pytest.raises(SpecError, match="two symbols") as err:
             parse("alphabet a; violation a;")
