@@ -2,8 +2,10 @@
 
 Two detector states are bisimilar exactly when they have the same violation
 language; two output-system states exactly when they emit the same stream.
-:func:`bisimilar` is one union-find pair walk over linked rows (Hopcroft & Karp
-1971), as ``vigil equiv`` on two specs' lazy subset graphs.  The one partition
+:func:`bisimilar` is a union-find pair walk over two detectors' linked rows
+(Hopcroft & Karp 1971); ``vigil equiv`` runs the same walk by state number
+over two specs' subset unfolds (:func:`unfolds_bisimilar`), each row built
+when the walk first reaches it.  The one partition
 refinement, Moore's, starts from observable data (distance to a fault, output
 token), then splits by successor blocks: on two carriers side by side for the
 largest bisimulations, and on one state's unfold for the minimizer.
@@ -15,7 +17,7 @@ from collections.abc import Iterator
 from operator import itemgetter
 
 from .sequences import _Record, _require_same_alphabet
-from .systems import FAULT, SSystem, _fault_distances
+from .systems import SSystem, _fault_distances
 
 
 class StatePairRelation(_Record):
@@ -43,12 +45,12 @@ def _refine(rows, classes) -> list:
     own.  The first blocks split each class by distance to such a step,
     which equal behaviours share, so a chain is stable after one round.
     Returns each item's block number in the coarsest stable partition."""
-    dist = _fault_distances((i, FAULT if t < 0 else t) for i, row in enumerate(rows) for t in row)
+    dist = _fault_distances(rows)
     # an item's key in a round: its own block, then its successors' blocks;
     # index -1 reads the block of a step out of the carrier
     keys = [itemgetter(i, *row) for i, row in enumerate(rows)]
     renumber: dict = {}
-    block = [renumber.setdefault((c, dist.get(i)), len(renumber)) for i, c in enumerate(classes)]
+    block = [renumber.setdefault(key, len(renumber)) for key in zip(classes, dist)]
     count = len(renumber)
     while True:
         block.append(-1)  # the block of a step out of the carrier
@@ -98,35 +100,64 @@ def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> State
 
 def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Whether states ``x`` of ``a`` and ``y`` of ``b`` have the same
-    violation language: :func:`rows_bisimilar` on their linked rows."""
+    violation language: a breadth-first walk over pairs of the detectors'
+    linked rows (:meth:`~vigil.detector.FiniteDetector.dense`) not yet
+    joined by union-find, up to a first pair where one side faults."""
     a.require_state(x)
     b.require_state(y)
     _require_same_alphabet(a.alphabet, b.alphabet)
     (rows_a, fault_a), (rows_b, fault_b) = a.dense(), b.dense()
-    return rows_bisimilar(a.alphabet.symbols, rows_a[x], fault_a, rows_b[y], fault_b)
-
-
-def rows_bisimilar(symbols, x, fault_x, y, fault_y) -> bool:
-    """Whether linked rows ``x`` and ``y`` (dicts, lazy or dense), whose faults lead to
-    ``fault_x`` and ``fault_y``, have the same violation language: a breadth-first walk over
-    pairs of rows not yet joined by union-find, up to a first pair where one side faults."""
-    leader: dict = {}  # by id; the rows live as long as their graphs
+    symbols = a.alphabet.symbols
+    leader: dict = {}  # by id; the rows live as long as their detectors
 
     def find(i: int) -> int:
         while (j := leader.get(i, i)) != i:
             leader[i] = i = leader.get(j, j)  # path halving
         return i
 
-    todo = [(x, y)]
+    todo = [(rows_a[x], rows_b[y])]
     for r, s in todo:  # grows while it is walked
         i, j = find(id(r)), find(id(s))
         if i != j:
             leader[i] = j
             for n in symbols:
                 u, v = r[n], s[n]
-                if (u is fault_x) is not (v is fault_y):
+                if (u is fault_a) is not (v is fault_b):
                     return False
-                if u is not fault_x:
+                if u is not fault_a:
+                    todo.append((u, v))
+    return True
+
+
+def unfolds_bisimilar(left, right) -> bool:
+    """Whether state 0 of two unfolds, row iterators as
+    :func:`~vigil.systems.unfolding` gives them, has the same violation
+    language on both sides: :func:`bisimilar`'s walk over pairs of state
+    numbers instead of rows, left state ``i`` the union-find item ``i`` and
+    right state ``j`` the item ``~j``.  A side's rows are built in order, up to the
+    highest state that a walked pair holds, so the walk stops at a first
+    faulting pair having built no row past it."""
+    leader: dict = {}
+
+    def find(i: int) -> int:
+        while (j := leader.get(i, i)) != i:
+            leader[i] = i = leader.get(j, j)  # path halving
+        return i
+
+    rows_left, rows_right = [], []
+    todo = [(0, 0)]
+    for i, j in todo:  # grows while it is walked
+        a, b = find(i), find(~j)
+        if a != b:
+            leader[a] = b
+            while len(rows_left) <= i:
+                rows_left.append(next(left))
+            while len(rows_right) <= j:
+                rows_right.append(next(right))
+            for u, v in zip(rows_left[i], rows_right[j]):
+                if (u < 0) is not (v < 0):
+                    return False
+                if u >= 0:
                     todo.append((u, v))
     return True
 

@@ -228,11 +228,11 @@ def cmd_words(args) -> int:
         rows = speclang._pattern_dfa(spec.pattern, spec.alphabet)[1]
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    from .detector import _from_rows, minimal_violation_words
+    from .detector import _violation_words
 
-    subsets = _from_rows(spec.alphabet, range(len(rows)), rows)  # the same words, unminimized
-    for word in minimal_violation_words(subsets, 0, args.depth):
-        print(word.text())
+    # read off the subset rows as they are, unminimized: the same words
+    words = _violation_words(rows, spec.alphabet.symbols, args.depth)
+    sys.stdout.write("".join(" ".join(word) + "\n" for word in words))
     return EXIT_OK
 
 
@@ -312,14 +312,13 @@ def cmd_equiv(args) -> int:
         spec_b = _load_spec(args.spec_b)
         if spec_a.alphabet != spec_b.alphabet:
             raise ValueError("the two specs declare different alphabets")
-        row_a, fault_a = speclang.subset_rows(spec_a)
-        row_b, fault_b = speclang.subset_rows(spec_b)
+        left, right = speclang.subset_unfold(spec_a), speclang.subset_unfold(spec_b)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    from .bisim import rows_bisimilar
+    from .bisim import unfolds_bisimilar
 
     # the subset graphs are built only as far as the pair walk reaches
-    if rows_bisimilar(spec_a.alphabet.symbols, row_a, fault_a, row_b, fault_b):
+    if unfolds_bisimilar(left, right):
         print("equivalent")
         return EXIT_OK
     print("not equivalent")

@@ -288,44 +288,65 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
 
     Words are grown breadth first and never past a fault, so the result is
     the set of minimal faulting words of length <= depth and is prefix-free
-    at every depth.  A word whose state cannot fault within the depth left
-    is not grown, and the walk ends once no word is left to grow.  For a
-    :class:`DetectorHandle` pass ``x=None``; a handle that answers
-    :data:`UNKNOWN` makes the truncation undecidable and raises
-    :class:`BudgetExhausted` instead of returning a wrong set.
+    at every depth.  A finite detector's words are read off the unfold of
+    ``x`` (:func:`_violation_words`).  For a :class:`DetectorHandle` pass
+    ``x=None``; a handle that answers :data:`UNKNOWN` makes the truncation
+    undecidable and raises :class:`BudgetExhausted` instead of returning a
+    wrong set.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
         a.require_state(x)
-        stepper = a.step
-        distance = _fault_distances((q, t) for (q, _), t in a.step_table.items()).get
-    elif isinstance(a, DetectorHandle):
-        if x is not None:
-            raise ValueError("handles carry their own state; pass x=None")
-        x, stepper, distance = a, (lambda h, n: h.step(n)), (lambda h, _: 1)
-    else:
+        words = _violation_words(reachable(x, a.row)[1], a.alphabet.symbols, depth)
+        return FiniteWordSet._of(a.alphabet, tuple(words))
+    if not isinstance(a, DetectorHandle):
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
+    if x is not None:
+        raise ValueError("handles carry their own state; pass x=None")
     alphabet = a.alphabet
-    frontier = [(x, ())]
+    frontier = [(a, ())]
     found = []
     for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
         if not frontier:
             break
         nxt = []
-        for cur, syms in frontier:
+        for handle, syms in frontier:
             for n in alphabet:
-                target = stepper(cur, n)
+                target = handle.step(n)
                 if target is FAULT:
                     found.append(syms + (n,))
                 elif target is UNKNOWN:
                     raise BudgetExhausted(
                         f"cannot decide the step on {Word(alphabet, syms + (n,)).text()!r}"
                     )
-                elif distance(target, depth) <= left:  # one that cannot fault is beyond depth
+                elif left:
                     nxt.append((target, syms + (n,)))
         frontier = nxt
     return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
+
+
+def _violation_words(rows: list, symbols, depth: int) -> list:
+    """The minimal faulting words of length <= depth from state 0 of rows as
+    :func:`~vigil.systems.reachable` gives them, as symbol tuples, shortest
+    first and each length in alphabet order: a breadth-first walk that grows
+    a word only while its state can still fault within the depth left
+    (:func:`~vigil.systems._fault_distances`), so it ends once no word can."""
+    distance = _fault_distances(rows)
+    frontier = [(0, ())]
+    found = []
+    for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
+        if not frontier:
+            break
+        nxt = []
+        for q, word in frontier:
+            for n, t in zip(symbols, rows[q]):
+                if t < 0:
+                    found.append(word + (n,))
+                elif 0 < distance[t] <= left:  # 0: no word faults from t
+                    nxt.append((t, word + (n,)))
+        frontier = nxt
+    return found
 
 
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
@@ -383,17 +404,16 @@ def first_prefix_pair(rows: list, alphabet: Alphabet, accepting: list):
         word = []
         for left in range(distance[start] - 1, -1, -1):
             n, start = next((n, t) for n, t in zip(alphabet.symbols, rows[start])
-                            if (goal(t) if left == 0 else distance.get(t) == left))
+                            if (goal(t) if left == 0 else distance[t] == left))
             word.append(n)
         return tuple(word)
 
-    live = _fault_distances((q, FAULT if accepting[t] else t)
-                            for q, row in enumerate(rows) for t in row)
-    q = next((q for q, hit in enumerate(accepting) if hit and q in live), None)
+    live = _fault_distances([[-1 if accepting[t] else t for t in row] for row in rows])
+    q = next((q for q, hit in enumerate(accepting) if hit and live[q]), None)
     if q is None:
         return None
-    u = () if q == 0 else descend(0, _fault_distances(
-        (p, FAULT if t == q else t) for p, row in enumerate(rows) for t in row), q.__eq__)
+    u = () if q == 0 else descend(
+        0, _fault_distances([[-1 if t == q else t for t in row] for row in rows]), q.__eq__)
     return Word(alphabet, u), Word(alphabet, u + descend(q, live, accepting.__getitem__))
 
 

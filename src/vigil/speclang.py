@@ -38,7 +38,7 @@ from operator import or_
 
 # detector and bisim are imported where they are used: `vigil monitor` compiles neither
 from .sequences import Alphabet, EpsilonViolation, _Record, _require_same_alphabet
-from .systems import FAULT, lazy_rows, reachable
+from .systems import FAULT, lazy_rows, reachable, unfolding
 
 
 class SpecError(ValueError):
@@ -471,6 +471,15 @@ def _pattern_dfa(pattern, alphabet: Alphabet):
     positions = _Positions(pattern)
     order, rows = reachable(positions.initial, positions.expander(alphabet))
     return order, rows, positions.prefix_free
+
+
+def subset_unfold(spec: ConstraintSpec):
+    """The rows of :func:`pattern_dfa`'s subsets, numbered as there, one at a
+    time (:func:`~vigil.systems.unfolding`), each built only when a walk asks
+    for it.  An epsilon pattern raises as :func:`compile` does, before any
+    row is asked for."""
+    positions = _Positions(spec.pattern)
+    return unfolding([positions.initial], positions.expander(spec.alphabet))
 
 
 def subset_rows(spec: ConstraintSpec) -> tuple:

@@ -8,17 +8,21 @@ output token at every state and always steps on; its observable behaviour
 is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
-computable: every behaviour in the package is read off one unfold,
-:func:`reachable`, and fault distances, which a machine's prefix witness
-descends, off one walk back (:func:`_fault_distances`); a monitor of a spec
-walks its subset graph, one run at a time, as rows built on first visit
-(:func:`lazy_rows`), and a lasso is fed to that monitor a turn at a time.
+computable: every behaviour in the package is read off one unfold, which
+numbers the states reachable from a start breadth first and gives each a
+row of successor numbers (:func:`unfolding`, row by row as a walk asks, so
+``vigil equiv`` stops where its pair walk does; :func:`reachable`, whole),
+and fault distances, which the minimizer, ``vigil words`` and a machine's
+prefix witness read, off one walk back over those rows
+(:func:`_fault_distances`); a monitor of a spec walks its subset graph, one
+run at a time, as linked rows built on first visit (:func:`lazy_rows`), and
+a lasso is fed to that monitor a turn at a time.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from .sequences import Alphabet, LassoStream, Word, _Record, _require_same_alphabet, slice_from
 
@@ -159,14 +163,20 @@ def t_iterate(g: TSystem, x, k: int):
 
 
 def reachable(initial, expand) -> tuple[list, list]:
-    """The one unfold: the states reachable from ``initial``, numbered
-    breadth first from 0, and their rows.  ``expand(q)`` lists state
-    ``q``'s successors in a fixed order (alphabet order for a detector),
-    any of them :data:`FAULT`, which is never walked; ``rows[i][j]`` is the
-    number of the ``j``-th successor of state ``i``, or -1 for a fault."""
-    number = {initial: 0, FAULT: -1}
+    """The one unfold, whole: the states reachable from ``initial``,
+    numbered breadth first from 0, and every row :func:`unfolding` yields."""
     order = [initial]
-    rows = []
+    return order, list(unfolding(order, expand))
+
+
+def unfolding(order: list, expand) -> Iterator[list]:
+    """The rows of the states reachable from ``order[0]``, one at a time, each
+    built when it is asked for.  ``expand(q)`` lists state ``q``'s successors
+    in a fixed order (alphabet order for a detector), any of them
+    :data:`FAULT`, which is never walked; ``order`` gains each state as it is
+    numbered, breadth first from 0, and the ``i``-th row yielded lists the
+    number of each successor of state ``i``, or -1 for a fault."""
+    number = {order[0]: 0, FAULT: -1}
     for q in order:  # grows while it is walked
         row = []
         for t in expand(q):
@@ -174,25 +184,28 @@ def reachable(initial, expand) -> tuple[list, list]:
             if i == len(order):
                 order.append(t)
             row.append(i)
-        rows.append(row)
-    return order, rows
+        yield row
 
 
-def _fault_distances(moves) -> dict:
-    """The states from which some word faults, each with the length of the
-    shortest such word, given every step as a (state, target) pair: one
-    breadth-first walk back from the faulting steps."""
-    into: dict = {}
-    distance: dict = {}
-    for q, target in moves:
-        if target is FAULT:
+def _fault_distances(rows: list) -> list:
+    """Each state's shortest faulting word, by length, or 0 if no word
+    faults from it, given rows of successor numbers, -1 for a fault, as
+    :func:`unfolding` yields them: one breadth-first walk back from the
+    faulting steps."""
+    into = [[] for _ in range(len(rows) + 1)]  # the last list gathers the steps into -1
+    distance = [0] * len(rows)
+    queue = []
+    for q, row in enumerate(rows):
+        if -1 in row:
             distance[q] = 1
-        else:
-            into.setdefault(target, []).append(q)
-    for t in (queue := list(distance)):  # grows while it is walked
-        for q in into.get(t, ()):
-            if q not in distance:
-                distance[q] = distance[t] + 1
+            queue.append(q)
+        for t in row:
+            into[t].append(q)
+    for t in queue:  # grows while it is walked
+        d = distance[t] + 1
+        for q in into[t]:
+            if not distance[q]:
+                distance[q] = d
                 queue.append(q)
     return distance
 

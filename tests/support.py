@@ -6,8 +6,9 @@ decided by a backtracking interval matcher, and prefix-free sets are
 enumerated as antichains of the prefix forest.  Some keep a slower route
 the library had as the reference for its fast path: subsets as
 frozensets, bisimilarity as identical canonical quotients, spec
-equivalence as identical canonical tables, the pattern size guard as a
-depth walk plus a memoized recursive size, Moore's refinement started
+equivalence as identical canonical tables, fault distances as a search
+forward from each state, the pattern size guard as a depth walk plus a
+memoized recursive size, Moore's refinement started
 from the classes alone, and the spec parser over (kind, value, offset)
 tokens.  ``cold_start`` runs code in a fresh interpreter and reports the
 modules it loaded.
@@ -95,6 +96,28 @@ def moore_refine(rows, classes) -> list:
         if len(renumber) == count:
             return block
         count = len(renumber)
+
+
+def oracle_fault_distances(rows: list) -> list:
+    """``systems._fault_distances`` by a breadth-first search forward from
+    each state in turn: the length of its shortest faulting word, or 0 if
+    none faults; ``rows`` hold successor numbers, -1 for a fault."""
+    distances = []
+    for start in range(len(rows)):
+        seen, level, length, found = {start}, [start], 0, 0
+        while level and not found:
+            length += 1
+            below = []
+            for q in level:
+                for t in rows[q]:
+                    if t < 0:
+                        found = length
+                    elif t not in seen:
+                        seen.add(t)
+                        below.append(t)
+            level = below
+        distances.append(found)
+    return distances
 
 
 def lasso_symbols(s: LassoStream, count: int) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Command line golden tests and exit-code contract."""
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -457,6 +458,80 @@ class TestEquiv:
         assert (done.returncode, done.stdout) == (1, b"not equivalent\n"), done.stderr[-300:]
         peak_mib = int(done.stderr.split()[-1]) / 1024
         assert wall < 2 and peak_mib < 100, (wall, peak_mib)
+
+    @staticmethod
+    def counted_expanders(monkeypatch) -> list:
+        """Wraps each spec's subset expander: one list per spec, of the
+        subsets it expanded, in order."""
+        from vigil import speclang
+
+        expanded, expander = [], speclang._Positions.expander
+
+        def counted(positions, alphabet):
+            expand, subsets = expander(positions, alphabet), []
+            expanded.append(subsets)
+            return lambda subset: subsets.append(subset) or expand(subset)
+
+        monkeypatch.setattr(speclang._Positions, "expander", counted)
+        return expanded
+
+    def test_specs_that_differ_early_expand_one_subset_each(self, tmp_path, capsys, monkeypatch):
+        """The pair walk stops at its first pair: a first ``a`` faults on the
+        left only."""
+        tail = "(a|b)* a " + " ".join(["(a|b)"] * 12) + " b"
+        one = write(tmp_path, "one.vgl", f"alphabet a b; violation a | {tail};")
+        two = write(tmp_path, "two.vgl", f"alphabet a b; violation {tail};")
+        expanded = self.counted_expanders(monkeypatch)
+        assert main(["equiv", one, two]) == 1
+        assert capsys.readouterr().out == "not equivalent\n"
+        assert [len(subsets) for subsets in expanded] == [1, 1]
+
+    def test_a_walk_expands_each_subset_once(self, tmp_path, capsys, monkeypatch):
+        """On a ladder and seeded random specs against their reordered twins,
+        each side expands no subset twice, and, as equal specs walk every
+        pair, each subset that the whole unfold numbers."""
+        from vigil.sequences import Alphabet
+        from vigil.speclang import ConstraintSpec, parse, pattern_dfa, pretty
+
+        rng = random.Random(2803)
+        ladder = parse(f"alphabet a b; violation (a|b)* a {' '.join(['(a|b)'] * 6)} b b b b;")
+        specs = [ladder]
+        while len(specs) < 60:
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            node = random_ast(rng, al, rng.randint(1, 5))
+            if not regex_matches(node, ()):
+                specs.append(ConstraintSpec("s", al, node))
+        expanded = self.counted_expanders(monkeypatch)
+        for spec in specs:
+            symbols = " ".join(spec.alphabet.symbols)
+            paths = [write(tmp_path, f"{name}.vgl", f"alphabet {symbols}; violation {pretty(node)};")
+                     for name, node in (("one", spec.pattern), ("two", reordered(spec.pattern)))]
+            expanded.clear()
+            assert main(["equiv", *paths]) == 0
+            assert capsys.readouterr().out == "equivalent\n"
+            for subsets, node in zip(expanded, (spec.pattern, reordered(spec.pattern))):
+                assert len(set(subsets)) == len(subsets), pretty(node)
+                assert len(subsets) == len(pattern_dfa(node, spec.alphabet)[0]), pretty(node)
+
+    def test_a_walk_leaves_nothing_to_the_cyclic_collector(self, tmp_path, capsys):
+        """With the collector off, ``equiv`` on ladder 6 and its reordered
+        twin frees what it built as the command returns: no reference
+        cycle is left for ``gc.collect()``."""
+        rungs = " ".join(["(a|b)"] * 6)
+        one = write(tmp_path, "one.vgl", f"alphabet a b; violation (a|b)* a {rungs} b b b b;")
+        twin = rungs.replace("a|b", "b|a")
+        two = write(tmp_path, "two.vgl", f"alphabet a b; violation (b|a)* a {twin} b b b b;")
+        assert main(["equiv", one, two]) == 0  # the parser and the modules, made once
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(["equiv", one, two]) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert capsys.readouterr().out == "equivalent\n" * 2
 
 
 class TestFamily:

@@ -13,6 +13,7 @@ from vigil.systems import (
     SSystem,
     TSystem,
     TerminationTime,
+    _fault_distances,
     check_s_morphism,
     check_t_morphism,
     s_anamorphism,
@@ -21,7 +22,7 @@ from vigil.systems import (
     t_iterate,
 )
 
-from support import binary, inflate_ssystem, random_lasso, random_ssystem
+from support import binary, inflate_ssystem, oracle_fault_distances, random_lasso, random_ssystem
 
 
 def chain(*targets) -> TSystem:
@@ -276,3 +277,31 @@ def test_rejects(ab, call, error, message):
     with pytest.raises(error, match=message):
         call(ab)
 
+
+class TestFaultDistances:
+    def test_equal_a_search_from_each_state(self):
+        """On seeded random rows: each state's distance equals a breadth-first
+        search forward from it.  The rows include self-loops, states that no
+        walk from state 0 reaches, states from which nothing faults, and a
+        state 0 that faults at once."""
+        rng = random.Random(2801)
+        seen = dict.fromkeys(("self-loop", "unreached", "never faults", "0 faults at once"), 0)
+        for _ in range(600):
+            n, width = rng.randint(1, 12), rng.randint(1, 3)
+            fault = rng.choice([0.0, 0.05, 0.2, 0.5])
+            rows = [[-1 if rng.random() < fault else rng.randrange(n) for _ in range(width)]
+                    for _ in range(n)]
+            want = oracle_fault_distances(rows)
+            assert _fault_distances(rows) == want, rows
+            reached = {0}
+            todo = [0]
+            while todo:
+                for t in rows[todo.pop()]:
+                    if t >= 0 and t not in reached:
+                        reached.add(t)
+                        todo.append(t)
+            seen["self-loop"] += any(q in row for q, row in enumerate(rows))
+            seen["unreached"] += len(reached) < n
+            seen["never faults"] += 0 in want
+            seen["0 faults at once"] += -1 in rows[0]
+        assert min(seen.values()) >= 50, seen
