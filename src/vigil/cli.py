@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .monitor import OK, FeedViolation, OnlineMonitor, Violation, _run_lasso
+from .monitor import OK, FeedViolation, OnlineMonitor, Violation
 from .monitor import monitor_online  # noqa: F401  not called here; bench/vigilbench/spans.py wraps it
 from .sequences import Alphabet, FiniteWordSet
 from . import speclang
@@ -206,13 +206,14 @@ def _emit(report: dict, fmt: str, alphabet=None, blocks=()) -> None:
 
 
 def cmd_check(args) -> int:
+    from .detector import minimal_detector
+
     try:
         spec = _load_spec(args.spec)
-        dfa = speclang._pattern_dfa(spec.pattern, spec.alphabet)
-        detector, _ = speclang.compile(spec, dfa)
-        unchanged = speclang.pattern_is_prefix_free(spec, dfa)
+        _, rows, unchanged = speclang.SpecGraph(spec.pattern, spec.alphabet).unfold()
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    detector, _ = minimal_detector(spec.alphabet, rows)
     print(f"spec: {spec.name}")
     print("alphabet: " + " ".join(spec.alphabet.symbols))
     print(f"detector states: {len(detector.states)}")
@@ -225,13 +226,9 @@ def cmd_words(args) -> int:
         return _fail("--depth must be at least 1")
     try:
         spec = _load_spec(args.spec)
-        rows = speclang._pattern_dfa(spec.pattern, spec.alphabet)[1]
+        words = speclang.SpecGraph(spec.pattern, spec.alphabet).words(args.depth)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    from .detector import _violation_words
-
-    # read off the subset rows as they are, unminimized: the same words
-    words = _violation_words(rows, spec.alphabet.symbols, args.depth)
     sys.stdout.write("".join(" ".join(word) + "\n" for word in words))
     return EXIT_OK
 
@@ -239,7 +236,8 @@ def cmd_words(args) -> int:
 def cmd_monitor(args) -> int:
     try:
         spec = _load_spec(args.spec)
-        live = OnlineMonitor._on_rows(spec.alphabet, *speclang.subset_rows(spec))  # built lazily
+        graph = speclang.SpecGraph(spec.pattern, spec.alphabet)
+        live = OnlineMonitor.on_rows(spec.alphabet, *graph.rows())  # built lazily
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.lasso is not None:
@@ -247,7 +245,7 @@ def cmd_monitor(args) -> int:
             stream = spec.alphabet.lasso(args.lasso)
         except ValueError as exc:
             return _fail(str(exc))
-        verdict = _run_lasso(stream, live)
+        verdict = live.feed_lasso(stream)
         if isinstance(verdict, Violation):
             report = _report(
                 "violation",
@@ -312,7 +310,8 @@ def cmd_equiv(args) -> int:
         spec_b = _load_spec(args.spec_b)
         if spec_a.alphabet != spec_b.alphabet:
             raise ValueError("the two specs declare different alphabets")
-        left, right = speclang.subset_unfold(spec_a), speclang.subset_unfold(spec_b)
+        left = speclang.SpecGraph(spec_a.pattern, spec_a.alphabet).unfolding()
+        right = speclang.SpecGraph(spec_b.pattern, spec_b.alphabet).unfolding()
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     from .bisim import unfolds_bisimilar

@@ -72,22 +72,6 @@ def join_map(f: Mapping, g: Mapping) -> dict:
     return {(x, y): (f[x], g[y]) for x in f for y in g}
 
 
-def _run_lasso(s: LassoStream, live: OnlineMonitor) -> MonitorVerdict:
-    """Feed a lasso to a fresh monitor on rows: the prefix, then the period
-    turn after turn, each through :meth:`OnlineMonitor.feed_many`, until a
-    symbol faults or a row repeats at the start of a turn.  The row at a
-    turn's start fixes the one at the next, so a repeated row proves that
-    the run never faults."""
-    block, seen = s.prefix.symbols, set()
-    while (outcome := live.feed_many(block)) is OK:
-        if id(live._row) in seen:
-            return CertifiedSafe()
-        seen.add(id(live._row))
-        block = s.period.symbols
-    m = outcome.position
-    return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
-
-
 @cache
 def _detector_types() -> tuple:
     """``(FiniteDetector, DetectorHandle)``, imported on the first call and
@@ -102,16 +86,16 @@ def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     :class:`OnlineMonitor` of ``x`` a turn at a time.
 
     The detector's row at the start of each turn of the period
-    (:meth:`FiniteDetector.dense`) ranges over a finite set, so either some
-    step faults — yielding the minimal bad prefix — or a row repeats there,
-    certifying that no prefix ever faults.  ``vigil monitor --lasso`` feeds
-    a monitor on a spec's unforced subset graph alike.  A handle's states
-    never repeat, so drive one with :func:`monitor_online` instead.
+    (:meth:`~vigil.detector.FiniteDetector.dense`) ranges over a finite
+    set, so either some step faults — yielding the minimal bad prefix — or
+    a row repeats there, certifying that no prefix ever faults.  ``vigil
+    monitor --lasso`` feeds a monitor on a spec's subset graph alike.  A
+    handle's states never repeat, so drive one with :func:`monitor_online`.
     """
     if not isinstance(a, _detector_types()[0]):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
     _require_same_alphabet(a.alphabet, s.alphabet)
-    return _run_lasso(s, OnlineMonitor(a, x))
+    return OnlineMonitor(a, x).feed_lasso(s)
 
 
 def constr_member(a: FiniteDetector, x, s: LassoStream) -> bool:
@@ -150,11 +134,11 @@ class OnlineMonitor:
     :data:`OK`, a :class:`FeedViolation`, or a :class:`FeedUnknown`.
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
-    lasso form (:func:`monitor_lasso` feeds a monitor a turn at a time).  A
-    finite detector state is walked along the linked rows of
-    :meth:`FiniteDetector.dense` (or a spec's unforced
-    :func:`~vigil.speclang.subset_rows`), holding the current row; a handle,
-    given no state, is stepped symbol by symbol.  Any other source raises.
+    lasso form (:meth:`feed_lasso`).  A finite detector state is walked
+    along the linked rows of :meth:`~vigil.detector.FiniteDetector.dense`
+    (a spec's, :meth:`~vigil.speclang.SpecGraph.rows`, through
+    :meth:`on_rows`), holding the current row; a handle, given no state, is
+    stepped symbol by symbol.  Any other source raises.
     """
 
     def __init__(self, source, state=None):
@@ -173,8 +157,9 @@ class OnlineMonitor:
         self.alphabet, self.position, self._closed = source.alphabet, 0, False
 
     @classmethod
-    def _on_rows(cls, alphabet, row, fault) -> "OnlineMonitor":
-        """A monitor that walks linked rows over ``alphabet`` from ``row``."""
+    def on_rows(cls, alphabet, row, fault) -> "OnlineMonitor":
+        """A monitor that walks linked rows over ``alphabet`` from ``row`` to
+        ``fault``, unchecked, as :meth:`~vigil.speclang.SpecGraph.rows` gives them."""
         live = cls.__new__(cls)
         live.alphabet, live.position, live._closed, live._row, live._fault = (
             alphabet, 0, False, row, fault)
@@ -183,6 +168,22 @@ class OnlineMonitor:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def feed_lasso(self, s: LassoStream) -> MonitorVerdict:
+        """The exact verdict of a lasso fed to this fresh monitor of rows:
+        the prefix, then the period a turn at a time through :meth:`feed_many`,
+        until a symbol faults or a row repeats at a turn's start, which fixes
+        the row at the next: a repeated row proves the run never faults."""
+        if self._row is None or self.position:  # a handle's states never repeat
+            raise ValueError("a lasso needs a fresh monitor of a finite detector's rows")
+        block, seen = s.prefix.symbols, set()
+        while (outcome := self.feed_many(block)) is OK:
+            if id(self._row) in seen:
+                return CertifiedSafe()
+            seen.add(id(self._row))
+            block = s.period.symbols
+        m = outcome.position
+        return Violation(prefix_len=m, bad_prefix=slice_range(s, 0, m), ana_value=m - 1)
 
     def feed(self, symbol: str):
         """Feed one symbol, as ``feed_many`` would: one row step over a

@@ -34,6 +34,7 @@ empty observation cannot be a violation.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from operator import or_
 
 # detector and bisim are imported where they are used: `vigil monitor` compiles neither
@@ -369,7 +370,6 @@ class _Positions:
         self.end = len(self.follow)
         self.extend(last, 1 << self.end)
         self.initial = first | 1 << self.end if nullable else first
-        self.prefix_free = True
 
     def scan(self, node) -> tuple[bool, int, list]:
         """Whether ``node`` matches the empty word, its first positions and a
@@ -411,85 +411,87 @@ class _Positions:
             got = done.get(id(old)) or done.setdefault(id(old), (old, old | mask if old else mask))
             self.follow[p] = got[1]
 
-    def expander(self, alphabet: Alphabet):
-        """A subset's successors on each symbol of ``alphabet``, ORed from
-        one table entry per non-zero byte of it; one that matches is
-        :data:`FAULT`, and turns ``prefix_free`` false if a position besides
-        ``end`` extends the match (every position can still reach a match).
-        A pattern that matches the empty word raises :class:`EpsilonViolation`."""
-        end = self.end
-        if self.initial.bit_length() > end:  # holds end, the highest position
+
+class SpecGraph:
+    """The subset graph of a pattern's :class:`_Positions` over an
+    alphabet, cut at its first matches.  Each walk of it, whole
+    (:meth:`unfold`), numbered (:meth:`unfolding`) or linked (:meth:`rows`),
+    builds its rows by the one :meth:`expand`.  The pattern must be within
+    its size bounds, as a spec's is; one that matches the empty word raises
+    :class:`EpsilonViolation`."""
+
+    __slots__ = ("alphabet", "initial", "_end", "_moves", "_table", "_prefix_free")
+
+    def __init__(self, pattern, alphabet: Alphabet):
+        positions = _Positions(pattern)
+        if positions.initial.bit_length() > positions.end:  # holds end, the highest position
             raise EpsilonViolation("the violation pattern matches the empty observation")
         column = {n: j for j, n in enumerate(alphabet.symbols)}
         k = len(column)  # the column of symbols not in the alphabet, never read
-        moves = [(column.get(n, k), f) for n, f in zip(self.symbols, self.follow)]
-        table: dict = {}  # bit offset << 5 | byte value -> the byte's follow sets per symbol
+        self._moves = [(column.get(n, k), f) for n, f in zip(positions.symbols, positions.follow)]
+        self.alphabet, self.initial, self._end = alphabet, positions.initial, positions.end
+        self._table: dict = {}  # bit offset << 5 | byte value -> the byte's follow sets per symbol
+        self._prefix_free = True
 
-        def expand(subset: int) -> list:
-            targets = None
-            while subset:  # from the highest non-zero byte down, so zero bytes cost nothing
-                offset = (subset.bit_length() - 1) & ~7
-                byte = subset >> offset
-                subset ^= byte << offset
-                if (found := table.get(offset << 5 | byte)) is None:  # made on first use
-                    found = [0] * (k + 1)
-                    for p in range(offset, offset + byte.bit_length()):
-                        if byte >> (p - offset) & 1:
-                            j, follow = moves[p]
-                            if found[j] is not follow:  # a shared mask is not copied
-                                found[j] = found[j] | follow if found[j] else follow
-                    found = table[offset << 5 | byte] = found[:k]
-                targets = found if targets is None else list(map(or_, targets, found))
-            row = []
-            for target in targets or [0] * k:
-                if target.bit_length() > end:  # holds end
-                    self.prefix_free = self.prefix_free and target.bit_count() == 1
-                    target = FAULT
-                row.append(target)
-            return row
+    def expand(self, subset: int) -> list:
+        """A subset's successors on each symbol, ORed from one table entry per
+        non-zero byte of it; one that holds ``end`` is :data:`FAULT`, and shows
+        that the language is not prefix-free if it holds another position too
+        (every position can still reach a match)."""
+        table, targets = self._table, None
+        while subset:  # from the highest non-zero byte down, so zero bytes cost nothing
+            offset = (subset.bit_length() - 1) & ~7
+            byte = subset >> offset
+            subset ^= byte << offset
+            if (found := table.get(offset << 5 | byte)) is None:  # made on first use
+                moves, k = self._moves, len(self.alphabet)
+                found = [0] * (k + 1)
+                for p in range(offset, offset + byte.bit_length()):
+                    if byte >> (p - offset) & 1:
+                        j, follow = moves[p]
+                        if found[j] is not follow:  # a shared mask is not copied
+                            found[j] = found[j] | follow if found[j] else follow
+                found = table[offset << 5 | byte] = found[:k]
+            targets = found if targets is None else list(map(or_, targets, found))
+        row, end = [], self._end
+        for target in targets or [0] * len(self.alphabet):
+            if target.bit_length() > end:  # holds end
+                self._prefix_free = self._prefix_free and target.bit_count() == 1
+                target = FAULT
+            row.append(target)
+        return row
 
-        return expand
+    def unfold(self) -> tuple[list, list, bool]:
+        """``(order, rows, prefix_free)``: the subsets numbered and rowed by
+        :func:`~vigil.systems.reachable` (subset 0 is the safe sink), and whether
+        the pattern language is prefix-free, known only once the walk is whole."""
+        order, rows = reachable(self.initial, self.expand)
+        return order, rows, self._prefix_free
+
+    def unfolding(self) -> Iterator[list]:
+        """The rows of :meth:`unfold`, numbered as there, one at a time
+        (:func:`~vigil.systems.unfolding`), each built only when a walk asks."""
+        return unfolding([self.initial], self.expand)
+
+    def rows(self) -> tuple:
+        """``(row, fault)``: the first subset's :class:`~vigil.systems.LazyRow`,
+        whose rows are built as a walk reaches them, and the fault row."""
+        row_of, fault = lazy_rows(self.alphabet.symbols, self.expand)
+        return row_of(self.initial), fault
+
+    def words(self, depth: int) -> list:
+        """The minimal violation words up to length ``depth``, as symbol tuples,
+        read off the rows of :meth:`unfold` (:func:`~vigil.detector._violation_words`)."""
+        from .detector import _violation_words
+
+        return _violation_words(self.unfold()[1], self.alphabet.symbols, depth)
 
 
 def pattern_dfa(pattern, alphabet: Alphabet):
-    """Subset-construction automaton of a pattern's position automaton,
-    cut at its first matches: a step into a matching subset faults.
-
-    Returns (subset order, rows, whether the pattern language is
-    prefix-free), the subsets (:class:`_Positions` bitmasks) numbered and
-    rowed by :func:`~vigil.systems.reachable`; 0 is the safe sink.
-    :func:`compile` and :func:`pattern_is_prefix_free` take it from a
-    caller that needs both.
-    A pattern matching the empty word raises :class:`EpsilonViolation`.
-    """
+    """:meth:`SpecGraph.unfold` of a pattern held first to its size bounds:
+    (subset order, rows, whether the pattern language is prefix-free)."""
     _require_small(pattern)
-    return _pattern_dfa(pattern, alphabet)
-
-
-def _pattern_dfa(pattern, alphabet: Alphabet):
-    """:func:`pattern_dfa` of a pattern already held to size, as a spec's is."""
-    positions = _Positions(pattern)
-    order, rows = reachable(positions.initial, positions.expander(alphabet))
-    return order, rows, positions.prefix_free
-
-
-def subset_unfold(spec: ConstraintSpec):
-    """The rows of :func:`pattern_dfa`'s subsets, numbered as there, one at a
-    time (:func:`~vigil.systems.unfolding`), each built only when a walk asks
-    for it.  An epsilon pattern raises as :func:`compile` does, before any
-    row is asked for."""
-    positions = _Positions(spec.pattern)
-    return unfolding([positions.initial], positions.expander(spec.alphabet))
-
-
-def subset_rows(spec: ConstraintSpec) -> tuple:
-    """``(row, fault)``: the :class:`~vigil.systems.LazyRow` of the first
-    subset of :func:`pattern_dfa`, whose rows are built only as a walk
-    reaches them, and its fault row.  Walks give the verdicts of
-    :func:`compile`'s detector, and an epsilon pattern raises as there."""
-    positions = _Positions(spec.pattern)
-    row_of, fault = lazy_rows(spec.alphabet.symbols, positions.expander(spec.alphabet))
-    return row_of(positions.initial), fault
+    return SpecGraph(pattern, alphabet).unfold()
 
 
 def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
@@ -499,8 +501,8 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     Read off the quotient of :func:`pattern_dfa`'s rows, whose runs stop at
     their first match.  When the pattern language is already prefix-free
     this is the language itself.  Accepts a pattern node or an existing
-    :class:`RegularPrefixFreeSet` (making idempotence directly checkable).
-    A pattern matching the empty word is rejected.
+    :class:`~vigil.detector.RegularPrefixFreeSet` (making idempotence
+    directly checkable).  A pattern matching the empty word is rejected.
     """
     from .bisim import _minimal_rows
     from .detector import RegularPrefixFreeSet, _automaton
@@ -511,21 +513,19 @@ def prefix_free_kernel(pattern, alphabet: Alphabet) -> RegularPrefixFreeSet:
     return _automaton(alphabet, _minimal_rows(pattern_dfa(pattern, alphabet)[1]))
 
 
-def pattern_is_prefix_free(spec: ConstraintSpec, dfa=None) -> bool:
+def pattern_is_prefix_free(spec: ConstraintSpec) -> bool:
     """Whether the spec's pattern language is already prefix-free, i.e.
-    kernelization does not change it.  ``dfa``: the pattern's
-    :func:`pattern_dfa`, when the caller has it."""
-    return (dfa or _pattern_dfa(spec.pattern, spec.alphabet))[2]
+    kernelization does not change it."""
+    return SpecGraph(spec.pattern, spec.alphabet).unfold()[2]
 
 
-def compile(spec: ConstraintSpec, dfa=None) -> tuple[FiniteDetector, str]:
+def compile(spec: ConstraintSpec) -> tuple[FiniteDetector, str]:
     """Compile a spec to its canonical detector.
 
-    The pattern automaton cut at its first matches (``dfa``: the pattern's
-    :func:`pattern_dfa`, when the caller has it) is a detector already;
-    its rows are minimized, and the returned initial state is ``"s0"``.
+    The pattern automaton cut at its first matches (:meth:`SpecGraph.unfold`)
+    is a detector already; its rows are minimized, and the returned initial
+    state is ``"s0"``.
     """
     from .detector import minimal_detector
 
-    rows = (dfa or _pattern_dfa(spec.pattern, spec.alphabet))[1]
-    return minimal_detector(spec.alphabet, rows)
+    return minimal_detector(spec.alphabet, SpecGraph(spec.pattern, spec.alphabet).unfold()[1])

@@ -212,7 +212,7 @@ def _fault_distances(rows: list) -> list:
 
 class LazyRow(dict):
     """A state's row in a spec's subset graph, walked on demand
-    (:func:`~vigil.speclang.subset_rows`; a finite table links plain dicts
+    (:meth:`~vigil.speclang.SpecGraph.rows`; a finite table links plain dicts
     instead): a dict from each symbol to the row of the state it leads to,
     filled whole on its first lookup.  A symbol outside the alphabet
     raises KeyError (an unhashable one, TypeError) and fills nothing.  Rows
@@ -231,8 +231,7 @@ def lazy_rows(symbols, successors) -> tuple:
     """``(row_of, fault)`` of a graph determinized as it is walked: ``row_of(q)``
     is state ``q``'s :class:`LazyRow`, made once per state, in which the
     ``j``-th of ``symbols`` leads to the row of the ``j``-th of ``successors(q)``.
-    Each :data:`FAULT` among them leads to ``fault``, which maps every symbol to itself.
-    A spec's subset graph is the one graph walked so (:func:`~vigil.speclang.subset_rows`)."""
+    Each :data:`FAULT` among them leads to ``fault``, which maps every symbol to itself."""
     symbols = tuple(symbols)
     fault = LazyRow()
     fault.update(dict.fromkeys(symbols, fault))

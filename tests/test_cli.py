@@ -460,19 +460,18 @@ class TestEquiv:
         assert wall < 2 and peak_mib < 100, (wall, peak_mib)
 
     @staticmethod
-    def counted_expanders(monkeypatch) -> list:
-        """Wraps each spec's subset expander: one list per spec, of the
-        subsets it expanded, in order."""
-        from vigil import speclang
+    def counted_expanders(monkeypatch) -> dict:
+        """Wraps the one ``SpecGraph.expand``: from each spec's graph, in the
+        order they first expand, to the subsets it expanded, in order."""
+        from vigil.speclang import SpecGraph
 
-        expanded, expander = [], speclang._Positions.expander
+        expanded, expand = {}, SpecGraph.expand
 
-        def counted(positions, alphabet):
-            expand, subsets = expander(positions, alphabet), []
-            expanded.append(subsets)
-            return lambda subset: subsets.append(subset) or expand(subset)
+        def counted(graph, subset):
+            expanded.setdefault(graph, []).append(subset)
+            return expand(graph, subset)
 
-        monkeypatch.setattr(speclang._Positions, "expander", counted)
+        monkeypatch.setattr(SpecGraph, "expand", counted)
         return expanded
 
     def test_specs_that_differ_early_expand_one_subset_each(self, tmp_path, capsys, monkeypatch):
@@ -484,7 +483,7 @@ class TestEquiv:
         expanded = self.counted_expanders(monkeypatch)
         assert main(["equiv", one, two]) == 1
         assert capsys.readouterr().out == "not equivalent\n"
-        assert [len(subsets) for subsets in expanded] == [1, 1]
+        assert [len(subsets) for subsets in expanded.values()] == [1, 1]
 
     def test_a_walk_expands_each_subset_once(self, tmp_path, capsys, monkeypatch):
         """On a ladder and seeded random specs against their reordered twins,
@@ -509,7 +508,7 @@ class TestEquiv:
             expanded.clear()
             assert main(["equiv", *paths]) == 0
             assert capsys.readouterr().out == "equivalent\n"
-            for subsets, node in zip(expanded, (spec.pattern, reordered(spec.pattern))):
+            for subsets, node in zip([*expanded.values()], (spec.pattern, reordered(spec.pattern))):
                 assert len(set(subsets)) == len(subsets), pretty(node)
                 assert len(subsets) == len(pattern_dfa(node, spec.alphabet)[0]), pretty(node)
 

@@ -15,12 +15,11 @@ from vigil.monitor import (
     FeedViolation,
     OnlineMonitor,
     Violation,
-    _run_lasso,
     monitor_lasso,
     monitor_online,
 )
 from vigil.sequences import Alphabet, EpsilonViolation, Word, slice_range
-from vigil.speclang import ConstraintSpec, compile, parse, subset_rows
+from vigil.speclang import ConstraintSpec, SpecGraph, compile, parse
 from vigil.systems import FAULT, lazy_rows
 
 from support import (
@@ -126,7 +125,7 @@ class TestSpecGraph:
         with pytest.raises(EpsilonViolation, match="matches the empty observation"):
             compile(spec)
         with pytest.raises(EpsilonViolation, match="matches the empty observation"):
-            subset_rows(spec)
+            SpecGraph(spec.pattern, spec.alphabet).rows()
 
     # faults after the first turn, and safe runs whose turn-start row repeats only late
     LATE_LASSOS = [
@@ -148,7 +147,7 @@ class TestSpecGraph:
                                "safe, late repeat", "safe"), 0)
 
         def check_lasso(det, init, row, fault, s):
-            verdict = _run_lasso(s, OnlineMonitor._on_rows(s.alphabet, row, fault))
+            verdict = OnlineMonitor.on_rows(s.alphabet, row, fault).feed_lasso(s)
             assert verdict == monitor_lasso(det, init, s) == unrolled_verdict(det, init, s), s
             kinds[lasso_kind(det, init, s, verdict)] += 1
             kinds["empty prefix"] += not s.prefix
@@ -161,17 +160,17 @@ class TestSpecGraph:
                 det, init = compile(spec)
             except EpsilonViolation:
                 with pytest.raises(EpsilonViolation):
-                    subset_rows(spec)
+                    SpecGraph(spec.pattern, spec.alphabet).rows()
                 continue
-            row, fault = subset_rows(spec)
+            row, fault = SpecGraph(spec.pattern, spec.alphabet).rows()
             for _ in range(3):
                 trace = list(random_word(rng, al, rng.randint(0, 30)).symbols)
                 want = oracle_first_fault(det, init, trace)
                 outcome = OK if want is None else FeedViolation(want)
                 seen["ok" if want is None else "fault"] += 1
-                batch = OnlineMonitor._on_rows(al, row, fault)
+                batch = OnlineMonitor.on_rows(al, row, fault)
                 assert batch.feed_many(trace) == outcome
-                single = OnlineMonitor._on_rows(al, row, fault)
+                single = OnlineMonitor.on_rows(al, row, fault)
                 fed = [single.feed(n) for n in trace[: want or len(trace)]]
                 assert fed == [OK] * (len(trace) if want is None else want - 1) + (
                     [] if want is None else [outcome])
@@ -181,7 +180,7 @@ class TestSpecGraph:
             assert_empty_or_full(row, fault, al)
         for text, lassos in self.LATE_LASSOS:
             spec = parse(text)
-            (det, init), (row, fault) = compile(spec), subset_rows(spec)
+            (det, init), (row, fault) = compile(spec), SpecGraph(spec.pattern, spec.alphabet).rows()
             for lasso in lassos:
                 check_lasso(det, init, row, fault, spec.alphabet.lasso(lasso))
             assert_empty_or_full(row, fault, spec.alphabet)
@@ -195,8 +194,8 @@ class TestSpecGraph:
         rng = random.Random(223 + k)
         for feed in ("batch", "single"):
             trace = [rng.choice("ab") for _ in range(k)]
-            row, fault = subset_rows(spec)
-            live = OnlineMonitor._on_rows(spec.alphabet, row, fault)
+            row, fault = SpecGraph(spec.pattern, spec.alphabet).rows()
+            live = OnlineMonitor.on_rows(spec.alphabet, row, fault)
             if feed == "batch":
                 live.feed_many(trace)
             else:
@@ -218,9 +217,9 @@ class TestSpecGraph:
             bad = rng.choice(["z", None, 7, ("a",), ["a"], {"a": 1}])
             word.insert(rng.randint(0, len(word)), bad)
             shape = rng.choice([list, tuple, iter, "feed"])
-            row, fault = subset_rows(spec)
+            row, fault = SpecGraph(spec.pattern, spec.alphabet).rows()
             outcomes = []
-            for live in (monitor_online(det, init), OnlineMonitor._on_rows(spec.alphabet, row, fault)):
+            for live in (monitor_online(det, init), OnlineMonitor.on_rows(spec.alphabet, row, fault)):
                 try:
                     if shape == "feed":
                         got = []

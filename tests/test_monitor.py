@@ -226,6 +226,17 @@ class TestMonitorLasso:
         with pytest.raises(TypeError, match="use monitor_online for handles"):
             monitor_lasso(FiniteDetectorHandle(first_b, "x"), None, ab.lasso("; a"))
 
+    def test_feed_lasso_takes_only_a_fresh_monitor_of_rows(self, ab, first_b):
+        """On a handle's monitor a repeat proves nothing, and on a monitor
+        that has read symbols the positions would be off: both raise."""
+        used = OnlineMonitor(first_b, "x")
+        assert used.feed("a") is OK
+        for live in (OnlineMonitor(FiniteDetectorHandle(first_b, "x")), used):
+            with pytest.raises(ValueError, match="fresh monitor of a finite detector's rows"):
+                live.feed_lasso(ab.lasso("; a b"))
+        assert OnlineMonitor(first_b, "x").feed_lasso(ab.lasso("a ; a b")) == Violation(
+            prefix_len=3, bad_prefix=ab.word("a a b"), ana_value=2)
+
     def test_all_a_stream_is_safe(self, ab, first_b):
         assert monitor_lasso(first_b, "x", ab.lasso("; a")) == CertifiedSafe()
 

@@ -4,7 +4,10 @@ nothing outside the standard library, uses none of the library names
 added after that version, and imports its own modules only downwards."""
 
 import ast
+import builtins
+import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,8 +255,99 @@ def test_importing_the_package_loads_none_of_its_modules(tmp_path):
     (["monitor", "{tmp}/spec.vgl", "--trace", "{tmp}/trace.txt"], {"detector", "bisim", "families"}),
     (["monitor", "{tmp}/spec.vgl", "--lasso", "a ; a b"], {"detector", "bisim", "families"}),
     (["check", "{tmp}/spec.vgl"], {"families"}),
-], ids=["monitor-trace", "monitor-lasso", "check"])
+    (["words", "{tmp}/spec.vgl", "--depth", "3"], {"families"}),
+    (["equiv", "{tmp}/spec.vgl", "{tmp}/spec.vgl"], {"detector", "families"}),
+], ids=["monitor-trace", "monitor-lasso", "check", "words", "equiv"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     loaded = loaded_vigil_modules(tmp_path, *argv)
     assert {"vigil.cli", "vigil.speclang"} <= loaded
     assert sorted(loaded & {f"vigil.{name}" for name in unused}) == []
+
+
+def private_vigil_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_``-prefixed name, dunders aside, that
+    ``source`` imports from another ``vigil`` module or reads as an
+    attribute of a name bound by a relative import (a module, or an object
+    from one), at any depth of attribute access."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                found += [(node.lineno, alias.name)] if private(alias.name) else []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_private_vigil_names_are_found():
+    source = "from .monitor import OK, _run_lasso\nfrom . import speclang\n" \
+             "import os\nspeclang._pattern_dfa(1)\nOK.__class__\nos._exit\n" \
+             "def f():\n    from .detector import _violation_words\n" \
+             "    return speclang.SpecGraph._expand, live._row\n"
+    assert private_vigil_names(source) == [
+        (1, "_run_lasso"), (4, "_pattern_dfa"), (8, "_violation_words"), (9, "_expand")]
+
+
+def test_cli_uses_only_public_library_names():
+    """``vigil.cli`` composes the library through its public names, so a
+    private name can change without the command line knowing."""
+    assert private_vigil_names((ROOT / "src/vigil/cli.py").read_text(encoding="utf-8")) == []
+
+
+CROSS_REFERENCE = re.compile(r":(?:func|class|meth|data|exc):`~?([\w.]+)`")
+
+
+def unresolved_cross_references(path) -> list[str]:
+    """The ``:func:``, ``:class:``, ``:meth:``, ``:data:`` and ``:exc:``
+    targets in ``path`` that name nothing: ``vigil.m.x...`` is looked up in
+    module ``vigil.m``, any other target in the class whose body it is in,
+    if any, then in the file's own module, then in builtins, attribute by
+    attribute."""
+    source = path.read_text(encoding="utf-8")
+    own = importlib.import_module("vigil" if path.stem == "__init__" else f"vigil.{path.stem}")
+    classes = [(node.lineno, node.end_lineno, getattr(own, node.name))
+               for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    absent, missing = object(), []
+    for match in CROSS_REFERENCE.finditer(source):
+        parts = match.group(1).split(".")
+        line = source.count("\n", 0, match.start()) + 1
+        if parts[0] == "vigil":
+            scopes, parts = [importlib.import_module(".".join(parts[:2]))], parts[2:]
+        else:
+            scopes = [c for first, last, c in classes if first <= line <= last] + [own, builtins]
+        for scope in scopes:
+            found = scope
+            for part in parts:
+                found = getattr(found, part, absent)
+            if found is not absent:
+                break
+        else:
+            missing.append(match.group(1))
+    return missing
+
+
+def test_unresolved_cross_references_are_found(tmp_path):
+    path = tmp_path / "systems.py"
+    path.write_text('"""See :func:`reachable`, :class:`ValueError`, :meth:`TSystem.step`,\n'
+                    ':func:`~vigil.bisim._minimal_rows`, :data:`FAULT`, :exc:`Missing`,\n'
+                    ':meth:`TSystem.nope` and :func:`~vigil.detector.nope`."""\n\n\n'
+                    'class TSystem:\n    """Its :meth:`step`, not :meth:`out`."""\n\n\n'
+                    '"""No :meth:`step` here."""\n', encoding="utf-8")
+    assert unresolved_cross_references(path) == [
+        "Missing", "TSystem.nope", "vigil.detector.nope", "out", "step"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_cross_references_resolve(path):
+    """So a docstring names no function that a change has deleted or moved."""
+    assert unresolved_cross_references(path) == []

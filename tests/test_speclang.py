@@ -1006,7 +1006,7 @@ class TestCompileOnRandomPatterns:
             if regex_matches(ast, ()):
                 continue
             dfa = pattern_dfa(ast, al)
-            det, init = compile(ConstraintSpec("r", al, ast), dfa)
+            det, init = compile(ConstraintSpec("r", al, ast))
             matches = regex_matcher(ast)
             # the first fault is the shortest matching prefix; a pair is a
             # match and a matching proper extension of it
