@@ -2,13 +2,14 @@
 
 Two detector states are bisimilar exactly when they have the same violation
 language; two output-system states exactly when they emit the same stream.
-:func:`bisimilar` is a union-find pair walk over two detectors' linked rows
-(Hopcroft & Karp 1971); ``vigil equiv`` runs the same walk by state number
-over two specs' subset unfolds (:func:`unfolds_bisimilar`), each row built
-when the walk first reaches it.  The one partition
-refinement, Moore's, starts from observable data (distance to a fault, output
-token), then splits by successor blocks: on two carriers side by side for the
-largest bisimulations, and on one state's unfold for the minimizer.
+The one union-find pair walk (Hopcroft & Karp 1971), :func:`unfolds_bisimilar`,
+goes by state number over two on-demand unfolds, each row built when the
+walk first reaches it: two detector states' for :func:`bisimilar` and
+language equality, two specs' subset graphs for ``vigil equiv``.  The one
+partition refinement, Moore's, starts from observable data (distance to a
+fault, output token), then splits by successor blocks: on two carriers side
+by side for the largest bisimulations, and on one state's unfold for the
+minimizer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import Iterator
 from operator import itemgetter
 
 from .sequences import _Record, _require_same_alphabet
-from .systems import SSystem, _fault_distances
+from .systems import SSystem, _fault_distances, unfolding
 
 
 class StatePairRelation(_Record):
@@ -100,43 +101,21 @@ def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> State
 
 def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Whether states ``x`` of ``a`` and ``y`` of ``b`` have the same
-    violation language: a breadth-first walk over pairs of the detectors'
-    linked rows (:meth:`~vigil.detector.FiniteDetector.dense`) not yet
-    joined by union-find, up to a first pair where one side faults."""
+    violation language: :func:`unfolds_bisimilar` over their two unfolds,
+    each row built from the table as the walk reaches its state."""
     a.require_state(x)
     b.require_state(y)
     _require_same_alphabet(a.alphabet, b.alphabet)
-    (rows_a, fault_a), (rows_b, fault_b) = a.dense(), b.dense()
-    symbols = a.alphabet.symbols
-    leader: dict = {}  # by id; the rows live as long as their detectors
-
-    def find(i: int) -> int:
-        while (j := leader.get(i, i)) != i:
-            leader[i] = i = leader.get(j, j)  # path halving
-        return i
-
-    todo = [(rows_a[x], rows_b[y])]
-    for r, s in todo:  # grows while it is walked
-        i, j = find(id(r)), find(id(s))
-        if i != j:
-            leader[i] = j
-            for n in symbols:
-                u, v = r[n], s[n]
-                if (u is fault_a) is not (v is fault_b):
-                    return False
-                if u is not fault_a:
-                    todo.append((u, v))
-    return True
+    return unfolds_bisimilar(unfolding([x], a.row), unfolding([y], b.row))
 
 
 def unfolds_bisimilar(left, right) -> bool:
     """Whether state 0 of two unfolds, row iterators as
     :func:`~vigil.systems.unfolding` gives them, has the same violation
-    language on both sides: :func:`bisimilar`'s walk over pairs of state
-    numbers instead of rows, left state ``i`` the union-find item ``i`` and
-    right state ``j`` the item ``~j``.  A side's rows are built in order, up to the
-    highest state that a walked pair holds, so the walk stops at a first
-    faulting pair having built no row past it."""
+    language on both sides: a breadth-first walk over pairs of state numbers
+    not yet joined by union-find, left state ``i`` the item ``i`` and right
+    state ``j`` the item ``~j``, up to a first pair where one side faults.  A
+    side's rows are built in order, only up to the highest state a walked pair holds."""
     leader: dict = {}
 
     def find(i: int) -> int:

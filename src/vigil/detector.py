@@ -14,15 +14,18 @@ take the symbol derivative) that makes prefix-free sets themselves behave
 as detector states.
 
 Every route between a detector and its violation language goes through the
-one unfold, :func:`~vigil.systems.reachable`, which numbers the states it
-finds and whose step may fault and is then not walked past: the anamorphism
-into the automaton, the derivative-closure detector of an explicit set, the
-spec and machine compilers, and the one minimizer.
+one unfold, which numbers the states it finds and whose step may fault and
+is then not walked past: whole (:func:`~vigil.systems.reachable`) for the
+anamorphism into the automaton, the derivative-closure detector of an
+explicit set, the spec and machine compilers and the one minimizer; on
+demand (:func:`~vigil.systems.unfolding`) for language equality and the
+truncated violation words.  Only a monitor reads a table's linked rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
+from itertools import islice
 
 from .bisim import _minimal_rows, bisimilar
 from .sequences import (
@@ -35,7 +38,8 @@ from .sequences import (
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, UNKNOWN, _check_states, _fault_distances, _require_total_map, reachable
+from .systems import (FAULT, UNKNOWN, _check_states, _fault_distances, _require_total_map,
+                      reachable, unfolding)
 
 
 class BudgetExhausted(RuntimeError):
@@ -69,10 +73,10 @@ class FiniteDetector:
         self._dense = None
 
     def dense(self) -> tuple[dict, dict]:
-        """The table as linked rows, built once: ``index[x]`` is state
-        ``x``'s row, a plain dict from each symbol to the row of its
-        successor.  Every step to FAULT leads to the returned ``fault`` row,
-        which maps each symbol to itself, so a walk stays there once it faults."""
+        """The table as linked rows, built once, for a monitor's per-token walk:
+        ``index[x]`` is state ``x``'s row, a plain dict from each symbol to
+        the row of its successor.  Every step to FAULT leads to the returned
+        ``fault`` row, which maps each symbol to itself, so a walk stays there once it faults."""
         if self._dense is None:
             fault: dict = {}
             fault.update(dict.fromkeys(self.alphabet.symbols, fault))
@@ -186,8 +190,9 @@ class RegularPrefixFreeSet:
     automaton's other states, a step into the accepting state faulting.  It
     holds nothing else: ``alphabet``, ``states`` and ``transitions`` are
     views of that detector.  Equality is language equality, decided by
-    :func:`~vigil.bisim.bisimilar` on the two detectors, so two automata for
-    one language compare equal and these values are not hashable.
+    :func:`~vigil.bisim.bisimilar` on the two detector states, reading their
+    tables only as far as its pair walk goes, so two automata for one
+    language compare equal and these values are not hashable.
     """
 
     __slots__ = ("detector", "initial", "accept", "_transitions")
@@ -298,7 +303,7 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
         a.require_state(x)
-        words = _violation_words(reachable(x, a.row)[1], a.alphabet.symbols, depth)
+        words = _violation_words(x, a.row, a.alphabet.symbols, depth)
         return FiniteWordSet._of(a.alphabet, tuple(words))
     if not isinstance(a, DetectorHandle):
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
@@ -326,12 +331,23 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
     return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
 
 
-def _violation_words(rows: list, symbols, depth: int) -> list:
-    """The minimal faulting words of length <= depth from state 0 of rows as
-    :func:`~vigil.systems.reachable` gives them, as symbol tuples, shortest
-    first and each length in alphabet order: a breadth-first walk that grows
-    a word only while its state can still fault within the depth left
-    (:func:`~vigil.systems._fault_distances`), so it ends once no word can."""
+def _violation_words(initial, expand, symbols, depth: int) -> list:
+    """The minimal faulting words of length <= depth from ``initial``, as
+    symbol tuples, shortest first and each length in alphabet order.  Its
+    unfold (:func:`~vigil.systems.unfolding`) is read a level at a time, up
+    to the states within ``depth - 1`` steps or a level that adds no state;
+    fault distances on that ball (:func:`~vigil.systems._fault_distances`)
+    are exact up to the depth left, and a breadth-first walk grows a word
+    only while its state can still fault within it, so it ends once no word can."""
+    order = [initial]
+    walk = unfolding(order, expand)
+    rows = []
+    for _ in range(depth):
+        known = len(order)  # the states up to the level whose rows are read next
+        rows += islice(walk, known - len(rows))
+        if len(order) == known:  # the level added no state: the unfold is whole
+            break
+    rows += [[]] * (len(order) - len(rows))  # states first reached at depth: not read
     distance = _fault_distances(rows)
     frontier = [(0, ())]
     found = []

@@ -137,8 +137,9 @@ class OnlineMonitor:
     lasso form (:meth:`feed_lasso`).  A finite detector state is walked
     along the linked rows of :meth:`~vigil.detector.FiniteDetector.dense`
     (a spec's, :meth:`~vigil.speclang.SpecGraph.rows`, through
-    :meth:`on_rows`), holding the current row; a handle, given no state, is
-    stepped symbol by symbol.  Any other source raises.
+    :meth:`on_rows`), holding the current row: only monitors read linked
+    rows.  A handle, given no state, is stepped symbol by symbol.  Any other
+    source raises.
     """
 
     def __init__(self, source, state=None):

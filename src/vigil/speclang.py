@@ -480,11 +480,11 @@ class SpecGraph:
         return row_of(self.initial), fault
 
     def words(self, depth: int) -> list:
-        """The minimal violation words up to length ``depth``, as symbol tuples,
-        read off the rows of :meth:`unfold` (:func:`~vigil.detector._violation_words`)."""
+        """The minimal violation words up to length ``depth``, as symbol tuples, read
+        off the subsets within ``depth - 1`` steps (:func:`~vigil.detector._violation_words`)."""
         from .detector import _violation_words
 
-        return _violation_words(self.unfold()[1], self.alphabet.symbols, depth)
+        return _violation_words(self.initial, self.expand, self.alphabet.symbols, depth)
 
 
 def pattern_dfa(pattern, alphabet: Alphabet):

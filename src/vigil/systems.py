@@ -11,12 +11,13 @@ Carriers are restricted to finite state sets so that behaviours are exactly
 computable: every behaviour in the package is read off one unfold, which
 numbers the states reachable from a start breadth first and gives each a
 row of successor numbers (:func:`unfolding`, row by row as a walk asks, so
-``vigil equiv`` stops where its pair walk does; :func:`reachable`, whole),
-and fault distances, which the minimizer, ``vigil words`` and a machine's
-prefix witness read, off one walk back over those rows
-(:func:`_fault_distances`); a monitor of a spec walks its subset graph, one
-run at a time, as linked rows built on first visit (:func:`lazy_rows`), and
-a lasso is fed to that monitor a turn at a time.
+the pair walk of ``bisimilar`` and ``vigil equiv`` stops where it decides
+and ``vigil words`` reads no deeper than its depth; :func:`reachable`,
+whole), and fault distances, which the minimizer, ``vigil words`` and a
+machine's prefix witness read, off one walk back over those rows
+(:func:`_fault_distances`).  Only monitors read linked rows: a monitor of a
+spec walks its subset graph, one run at a time, as rows built on first
+visit (:func:`lazy_rows`), and a lasso is fed to that monitor a turn at a time.
 """
 
 from __future__ import annotations

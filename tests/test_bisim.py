@@ -16,7 +16,12 @@ from vigil.bisim import (
     largest_detector_bisimulation,
     largest_s_bisimulation,
 )
-from vigil.detector import FiniteDetector, check_detector_morphism, minimal_violation_words
+from vigil.detector import (
+    FiniteDetector,
+    RegularPrefixFreeSet,
+    check_detector_morphism,
+    minimal_violation_words,
+)
 from vigil.monitor import monitor_lasso
 from vigil.sequences import Alphabet, AlphabetMismatchError
 from vigil.systems import FAULT, SSystem, s_anamorphism, stream_system
@@ -170,6 +175,36 @@ class TestDetectorBisimulation:
             assert bisimilar(a, x, b, y) == bisimilar(b, y, a, x) == want
             seen[want] += 1
         assert min(seen.values()) > 150, seen
+
+    def test_pair_walk_reads_the_table_not_linked_rows(self, ab):
+        """``bisimilar`` and language equality read each detector's table
+        through its unfold, so neither links a detector's rows."""
+        table = {("p", "a"): "q", ("p", "b"): "p", ("q", "a"): "acc", ("q", "b"): "p"}
+        table.update({("acc", "a"): "acc", ("acc", "b"): "acc"})
+        lang = RegularPrefixFreeSet(ab, ["p", "q", "acc"], "p", "acc", table)
+        twin = lang.minimized()
+        assert bisimilar(lang.detector, "p", twin.detector, twin.initial)
+        assert lang == twin and lang != lang.advance("a")
+        assert lang.detector._dense is None and twin.detector._dense is None
+
+    def test_pair_walk_stops_at_the_first_differing_pair(self, ab, monkeypatch):
+        """Two 100,000-state chains that differ on their first symbol: the
+        walk builds one row on each side and no more."""
+        n = 100_000
+        names = [f"c{i}" for i in range(n)]
+        steps = {(q, "a"): t for q, t in zip(names, names[1:] + ["c0"])}
+        one = FiniteDetector(ab, names, {**steps, **{(q, "b"): FAULT for q in names}})
+        two = FiniteDetector(ab, names, {**steps, ("c0", "a"): FAULT,
+                                         **{(q, "b"): "c0" for q in names}})
+        row, calls = FiniteDetector.row, []
+
+        def counted(self, x):
+            calls.append(x)
+            return row(self, x)
+
+        monkeypatch.setattr(FiniteDetector, "row", counted)
+        assert not bisimilar(one, "c0", two, "c0")
+        assert len(calls) <= 2, calls[:5]
 
     def test_related_states_give_equal_verdicts(self):
         rng = random.Random(191)

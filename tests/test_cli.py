@@ -139,6 +139,17 @@ class TestWords:
         peak_mib = int(done.stderr.split()[-1]) / 1024
         assert wall < 10 and peak_mib < 100, (wall, peak_mib)
 
+    def test_depth_stops_at_a_level_that_adds_no_state(self, tmp_path):
+        """The subset graph of 'a b' is whole after two levels, so depth 10^9
+        reads no more of it and answers at once."""
+        spec = write(tmp_path, "sink.vgl", "alphabet a b; violation a b;")
+        start = time.perf_counter()
+        done = subprocess.run(fresh() + ["words", spec, "--depth", "1000000000"],
+                              capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (0, b"a b\n"), done.stderr[-300:]
+        assert wall < 1, wall
+
 
 class TestMonitor:
     def test_golden_safe_lasso(self, first_b_spec, capsys):
@@ -590,10 +601,11 @@ class TestExitCodeContract:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", [["equiv", "S", "S"], ["check", "S"],
-                                         ["words", "S", "--depth", "3"]])
+                                         ["words", "S", "--depth", "23"]])
     def test_out_of_memory_is_3(self, tmp_path, command):
         """``(a|b)* a (a|b)^20 b`` has a subset graph of about 2^21 rows, which
-        ``equiv`` on the spec and itself, ``check`` and ``words`` build whole.
+        ``equiv`` on the spec and itself, ``check`` and ``words`` to a depth
+        past its every state build whole.
         In a child whose address space is capped at 128 MiB the build runs
         out of memory: that is "undecided within budget", not the "not
         equivalent" or "violation" of exit 1, and it prints one line."""
@@ -605,6 +617,20 @@ class TestExitCodeContract:
         assert (done.returncode, done.stdout) == (3, b""), done.stderr[-300:]
         lines = done.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+    def test_words_builds_only_the_rows_within_its_depth(self, tmp_path):
+        """``words --depth 3`` on the spec above reads the subsets within two
+        steps of the start, so under the same 128 MiB cap it answers at once:
+        no word of length 3 or less is a violation."""
+        tail = " ".join(["(a|b)"] * 20)
+        spec = write(tmp_path, "wide.vgl", f"alphabet a b; violation (a|b)* a {tail} b;")
+        cap = "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))"
+        argv = fresh("import resource", cap) + ["words", spec, "--depth", "3"]
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b""), done.stderr[-300:]
+        assert wall < 1, wall
 
 
 class TestOneParserPerProcess:

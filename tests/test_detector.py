@@ -29,7 +29,7 @@ from vigil.detector import (
     minimal_violation_words,
 )
 from vigil.bisim import _minimal_rows, bisimilar
-from vigil.monitor import OK, FeedViolation, OnlineMonitor
+from vigil.monitor import OK, FeedViolation, OnlineMonitor, Violation, monitor_lasso
 from vigil.sequences import (
     Alphabet,
     AlphabetMismatchError,
@@ -455,8 +455,8 @@ class TestRegularPrefixFreeSet:
         assert stepped.transitions is stepped.transitions and stepped.transitions == table
 
     def test_copies_do_not_recurse_along_the_dense_rows(self, ab):
-        """After ``==`` has linked a 5,000-state chain's rows, pickle and
-        deepcopy leave them behind, and a shallow copy shares the
+        """After a lasso monitor has linked a 5,000-state chain's rows, pickle
+        and deepcopy leave them behind, and a shallow copy shares the
         detector with them, as ``advance`` does; none of them recurses."""
         n = 5000
         names = [f"c{i}" for i in range(n)] + ["acc"]
@@ -465,6 +465,7 @@ class TestRegularPrefixFreeSet:
         table.update({("acc", "a"): "acc", ("acc", "b"): "acc"})
         lang = RegularPrefixFreeSet(ab, names, "c0", "acc", table)
         assert lang == lang.minimized()
+        assert isinstance(monitor_lasso(lang.detector, "c0", ab.lasso("; a")), Violation)
         rows = lang.detector.dense()[0]
         for twin in (pickle.loads(pickle.dumps(lang)), copy.deepcopy(lang)):
             assert twin.detector._dense is None and twin.detector is not lang.detector
