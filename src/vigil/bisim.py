@@ -84,29 +84,23 @@ def _pairs(block: list, left, right) -> StatePairRelation:
     )
 
 
-def _side_by_side(left, right) -> tuple[dict, dict]:
-    """Item numbers of two carriers' states: the left ones first."""
-    return {x: i for i, x in enumerate(left)}, {y: i for i, y in enumerate(right, len(left))}
-
-
 def largest_detector_bisimulation(a: FiniteDetector, b: FiniteDetector) -> StatePairRelation:
     """All pairs of states of ``a`` and ``b`` with equal violation
     languages — the greatest relation closed under matching faults and
     related successors."""
     _require_same_alphabet(a.alphabet, b.alphabet)
-    sides = list(zip((a, b), _side_by_side(a.states, b.states)))
-    rows = [[number.get(t, -1) for t in d.row(x)] for d, number in sides for x in d.states]
+    k = len(a.states)  # b's state j is item k + j
+    rows = [*a.rows, *([-1 if t < 0 else k + t for t in row] for row in b.rows)]
     return _pairs(_refine(rows, [0] * len(rows)), a.states, b.states)
 
 
 def bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:
     """Whether states ``x`` of ``a`` and ``y`` of ``b`` have the same
-    violation language: :func:`unfolds_bisimilar` over their two unfolds,
-    each row built from the table as the walk reaches its state."""
-    a.require_state(x)
-    b.require_state(y)
+    violation language: :func:`unfolds_bisimilar` over their two unfolds
+    from the states' numbers, each row read as the walk reaches its state."""
+    i, j = a.require_state(x), b.require_state(y)
     _require_same_alphabet(a.alphabet, b.alphabet)
-    return unfolds_bisimilar(unfolding([x], a.row), unfolding([y], b.row))
+    return unfolds_bisimilar(unfolding([i], a._successors), unfolding([j], b._successors))
 
 
 def unfolds_bisimilar(left, right) -> bool:
@@ -145,7 +139,8 @@ def largest_s_bisimulation(sigma: SSystem, tau: SSystem) -> StatePairRelation:
     """All pairs of states of two output systems that emit the same
     stream."""
     _require_same_alphabet(sigma.alphabet, tau.alphabet)
-    sides = list(zip((sigma, tau), _side_by_side(sigma.states, tau.states)))
-    rows = [[number[s.tr(x)]] for s, number in sides for x in s.states]
-    block = _refine(rows, [s.out(x) for s, _ in sides for x in s.states])
+    left = {x: i for i, x in enumerate(sigma.states)}
+    right = {y: i for i, y in enumerate(tau.states, len(left))}  # items after sigma's
+    rows = [[left[sigma.tr(x)]] for x in sigma.states] + [[right[tau.tr(y)]] for y in tau.states]
+    block = _refine(rows, [sigma.out(x) for x in sigma.states] + [tau.out(y) for y in tau.states])
     return _pairs(block, sigma.states, tau.states)

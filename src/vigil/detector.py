@@ -6,12 +6,13 @@ successor state.  The observable behaviour of a detector state is its
 *violation language*: the prefix-free set of minimal words that drive it
 into the fault.
 
-This module provides the finite, table-driven detector, a generic stepping
-handle for detectors whose state spaces are not finite tables, the
-automaton representation of a violation language (a state of a finite
-detector), and the language-level step (fault on membership, otherwise
-take the symbol derivative) that makes prefix-free sets themselves behave
-as detector states.
+This module provides the finite detector, which numbers its states once
+and holds each one's row of successor numbers, a generic stepping handle
+for detectors whose state spaces are not finite tables, the automaton
+representation of a violation language (a state of a finite detector),
+and the language-level step (fault on membership, otherwise take the
+symbol derivative) that makes prefix-free sets themselves behave as
+detector states.
 
 Every route between a detector and its violation language goes through the
 one unfold, which numbers the states it finds and whose step may fault and
@@ -19,7 +20,9 @@ is then not walked past: whole (:func:`~vigil.systems.reachable`) for the
 anamorphism into the automaton, the derivative-closure detector of an
 explicit set, the spec and machine compilers and the one minimizer; on
 demand (:func:`~vigil.systems.unfolding`) for language equality and the
-truncated violation words.  Only a monitor reads a table's linked rows.
+truncated violation words.  A finite detector is unfolded from its start
+state's number, so no state is hashed after it is built; a monitor links
+its rows as it walks them (:func:`~vigil.systems.lazy_rows`).
 """
 
 from __future__ import annotations
@@ -50,66 +53,65 @@ class BudgetExhausted(RuntimeError):
 class FiniteDetector:
     """A detector with an explicit finite state table.
 
-    ``step_table`` must be total: one entry per (state, symbol) pair, each
+    The table given must be total: one entry per (state, symbol) pair, each
     either :data:`FAULT` or a member state.  "Nothing is ever a violation
     from here" is expressed by an explicit safe state looping to itself.
+    States are numbered once, in order: ``rows[i]`` lists the numbers of
+    state ``i``'s successors in alphabet order, -1 for a fault, and
+    ``step_table`` is a view of them, built on each read.
     """
 
-    __slots__ = ("alphabet", "states", "step_table", "_dense")
+    __slots__ = ("alphabet", "states", "rows", "_number")
 
     def __init__(self, alphabet: Alphabet, states: Iterable[Hashable], step_table: Mapping):
         self.alphabet = alphabet
         self.states = _check_states(states)
-        members = set(self.states)
-        self.step_table = {}
+        self._number = number = {x: i for i, x in enumerate(self.states)}
+        self.rows = []
         for x in self.states:
+            row = []
             for n in alphabet.symbols:
                 if (x, n) not in step_table:
                     raise ValueError(f"step undefined for state {x!r} on symbol {n!r}")
                 target = step_table[(x, n)]
-                if target is not FAULT and target not in members:
+                if target is not FAULT and target not in number:
                     raise ValueError(f"step target {target!r} of ({x!r}, {n!r}) is not a state")
-                self.step_table[(x, n)] = target
-        self._dense = None
+                row.append(-1 if target is FAULT else number[target])
+            self.rows.append(row)
 
-    def dense(self) -> tuple[dict, dict]:
-        """The table as linked rows, built once, for a monitor's per-token walk:
-        ``index[x]`` is state ``x``'s row, a plain dict from each symbol to
-        the row of its successor.  Every step to FAULT leads to the returned
-        ``fault`` row, which maps each symbol to itself, so a walk stays there once it faults."""
-        if self._dense is None:
-            fault: dict = {}
-            fault.update(dict.fromkeys(self.alphabet.symbols, fault))
-            index = {x: {} for x in self.states}
-            row = {**index, FAULT: fault}
-            for (x, n), t in self.step_table.items():  # by state, then in alphabet order
-                index[x][n] = row[t]
-            self._dense = index, fault
-        return self._dense
+    @property
+    def step_table(self) -> dict:
+        """The rows keyed by (state, symbol), each entry a state or :data:`FAULT`."""
+        targets, symbols = (*self.states, FAULT), self.alphabet.symbols
+        return {(x, n): targets[t] for x, row in zip(self.states, self.rows)
+                for n, t in zip(symbols, row)}
 
-    # The linked rows nest as deep as the longest path through the table, so
-    # pickle and deepcopy would recurse along them: leave the cache out.
-    def __getstate__(self):
-        return self.alphabet, self.states, self.step_table
+    def _successors(self, i: int) -> list:
+        """State ``i``'s successors' numbers, :data:`FAULT` for a fault, to unfold."""
+        return [FAULT if t < 0 else t for t in self.rows[i]]
 
-    def __setstate__(self, state):
-        self.alphabet, self.states, self.step_table = state
-        self._dense = None
+    def _unfold(self, x) -> list:
+        """The rows of state ``x``'s unfold (:func:`~vigil.systems.reachable`), walked by number."""
+        return reachable(self.require_state(x), self._successors)[1]
 
     def row(self, x) -> list:
         """State ``x``'s successors, one per symbol in alphabet order."""
-        return [self.step_table[x, n] for n in self.alphabet.symbols]
+        return [FAULT if t < 0 else self.states[t] for t in self.rows[self.require_state(x)]]
 
     def step(self, x, n: str):
         try:
-            return self.step_table[(x, n)]
+            t = self.rows[self._number[x]][self.alphabet._index[n]]
         except KeyError:
             self.alphabet.index(n)
             raise ValueError(f"unknown state {x!r}") from None
+        return FAULT if t < 0 else self.states[t]
 
-    def require_state(self, x) -> None:
-        if (x, self.alphabet.symbols[0]) not in self.step_table:
-            raise ValueError(f"unknown state {x!r}")
+    def require_state(self, x) -> int:
+        """State ``x``'s number; an unknown state raises."""
+        try:
+            return self._number[x]
+        except KeyError:
+            raise ValueError(f"unknown state {x!r}") from None
 
 
 def extend(a: FiniteDetector, x, u: Word):
@@ -266,7 +268,7 @@ class RegularPrefixFreeSet:
         return minimal_violation_words(self.detector, self.initial, depth)
 
     def is_empty(self) -> bool:
-        return not any(-1 in row for row in reachable(self.initial, self.detector.row)[1])
+        return not any(-1 in row for row in self.detector._unfold(self.initial))
 
     def equivalent(self, other: "RegularPrefixFreeSet") -> bool:
         """Language equality: the two detector states are bisimilar."""
@@ -281,8 +283,7 @@ class RegularPrefixFreeSet:
     def minimized(self) -> "RegularPrefixFreeSet":
         """Language-equal automaton with merged states and canonical names
         (breadth first from the initial state, the accepting state last)."""
-        rows = reachable(self.initial, self.detector.row)[1]
-        return _automaton(self.alphabet, _minimal_rows(rows))
+        return _automaton(self.alphabet, _minimal_rows(self.detector._unfold(self.initial)))
 
     def __repr__(self) -> str:
         return f"RegularPrefixFreeSet({len(self.states)} states over {list(self.alphabet.symbols)})"
@@ -302,8 +303,7 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
-        a.require_state(x)
-        words = _violation_words(x, a.row, a.alphabet.symbols, depth)
+        words = _violation_words(a.require_state(x), a._successors, a.alphabet.symbols, depth)
         return FiniteWordSet._of(a.alphabet, tuple(words))
     if not isinstance(a, DetectorHandle):
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
@@ -372,8 +372,7 @@ def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:
     (breadth first); the fault becomes the unique absorbing accepting
     state ``acc``.
     """
-    a.require_state(x)
-    return _automaton(a.alphabet, reachable(x, a.row)[1])
+    return _automaton(a.alphabet, a._unfold(x))
 
 
 def _automaton(alphabet: Alphabet, rows: list) -> RegularPrefixFreeSet:
@@ -384,13 +383,12 @@ def _automaton(alphabet: Alphabet, rows: list) -> RegularPrefixFreeSet:
 
 
 def _from_rows(alphabet: Alphabet, states, rows: list) -> FiniteDetector:
-    """The detector on ``states``, in row order, that steps as ``rows`` say;
-    rows of the one unfold are total and closed, so they are not checked."""
-    targets = [*states, FAULT]  # row entry -1 reads FAULT
-    symbols = alphabet.symbols
+    """The detector on ``states``, in row order, that steps as ``rows`` say,
+    holding ``rows`` themselves; rows of the one unfold are total and
+    closed, so they are not checked."""
     a = object.__new__(FiniteDetector)
-    a.alphabet, a.states, a._dense = alphabet, tuple(states), None
-    a.step_table = {(q, n): targets[t] for q, row in zip(states, rows) for n, t in zip(symbols, row)}
+    a.alphabet, a.states, a.rows = alphabet, tuple(states), rows
+    a._number = {x: i for i, x in enumerate(a.states)}
     return a
 
 
@@ -488,18 +486,18 @@ def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:
     profiles), so two detectors describe the same constraint iff their
     canonical forms have identical tables.
     """
-    a.require_state(init)
-    return minimal_detector(a.alphabet, reachable(init, a.row)[1])
+    return minimal_detector(a.alphabet, a._unfold(init))
 
 
 def detector_to_text(a: FiniteDetector) -> str:
     """Serialize a detector as a text table (see :func:`detector_from_text`).
 
-    States must already be token-shaped strings; detectors with structured
-    state identifiers should go through :func:`canonical_form` first.
+    States must already be token-shaped strings other than ``FAULT``, which
+    marks a fault; detectors with other state identifiers should go through
+    :func:`canonical_form` first.
     """
     for x in a.states:
-        if not is_token(x):
+        if not is_token(x) or x == "FAULT":
             raise ValueError(f"state {x!r} is not serializable; canonicalize the detector first")
     lines = ["states: " + " ".join(a.states), "alphabet: " + " ".join(a.alphabet.symbols)]
     for x in a.states:
@@ -514,6 +512,8 @@ def detector_from_text(text: str) -> FiniteDetector:
     if len(lines) < 2 or not lines[0].startswith("states:") or not lines[1].startswith("alphabet:"):
         raise ValueError("detector table must start with 'states:' and 'alphabet:' lines")
     states = lines[0].split(":", 1)[1].split()
+    if "FAULT" in states:
+        raise ValueError("'FAULT' marks a fault; it may not name a state")
     alphabet = Alphabet(lines[1].split(":", 1)[1].split())
     table = {}
     rows = {}

@@ -19,7 +19,7 @@ from functools import cache, reduce
 
 # detector and bisim are imported where they are used: `vigil monitor` compiles neither
 from .sequences import LassoStream, Word, _Record, _require_same_alphabet, slice_range
-from .systems import FAULT, OK, UNKNOWN, SSystem, TSystem
+from .systems import FAULT, OK, UNKNOWN, SSystem, TSystem, lazy_rows
 
 
 class Violation(_Record):
@@ -85,12 +85,12 @@ def monitor_lasso(a: FiniteDetector, x, s: LassoStream) -> MonitorVerdict:
     """Exact verdict of a finite detector on a lasso stream, fed to an
     :class:`OnlineMonitor` of ``x`` a turn at a time.
 
-    The detector's row at the start of each turn of the period
-    (:meth:`~vigil.detector.FiniteDetector.dense`) ranges over a finite
-    set, so either some step faults — yielding the minimal bad prefix — or
-    a row repeats there, certifying that no prefix ever faults.  ``vigil
-    monitor --lasso`` feeds a monitor on a spec's subset graph alike.  A
-    handle's states never repeat, so drive one with :func:`monitor_online`.
+    The detector's row at the start of each turn of the period, linked by
+    :func:`~vigil.systems.lazy_rows`, ranges over a finite set, so either
+    some step faults — yielding the minimal bad prefix — or a row repeats
+    there, certifying that no prefix ever faults.  ``vigil monitor
+    --lasso`` feeds a monitor on a spec's subset graph alike.  A handle's
+    states never repeat, so drive one with :func:`monitor_online`.
     """
     if not isinstance(a, _detector_types()[0]):
         raise TypeError("monitor_lasso needs a FiniteDetector; use monitor_online for handles")
@@ -135,19 +135,18 @@ class OnlineMonitor:
     After a violation or an unknown the monitor is closed.  A finite feed
     with no violation is only ever "ok so far" — certified safety needs the
     lasso form (:meth:`feed_lasso`).  A finite detector state is walked
-    along the linked rows of :meth:`~vigil.detector.FiniteDetector.dense`
-    (a spec's, :meth:`~vigil.speclang.SpecGraph.rows`, through
-    :meth:`on_rows`), holding the current row: only monitors read linked
-    rows.  A handle, given no state, is stepped symbol by symbol.  Any other
-    source raises.
+    along its rows as :func:`~vigil.systems.lazy_rows` links them from the
+    numbered ones, each linked on a first visit (a spec's, from
+    :meth:`~vigil.speclang.SpecGraph.rows`, through :meth:`on_rows`),
+    holding the current row: only monitors read linked rows.  A handle,
+    given no state, is stepped symbol by symbol.  Any other source raises.
     """
 
     def __init__(self, source, state=None):
         finite, handle = _detector_types()
         if isinstance(source, finite):
-            source.require_state(state)
-            index, self._fault = source.dense()
-            self._row = index[state]
+            row_of, self._fault = lazy_rows(source.alphabet.symbols, source._successors)
+            self._row = row_of(source.require_state(state))
         elif not isinstance(source, handle):
             raise TypeError(
                 f"expected a FiniteDetector or DetectorHandle, got {type(source).__name__}")

@@ -15,9 +15,9 @@ the pair walk of ``bisimilar`` and ``vigil equiv`` stops where it decides
 and ``vigil words`` reads no deeper than its depth; :func:`reachable`,
 whole), and fault distances, which the minimizer, ``vigil words`` and a
 machine's prefix witness read, off one walk back over those rows
-(:func:`_fault_distances`).  Only monitors read linked rows: a monitor of a
-spec walks its subset graph, one run at a time, as rows built on first
-visit (:func:`lazy_rows`), and a lasso is fed to that monitor a turn at a time.
+(:func:`_fault_distances`).  Only monitors read linked rows, built on first
+visit (:func:`lazy_rows`) from a finite detector's numbered rows or a spec's
+subset graph, one run at a time; a lasso is fed to that monitor a turn at a time.
 """
 
 from __future__ import annotations
@@ -212,12 +212,13 @@ def _fault_distances(rows: list) -> list:
 
 
 class LazyRow(dict):
-    """A state's row in a spec's subset graph, walked on demand
-    (:meth:`~vigil.speclang.SpecGraph.rows`; a finite table links plain dicts
-    instead): a dict from each symbol to the row of the state it leads to,
-    filled whole on its first lookup.  A symbol outside the alphabet
-    raises KeyError (an unhashable one, TypeError) and fills nothing.  Rows
-    refer to one another: compare them with ``is``, never ``==``."""
+    """A state's row in a graph a monitor walks on demand, a finite detector's
+    numbered rows or a spec's subset graph
+    (:meth:`~vigil.speclang.SpecGraph.rows`): a dict from each symbol to the
+    row of the state it leads to, filled whole on its first lookup.  A
+    symbol outside the alphabet raises KeyError (an unhashable one,
+    TypeError) and fills nothing.  Rows refer to one another: compare them
+    with ``is``, never ``==``."""
 
     __slots__ = ("state", "fill")
 

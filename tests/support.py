@@ -45,12 +45,19 @@ def all_words(alphabet: Alphabet, max_len: int, min_len: int = 0):
             yield Word(alphabet, combo)
 
 
+@lru_cache(maxsize=1)
+def raw_table(det: FiniteDetector) -> dict:
+    """``det.step_table``, a view built on each read, kept for the detector
+    last asked for: the oracles walk one detector many times in a row."""
+    return det.step_table
+
+
 def oracle_first_fault(det: FiniteDetector, state, symbols) -> int | None:
     """1-based position of the first fault when reading ``symbols`` from
     ``state``, walking the raw table; None if the whole word survives."""
-    cur = state
+    cur, table = state, raw_table(det)
     for i, n in enumerate(symbols):
-        cur = det.step_table[(cur, n)]
+        cur = table[(cur, n)]
         if cur is FAULT:
             return i + 1
     return None
@@ -207,10 +214,10 @@ def inflate_detector(rng, det: FiniteDetector, max_copies: int = 2):
     detector morphism by construction)."""
     copies = {x: rng.randint(1, max_copies) for x in det.states}
     states = [(x, i) for x in det.states for i in range(copies[x])]
-    table = {}
+    table, step_table = {}, det.step_table
     for x, i in states:
         for n in det.alphabet:
-            target = det.step_table[(x, n)]
+            target = step_table[(x, n)]
             if target is FAULT:
                 table[((x, i), n)] = FAULT
             else:

@@ -76,6 +76,20 @@ class TestCheck:
         assert main(["check", spec]) == 2
         assert "empty observation" in capsys.readouterr().err
 
+    def test_wide_alphabet_checks_in_linear_memory(self, tmp_path):
+        """``violation s0 s1 s2;`` over 200,000 symbols: the detector keeps
+        one row of numbers per state, with no (state, symbol) key, and
+        ``check`` stays within 5 s and 110 MiB."""
+        symbols = " ".join(f"s{i}" for i in range(200_000))
+        spec = write(tmp_path, "wide.vgl", f"alphabet {symbols}; violation s0 s1 s2;\n")
+        start = time.perf_counter()
+        done = subprocess.run(with_peak_rss(fresh() + ["check", spec]),
+                              capture_output=True, env=fresh_env(), timeout=120)
+        wall = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "detector states: 4" in done.stdout.decode().splitlines()
+        assert wall < 5 and int(done.stderr.split()[-1]) / 1024 < 110, wall
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/nowhere.vgl"]) == 2
         assert "error:" in capsys.readouterr().err

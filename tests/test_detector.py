@@ -42,7 +42,7 @@ from vigil.sequences import (
 )
 from vigil.speclang import ConstraintSpec, Lit, Seq, pattern_dfa, prefix_free_kernel
 from vigil.speclang import compile as compile_spec
-from vigil.systems import reachable
+from vigil.systems import LazyRow, reachable
 
 from support import (
     all_detectors,
@@ -87,23 +87,33 @@ class TestFiniteDetector:
             first_b.step("nope", "a")
 
     def test_dense_rows_link_the_table(self):
-        """Plain dicts, one per state, linked straight from the table: no
-        row type that fills itself on a first lookup."""
+        """A monitor of a table links its numbered rows (``lazy_rows``): one
+        row per state reached, from each symbol to the row of the state the
+        table names, every fault to the one fault row, which maps each
+        symbol to itself."""
         rng = random.Random(131)
         al = Alphabet(["a", "b", "c"])
         for _ in range(60):
             det = random_detector(rng, al, rng.randint(1, 6))
-            index, fault = det.dense()
-            assert det.dense() is det.dense()  # built once
-            assert type(fault) is dict and all(type(row) is dict for row in index.values())
-            assert list(index) == list(det.states)
-            assert list(fault) == list(al.symbols)
+            table, start = det.step_table, rng.choice(det.states)
+            live = OnlineMonitor(det, start)
+            fault = live._fault
+            assert type(fault) is LazyRow and list(fault) == list(al.symbols)
             assert all(fault[n] is fault for n in al.symbols)
-            for x, row in index.items():
-                assert list(row) == list(al.symbols)
+            index, order = {start: live._row}, [start]
+            for x in order:  # grows while it is walked
+                row = index[x]
                 for n in al.symbols:
-                    target = det.step_table[(x, n)]
+                    target = table[(x, n)]
+                    if target is FAULT:
+                        assert row[n] is fault
+                    elif target not in index:
+                        index[target] = row[n]
+                        order.append(target)
                     assert row[n] is (fault if target is FAULT else index[target])
+                assert list(row) == list(al.symbols)
+            assert set(index) == set(reachable(start, det.row)[0]) - {FAULT}
+            assert len({id(row) for row in index.values()}) == len(index)
 
     def test_feed_on_dense_rows_rejects_foreign_and_unhashable_symbols(self, first_b):
         """A foreign symbol is a ValueError naming the alphabet, an
@@ -119,17 +129,15 @@ class TestFiniteDetector:
         assert live.feed("b") == FeedViolation(2)
 
     def test_copies_leave_the_dense_rows_behind(self, ab):
-        """A long chain nests its linked rows thousands deep; copying a
-        detector must neither recurse along them nor share them."""
+        """A monitor links a long chain's rows thousands deep; copying the
+        detector afterwards must not recurse along them."""
         n = 5000
         table = {(i, "a"): i + 1 if i + 1 < n else FAULT for i in range(n)}
         table.update({(i, "b"): 0 for i in range(n)})
         det = FiniteDetector(ab, range(n), table)
-        det.dense()
+        assert isinstance(monitor_lasso(det, 0, ab.lasso("; a")), Violation)
         for twin in (pickle.loads(pickle.dumps(det)), copy.deepcopy(det), copy.copy(det)):
             assert twin.states == det.states and twin.step_table == det.step_table
-            index, fault = twin.dense()
-            assert index[n - 1]["a"] is fault and index[n - 1] is not det.dense()[0][n - 1]
 
 
 class TestExtend:
@@ -455,9 +463,10 @@ class TestRegularPrefixFreeSet:
         assert stepped.transitions is stepped.transitions and stepped.transitions == table
 
     def test_copies_do_not_recurse_along_the_dense_rows(self, ab):
-        """After a lasso monitor has linked a 5,000-state chain's rows, pickle
-        and deepcopy leave them behind, and a shallow copy shares the
-        detector with them, as ``advance`` does; none of them recurses."""
+        """After a lasso monitor has linked a 5,000-state chain's rows, which
+        the detector does not hold, pickle and deepcopy copy the language, and
+        a shallow copy shares the detector, as ``advance`` does; none of them
+        recurses."""
         n = 5000
         names = [f"c{i}" for i in range(n)] + ["acc"]
         table = {(q, "a"): t for q, t in zip(names, names[1:])}
@@ -466,12 +475,11 @@ class TestRegularPrefixFreeSet:
         lang = RegularPrefixFreeSet(ab, names, "c0", "acc", table)
         assert lang == lang.minimized()
         assert isinstance(monitor_lasso(lang.detector, "c0", ab.lasso("; a")), Violation)
-        rows = lang.detector.dense()[0]
         for twin in (pickle.loads(pickle.dumps(lang)), copy.deepcopy(lang)):
-            assert twin.detector._dense is None and twin.detector is not lang.detector
+            assert twin.detector is not lang.detector
             assert (twin.states, twin.initial, twin.accept, twin.transitions) == (
                 lang.states, lang.initial, lang.accept, lang.transitions)
-            assert twin == lang and twin.detector.dense()[0]["c0"] is not rows["c0"]
+            assert twin == lang
         twin = copy.copy(lang)
         assert twin.detector is lang.detector and twin == lang
         assert twin.contains(ab.word(" ".join(["a"] * n)))
@@ -589,7 +597,7 @@ class TestAutomatonIsADetectorState:
                 tracemalloc.stop()
 
         lang = held(lambda: anamorphism_regular(det, "c0"))
-        alone = held(lambda: _from_rows(ab, [f"d{i}" for i in range(n)], rows))
+        alone = held(lambda: _from_rows(ab, [f"d{i}" for i in range(n)], [r[:] for r in rows]))
         assert lang <= 1.25 * alone, (lang, alone)
 
 
@@ -743,6 +751,37 @@ class TestDetectorFromExplicitSet:
             FiniteWordSet(ab),
         }
 
+    def test_questions_hash_each_state_argument_once(self, monkeypatch):
+        """The detector of a 60-word set numbers its set states when it is
+        built; afterwards each question hashes a set state at most once per
+        state it is given, and unfolds by number."""
+        from support import random_prefix_free
+
+        al = Alphabet(["a", "b", "c"])
+        p = random_prefix_free(random.Random(60), al, 8, tries=400)
+        p = FiniteWordSet(al, p.words[:60])
+        assert len(p) == 60
+        det, init = detector_from_explicit_set(p)
+        hashes, real = 0, FiniteWordSet.__hash__
+
+        def counted(self):
+            nonlocal hashes
+            hashes += 1
+            return real(self)
+
+        monkeypatch.setattr(FiniteWordSet, "__hash__", counted)
+        questions = [
+            (lambda: bisimilar(det, init, det, init), 2),
+            (lambda: canonical_form(det, init), 1),
+            (lambda: minimal_violation_words(det, init, 8), 1),
+            (lambda: anamorphism_regular(det, init), 1),
+            (lambda: monitor_lasso(det, init, al.lasso("a b ; c a b")), 1),
+        ]
+        for ask, arguments in questions:
+            hashes = 0
+            ask()
+            assert hashes <= arguments, (hashes, arguments)
+
     def test_language_is_the_set_at_every_depth(self):
         rng = random.Random(61)
         al = binary()
@@ -893,6 +932,20 @@ class TestSerialization:
             detector_to_text(det)
         canon, _ = canonical_form(det, init)
         assert detector_from_text(detector_to_text(canon)).step_table == canon.step_table
+
+    def test_a_state_named_fault_is_not_read_back_as_a_fault(self, ab):
+        """Written out, a step into a state named ``FAULT`` would read back as
+        a fault and change the language: the writer refuses such a state,
+        and the reader refuses to declare one."""
+        det = FiniteDetector(ab, ["x", "FAULT"], {
+            ("x", "a"): "FAULT", ("x", "b"): "FAULT", ("FAULT", "a"): "x", ("FAULT", "b"): "x"})
+        with pytest.raises(ValueError, match="^state 'FAULT' is not serializable; canonicalize"):
+            detector_to_text(det)
+        with pytest.raises(ValueError, match="^'FAULT' marks a fault; it may not name a state$"):
+            detector_from_text("states: x FAULT\nalphabet: a b\n"
+                               "x: a->FAULT b->FAULT\nFAULT: a->x b->x\n")
+        canon, c0 = canonical_form(det, "x")
+        assert bisimilar(det, "x", detector_from_text(detector_to_text(canon)), c0)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="must start"):
