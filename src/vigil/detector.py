@@ -37,6 +37,7 @@ from .sequences import (
     FiniteWordSet,
     Word,
     _require_same_alphabet,
+    _split,
     derivative_set,
     is_token,
     require_prefix_free,
@@ -469,13 +470,15 @@ def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, Finite
     """The derivative-closure detector of a finite prefix-free set.
 
     States are the distinct iterated derivatives of ``p`` (the empty set
-    acts as the safe sink), stepped by :func:`final_step`.  The violation
-    language of the initial state is exactly ``p``.
+    acts as the safe sink), each split once (:func:`~vigil.sequences._split`)
+    to step as by :func:`final_step`.  State 0's language is exactly ``p``.
     """
     require_prefix_free(p)
-    symbols = p.alphabet.symbols
-    order, rows = reachable(p, lambda q: [final_step(q, n) for n in symbols])
-    return _from_rows(p.alphabet, order, rows), p
+    alphabet = p.alphabet
+    order, rows = reachable(p, lambda q: [
+        FAULT if tails and not tails[0] else FiniteWordSet._of(alphabet, tuple(tails))
+        for tails in _split(q).values()])
+    return _from_rows(alphabet, order, rows), p
 
 
 def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:

@@ -29,7 +29,6 @@ from .detector import (
     FiniteDetector,
     SetHandle,
     _from_rows,
-    final_step,
     first_prefix_pair,
 )
 from .sequences import (
@@ -40,6 +39,7 @@ from .sequences import (
     Word,
     _require_same_alphabet,
     _sort_keys,
+    _split,
     _word,
     is_token,
     require_prefix_free,
@@ -213,7 +213,7 @@ class Enumerator:
         self.alphabet = alphabet
         self._source = iter(words)
         self._cache: list[Word] = []
-        self._first: dict[int, dict[tuple, int]] = {}  # length -> symbols -> first index
+        self._first: dict[tuple, int] = {}  # symbols -> the index of their first draw
         self.finished = False
 
     @property
@@ -230,21 +230,20 @@ class Enumerator:
         """The length of the first item that is ``word`` or a nonempty prefix
         of it, looked up among the drawn items, else sought by the one draw
         loop among up to ``budget`` fresh ones; None if there is none."""
-        hits = [(k, m) for m, first in self._first.items()
-                if 0 < m <= len(word) and (k := first.get(word[:m])) is not None]
+        prefixes = {word[:m] for m in range(1, len(word) + 1)}
+        first = self._first
+        hits = [(first[u], len(u)) for u in prefixes if u in first]
         if hits or self.finished:
             return min(hits, default=(None, None))[1]
-        cache, first, alphabet, start = self._cache, self._first, self.alphabet, len(self._cache)
+        cache, alphabet, start = self._cache, self.alphabet, len(self._cache)
         for item in islice(self._source, budget):
             if not isinstance(item, Word) or (
                     item.alphabet is not alphabet and item.alphabet != alphabet):
                 raise ValueError(f"enumerator produced a malformed word: {item!r}")
             symbols = item.symbols
-            if (by_symbols := first.get(len(symbols))) is None:
-                by_symbols = first[len(symbols)] = {}
-            by_symbols.setdefault(symbols, len(cache))
+            first.setdefault(symbols, len(cache))
             cache.append(item)
-            if symbols and word[:len(symbols)] == symbols:
+            if symbols in prefixes:
                 return len(symbols)
         self.finished = len(cache) - start < budget
         return None
@@ -299,7 +298,8 @@ def check_universal_family(c: Iterable[FiniteWordSet]):
     Returns ``(True, None)`` when for every member ``p`` and symbol ``n``,
     either ``n`` is itself a member of ``p`` or the derivative of ``p`` by
     ``n`` is again in the family; otherwise ``(False, (p, n))`` with the
-    first failing pair.
+    least failing pair, by ``p``'s words, then by the alphabet.  The first
+    member, in the order given, that is not a violation language raises.
     """
     members = list(c)
     witness = _family_steps(members)[2] if members else None
@@ -311,42 +311,66 @@ def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, 
     derivative-closed family, stepping by derivative and faulting on
     one-letter membership.
 
-    Returns the detector and the map from each member language to the
-    state realizing it.
+    The states are the distinct members ordered by size and then by their
+    words.  Returns the detector and the map from each member language to
+    the state realizing it.
     """
     members = list(c)
     if not members:
         raise ValueError("a universal detector needs at least one member language")
-    states, table, witness = _family_steps(members)
+    distinct, rows, witness = _family_steps(members)
     if witness is not None:
         p, n = witness
         raise ValueError(
             f"family is not derivative-closed: derivative of {p!r} by {n!r} is missing"
         )
-    return FiniteDetector(members[0].alphabet, states, table), {p: p for p in states}
-
-
-def _family_steps(members: list) -> tuple[list, dict, tuple | None]:
-    """The one closure walk over a nonempty family: its distinct members
-    ordered by size and then by their words, the step of each member by
-    each symbol (:data:`FAULT` or a member), and the first step that leaves
-    the family, taken in the order of the members' words, or None."""
     alphabet = members[0].alphabet
-    family: dict = {}
-    for p in members:
-        if p.alphabet != alphabet:
+    order = sorted(range(len(distinct)), key=lambda i: (
+        len(distinct[i]), _sort_keys(alphabet, distinct[i]._key)))
+    rank = {i: r for r, i in enumerate(order)}
+    states = [distinct[i] for i in order]
+    rows = [[t if t < 0 else rank[t] for t in rows[i]] for i in order]
+    return _from_rows(alphabet, states, rows), {p: p for p in states}
+
+
+def _family_steps(members: list) -> tuple[list, list, tuple | None]:
+    """The one closure walk over a nonempty family: its distinct members in
+    the order given, each one's steps in alphabet order (a member's number
+    there, -1 for :data:`FAULT`, None off the family), and the least step
+    off the family, by the member's words, then by the alphabet, or None.
+
+    Each member is split once (:func:`~vigil.sequences._split`) and checked
+    to hold no empty word and no one-letter word that a longer one extends.
+    Then a closed family is prefix-free, by induction on the longest word:
+    a pair ``u``, ``uv`` with ``|u| >= 2`` in ``p`` is one in the derivative
+    of ``p`` by ``u[0]``, a member.  Otherwise the members are checked in
+    full, in order, as are those before a member over another alphabet.
+    """
+    alphabet = members[0].alphabet
+    number: dict = {}  # a member's words -> the number of its first occurrence
+    distinct = []
+    for k, p in enumerate(members):
+        if p.alphabet is not alphabet and p.alphabet != alphabet:
+            for q in members[:k]:
+                require_prefix_free(q)
             raise ValueError("family members must share one alphabet")
-        require_prefix_free(p)
-        family.setdefault(p, p)
-    order = {p: _sort_keys(alphabet, p._key) for p in family}
-    table: dict = {}
-    for p in sorted(family, key=order.__getitem__):
-        for n in alphabet.symbols:
-            d = final_step(p, n)
-            table[p, n] = d if d is FAULT else family.get(d)
-            if table[p, n] is None:
-                return [], {}, (p, n)
-    return sorted(family, key=lambda p: (len(p), order[p])), table, None
+        if number.setdefault(p._members, len(distinct)) == len(distinct):
+            distinct.append(p)
+    rows, local = [], True
+    for p in distinct:
+        parts = _split(p).values()
+        local = local and () not in p._members and all(
+            len(tails) == 1 for tails in parts if tails and not tails[0])
+        rows.append([-1 if tails and not tails[0] else number.get(frozenset(tails))
+                     for tails in parts])
+    missing = [i for i, row in enumerate(rows) if None in row]
+    if missing or not local:
+        for p in members:
+            require_prefix_free(p)
+    if not missing:
+        return distinct, rows, None
+    i = min(missing, key=lambda i: _sort_keys(alphabet, distinct[i]._key))
+    return distinct, rows, (distinct[i], alphabet.symbols[rows[i].index(None)])
 
 
 def machine_to_text(m: EilenbergMachine) -> str:

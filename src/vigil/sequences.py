@@ -427,8 +427,20 @@ def require_prefix_free(a: FiniteWordSet) -> None:
         raise PrefixFreeViolation(*pair)
 
 
+def _split(a: FiniteWordSet) -> dict:
+    """The first-symbol split of ``a``, read in one pass over its words: each
+    symbol, in alphabet order, gets the tails of the words that start with
+    it, in word order, so a one-letter member leaves the empty tail first.
+    The empty word starts with no symbol and is left out."""
+    parts = {n: [] for n in a.alphabet.symbols}
+    words = a._key
+    for w in words[1:] if words and not words[0] else words:
+        parts[w[0]].append(w[1:])
+    return parts
+
+
 def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:
-    """Split a prefix-free set by first symbol.
+    """Split a prefix-free set by first symbol, in one pass (:func:`_split`).
 
     Returns the set of symbols that are themselves (one-letter) members, and
     for every other symbol ``n`` its derivative ``{u | n u in p}``.  The
@@ -436,6 +448,7 @@ def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:
     the symbol-prefixed derivative parts.
     """
     require_prefix_free(p)
-    heads = frozenset(n for n in p.alphabet if (n,) in p._members)
-    parts = {n: derivative_set(n, p) for n in p.alphabet if n not in heads}
-    return heads, parts
+    parts = _split(p)
+    heads = frozenset(n for n, tails in parts.items() if tails and not tails[0])
+    return heads, {n: FiniteWordSet._of(p.alphabet, tuple(tails))
+                   for n, tails in parts.items() if n not in heads}

@@ -25,9 +25,10 @@ from operator import itemgetter
 from pathlib import Path
 
 from vigil.bisim import _minimal_rows
-from vigil.detector import FiniteDetector
+from vigil.detector import FiniteDetector, final_step
 from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
+from vigil.sequences import _sort_keys, require_prefix_free
 from vigil.speclang import MAX_NESTING, MAX_PATTERN_SIZE, _MAX_DEPTH, _children
 from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, SpecError, Star
 from vigil.speclang import compile as compile_spec
@@ -425,6 +426,48 @@ def tuple_closure(alphabet: Alphabet, members: frozenset) -> set[frozenset]:
                 seen.add(step)
                 todo.append(step)
     return seen
+
+
+def reference_family_steps(members: list) -> tuple[list, dict, tuple | None]:
+    """Reference for the closure walk of ``vigil.families``, one step at a
+    time: every member checked in full, in the order given, the distinct
+    members taken in the order of their words, each step by
+    :func:`~vigil.detector.final_step`.  Returns the distinct members by
+    size and then words, the step table, and the first step that leaves the
+    family, or None."""
+    alphabet = members[0].alphabet
+    family: dict = {}
+    for p in members:
+        if p.alphabet != alphabet:
+            raise ValueError("family members must share one alphabet")
+        require_prefix_free(p)
+        family.setdefault(p, p)
+    order = {p: _sort_keys(alphabet, p._key) for p in family}
+    table: dict = {}
+    for p in sorted(family, key=order.__getitem__):
+        for n in alphabet.symbols:
+            d = final_step(p, n)
+            table[p, n] = d if d is FAULT else family.get(d)
+            if table[p, n] is None:
+                return [], {}, (p, n)
+    return sorted(family, key=lambda p: (len(p), order[p])), table, None
+
+
+def reference_check_universal_family(members: list):
+    witness = reference_family_steps(members)[2] if members else None
+    return witness is None, witness
+
+
+def reference_universal_detector_for(members: list):
+    if not members:
+        raise ValueError("a universal detector needs at least one member language")
+    states, table, witness = reference_family_steps(members)
+    if witness is not None:
+        p, n = witness
+        raise ValueError(
+            f"family is not derivative-closed: derivative of {p!r} by {n!r} is missing"
+        )
+    return FiniteDetector(members[0].alphabet, states, table), {p: p for p in states}
 
 
 def regex_matches(node, symbols: tuple) -> bool:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -54,6 +55,8 @@ from support import (
     random_machine,
     random_prefix_free,
     random_word,
+    reference_check_universal_family,
+    reference_universal_detector_for,
     scan_enumerated_step,
     tuple_closure,
     tuple_final_step,
@@ -674,6 +677,107 @@ class TestUniversalFamily:
                         break
                 ok, witness = check_universal_family(members[:drop] + members[drop + 1:])
                 assert (ok, witness and (tuple_set(witness[0]), witness[1])) == want
+
+    @staticmethod
+    def same_outcome(call, reference, members) -> str:
+        """Run both on ``members``: the same error (type, message, witness
+        pair), or the same result, witness member and states by identity;
+        returns the kind of outcome."""
+        def outcome(f):
+            try:
+                return f(list(members))
+            except ValueError as error:
+                return error
+
+        got, want = outcome(call), outcome(reference)
+        if isinstance(want, ValueError):
+            assert type(got) is type(want) and str(got) == str(want)
+            if isinstance(want, PrefixFreeViolation):
+                assert (got.shorter, got.longer) == (want.shorter, want.longer)
+            return type(want).__name__
+        if call is check_universal_family:
+            (ok, witness), (want_ok, want_witness) = got, want
+            assert ok == want_ok and (witness is None) == (want_witness is None)
+            if witness is not None:
+                assert witness[0] is want_witness[0] and witness[1] == want_witness[1]
+            return "closed" if ok else "open"
+        (det, mapping), (want_det, want_mapping) = got, want
+        assert len(det.states) == len(want_det.states)
+        assert all(x is y for x, y in zip(det.states, want_det.states))
+        assert det.step_table == want_det.step_table and mapping == want_mapping
+        return "detector"
+
+    def test_agrees_with_the_reference_walk_on_seeded_families(self):
+        """Derivative closures of random sets, prefix-free or not: shuffled,
+        with duplicates that are equal but distinct objects, with a member
+        dropped, with a member that holds the empty word, and with a member
+        over another alphabet after them."""
+        rng = random.Random(3313)
+        other = Alphabet(["x", "y"])
+        seen = Counter()
+        for round_ in range(150):
+            al = Alphabet(rng.sample(["c", "a", "b"], rng.randint(2, 3)))
+            if round_ % 3:
+                root = tuple_set(random_prefix_free(rng, al, 4))
+            else:  # any set of nonempty words: its closure may hold a prefix pair
+                root = tuple_set(random_word(rng, al, rng.randint(1, 4)) for _ in range(5))
+            closure = list(tuple_closure(al, root))
+            rng.shuffle(closure)
+            members = [word_set(al, m) for m in closure]
+            families = [members, members + [word_set(al, m) for m in closure[:2]]]
+            families += [members[:k] + members[k + 1:] for k in rng.sample(
+                range(len(members)), min(3, len(members)))]
+            empty = word_set(al, rng.choice(closure) | {()})
+            families.append(members[:1] + [empty] + members[1:])
+            families += [f[:k] + [FiniteWordSet(other)] + f[k:] for f in families[-2:]
+                         for k in {0, rng.randint(0, len(f))}]
+            for family in families:
+                seen[self.same_outcome(check_universal_family,
+                                       reference_check_universal_family, family)] += 1
+                self.same_outcome(universal_detector_for, reference_universal_detector_for, family)
+        assert min(seen[kind] for kind in ("closed", "open", "PrefixFreeViolation",
+                                           "EpsilonViolation", "ValueError")) >= 50, seen
+
+    def test_a_closed_family_may_hold_a_member_that_is_not_prefix_free(self, ab):
+        """``{a, a b}`` steps to FAULT by ``a`` and to ``{}`` by ``b``, so the
+        family is closed, yet its walk must still find the prefix pair."""
+        family = [FiniteWordSet.from_texts(ab, ["a", "a b"]), FiniteWordSet(ab)]
+        for call in (check_universal_family, universal_detector_for):
+            with pytest.raises(PrefixFreeViolation) as raised:
+                call(family)
+            assert (raised.value.shorter, raised.value.longer) == (ab.word("a"), ab.word("a b"))
+
+    def test_an_invalid_member_is_raised_before_a_later_alphabet_mismatch(self, ab):
+        bad, good = FiniteWordSet.from_texts(ab, ["b", "b a"]), FiniteWordSet(ab)
+        for call in (check_universal_family, universal_detector_for):
+            with pytest.raises(PrefixFreeViolation):
+                call([good, bad, FiniteWordSet(Alphabet(["x", "y"]))])
+            with pytest.raises(ValueError, match="^family members must share one alphabet$"):
+                call([good, FiniteWordSet(Alphabet(["x", "y"])), bad])
+
+    def test_a_closed_family_is_walked_without_sorting_or_full_checks(self, monkeypatch):
+        """On the closure of a 60-word set, the closure check neither sorts
+        nor runs the full prefix-freeness check, and the universal detector
+        computes each member's sort key at most once."""
+        rng = random.Random(3319)
+        al = Alphabet(["c", "a", "b"])
+        words: set = set()
+        while len(words) < 60:
+            w = tuple(rng.choices(al.symbols, k=rng.randint(3, 7)))
+            if not any(w[:len(v)] == v or v[:len(w)] == w for v in words):
+                words.add(w)
+        closure = [word_set(al, m) for m in tuple_closure(al, frozenset(words))]
+        calls = Counter()
+        for name in ("require_prefix_free", "_sort_keys"):
+            def counted(*args, _real=getattr(vigil.families, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(vigil.families, name, counted)
+        assert check_universal_family(closure) == (True, None)
+        assert calls == Counter()
+        det, _ = universal_detector_for(closure)
+        assert len(det.states) == len(closure)
+        assert calls["require_prefix_free"] == 0 and calls["_sort_keys"] <= len(closure)
 
 
 def test_every_step_rejects_a_foreign_symbol_with_one_message(ab):
