@@ -474,11 +474,9 @@ def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, Finite
     to step as by :func:`final_step`.  State 0's language is exactly ``p``.
     """
     require_prefix_free(p)
-    alphabet = p.alphabet
-    order, rows = reachable(p, lambda q: [
-        FAULT if tails and not tails[0] else FiniteWordSet._of(alphabet, tuple(tails))
-        for tails in _split(q).values()])
-    return _from_rows(alphabet, order, rows), p
+    order, rows = reachable(p, lambda q: [FAULT if tails is None else FiniteWordSet._of(
+        p.alphabet, tails) for tails in _split(q).values()])
+    return _from_rows(p.alphabet, order, rows), p
 
 
 def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:

@@ -213,7 +213,7 @@ class Enumerator:
         self.alphabet = alphabet
         self._source = iter(words)
         self._cache: list[Word] = []
-        self._first: dict[tuple, int] = {}  # symbols -> the index of their first draw
+        self._first: dict[int, dict[tuple, int]] = {}  # length -> symbols -> first index
         self.finished = False
 
     @property
@@ -230,20 +230,21 @@ class Enumerator:
         """The length of the first item that is ``word`` or a nonempty prefix
         of it, looked up among the drawn items, else sought by the one draw
         loop among up to ``budget`` fresh ones; None if there is none."""
-        prefixes = {word[:m] for m in range(1, len(word) + 1)}
-        first = self._first
-        hits = [(first[u], len(u)) for u in prefixes if u in first]
+        hits = [(k, m) for m, first in self._first.items()
+                if 0 < m <= len(word) and (k := first.get(word[:m])) is not None]
         if hits or self.finished:
             return min(hits, default=(None, None))[1]
-        cache, alphabet, start = self._cache, self.alphabet, len(self._cache)
+        cache, first, alphabet, start = self._cache, self._first, self.alphabet, len(self._cache)
         for item in islice(self._source, budget):
             if not isinstance(item, Word) or (
                     item.alphabet is not alphabet and item.alphabet != alphabet):
                 raise ValueError(f"enumerator produced a malformed word: {item!r}")
             symbols = item.symbols
-            first.setdefault(symbols, len(cache))
+            if (by_symbols := first.get(len(symbols))) is None:
+                by_symbols = first[len(symbols)] = {}
+            by_symbols.setdefault(symbols, len(cache))
             cache.append(item)
-            if symbols in prefixes:
+            if symbols and word[:len(symbols)] == symbols:
                 return len(symbols)
         self.finished = len(cache) - start < budget
         return None
@@ -340,7 +341,8 @@ def _family_steps(members: list) -> tuple[list, list, tuple | None]:
     off the family, by the member's words, then by the alphabet, or None.
 
     Each member is split once (:func:`~vigil.sequences._split`) and checked
-    to hold no empty word and no one-letter word that a longer one extends.
+    to hold no empty word and no one-letter word that a longer one extends,
+    so that its split counts each of its words once.
     Then a closed family is prefix-free, by induction on the longest word:
     a pair ``u``, ``uv`` with ``|u| >= 2`` in ``p`` is one in the derivative
     of ``p`` by ``u[0]``, a member.  Otherwise the members are checked in
@@ -358,11 +360,9 @@ def _family_steps(members: list) -> tuple[list, list, tuple | None]:
             distinct.append(p)
     rows, local = [], True
     for p in distinct:
-        parts = _split(p).values()
-        local = local and () not in p._members and all(
-            len(tails) == 1 for tails in parts if tails and not tails[0])
-        rows.append([-1 if tails and not tails[0] else number.get(frozenset(tails))
-                     for tails in parts])
+        steps = _split(p).values()
+        local = local and len(p) == sum(1 if tails is None else len(tails) for tails in steps)
+        rows.append([-1 if tails is None else number.get(frozenset(tails)) for tails in steps])
     missing = [i for i, row in enumerate(rows) if None in row]
     if missing or not local:
         for p in members:

@@ -428,15 +428,16 @@ def require_prefix_free(a: FiniteWordSet) -> None:
 
 
 def _split(a: FiniteWordSet) -> dict:
-    """The first-symbol split of ``a``, read in one pass over its words: each
-    symbol, in alphabet order, gets the tails of the words that start with
-    it, in word order, so a one-letter member leaves the empty tail first.
-    The empty word starts with no symbol and is left out."""
+    """The first-symbol split of ``a`` in one pass: each symbol, in alphabet
+    order, steps to None if it is a one-letter member (in word order, before
+    its extensions), else to the tails of the words it starts, in word order.
+    So the steps count each word once, but for the empty word and any word
+    that extends a one-letter member."""
     parts = {n: [] for n in a.alphabet.symbols}
     words = a._key
     for w in words[1:] if words and not words[0] else words:
         parts[w[0]].append(w[1:])
-    return parts
+    return {n: None if tails and not tails[0] else tuple(tails) for n, tails in parts.items()}
 
 
 def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:
@@ -448,7 +449,7 @@ def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:
     the symbol-prefixed derivative parts.
     """
     require_prefix_free(p)
-    parts = _split(p)
-    heads = frozenset(n for n, tails in parts.items() if tails and not tails[0])
-    return heads, {n: FiniteWordSet._of(p.alphabet, tuple(tails))
-                   for n, tails in parts.items() if n not in heads}
+    steps = _split(p)
+    heads = frozenset(n for n, tails in steps.items() if tails is None)
+    return heads, {n: FiniteWordSet._of(p.alphabet, tails)
+                   for n, tails in steps.items() if tails is not None}

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -366,6 +367,17 @@ class TestReDetector:
         e = Enumerator(ab, iter([other.word("x")]))
         with pytest.raises(ValueError, match="malformed"):
             re_detector(e, 5).step("a")
+
+    def test_long_feed_past_a_finished_enumeration_is_linear(self, ab):
+        """Each step looks up the consumed word's prefixes only at the
+        lengths drawn, so 1,500 symbols fed past a finished enumeration of
+        short words take well under 2 s."""
+        handle = re_detector(Enumerator(ab, iter([ab.word("a a"), ab.word("a b a")])), 8)
+        start = time.perf_counter()
+        for _ in range(1500):
+            handle = handle.step("b")
+            assert handle is not FAULT and handle is not UNKNOWN
+        assert time.perf_counter() - start < 2
 
     def test_generous_budget_agrees_with_trie(self):
         rng = random.Random(103)
