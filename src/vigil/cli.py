@@ -113,21 +113,23 @@ _COMMENT = re.compile(r"#[^\n]*")
 def _trace_blocks(source, longest: int, spool=None):
     """The tokens of ``source``, one list per read; each read is copied to
     ``spool`` first when one is given.  Every read is tokenized alike:
-    '#' comments to end of line are cut out, the rest split at whitespace.
-    A read hands one carry to the next: its unfinished last token, or '#'
-    while a comment is still open.  An unfinished token longer than
-    ``longest`` ends the blocks, cut where the read ended."""
+    '#' comments to end of line are cut out (on a read that holds a '#'),
+    the rest split at whitespace.  A read hands one carry to the next: its
+    unfinished last token, or '#' while a comment is still open.  An
+    unfinished token longer than ``longest`` ends the blocks, cut where the
+    read ended."""
     carry = ""
     while True:
         text = source.read(max(TRACE_BLOCK, len(carry)))
         if spool is not None:
             spool.write(text)
         whole = carry + text
-        tokens = _COMMENT.sub("", whole).split()
+        hashed = "#" in whole
+        tokens = (_COMMENT.sub("", whole) if hashed else whole).split()
         if not text:
             yield tokens
             return
-        if whole.rfind("#") > whole.rfind("\n"):
+        if hashed and whole.rfind("#") > whole.rfind("\n"):
             carry = "#"
         elif whole[-1].isspace():
             carry = ""

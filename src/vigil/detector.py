@@ -36,6 +36,7 @@ from .sequences import (
     EpsilonViolation,
     FiniteWordSet,
     Word,
+    _counts_each_word,
     _require_same_alphabet,
     _split,
     derivative_set,
@@ -472,11 +473,26 @@ def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, Finite
     States are the distinct iterated derivatives of ``p`` (the empty set
     acts as the safe sink), each split once (:func:`~vigil.sequences._split`)
     to step as by :func:`final_step`.  State 0's language is exactly ``p``.
+
+    The walk proves ``p`` valid as it goes: each state's split is checked
+    to count each of its words once (no empty word, no one-letter word that
+    a longer one extends), and the states are closed under their steps, so
+    if every state passes, ``p`` is prefix-free by induction on the longest
+    word.  Only when one fails does :func:`~vigil.sequences.require_prefix_free`
+    read ``p`` whole, to raise its witness.
     """
-    require_prefix_free(p)
-    order, rows = reachable(p, lambda q: [FAULT if tails is None else FiniteWordSet._of(
-        p.alphabet, tails) for tails in _split(q).values()])
-    return _from_rows(p.alphabet, order, rows), p
+    alphabet, local = p.alphabet, True
+
+    def expand(q: FiniteWordSet) -> list:
+        nonlocal local
+        steps = list(_split(q).values())
+        local = local and _counts_each_word(q, steps)
+        return [FAULT if tails is None else FiniteWordSet._of(alphabet, tails) for tails in steps]
+
+    order, rows = reachable(p, expand)
+    if not local:
+        require_prefix_free(p)
+    return _from_rows(alphabet, order, rows), p
 
 
 def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:

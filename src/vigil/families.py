@@ -19,6 +19,7 @@ whose states range over exactly that family.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from functools import reduce
 from itertools import islice
@@ -37,10 +38,12 @@ from .sequences import (
     FiniteWordSet,
     PrefixFreeViolation,
     Word,
+    _counts_each_word,
     _require_same_alphabet,
     _sort_keys,
     _split,
     _word,
+    is_prefix_free,
     is_token,
     require_prefix_free,
 )
@@ -229,23 +232,29 @@ class Enumerator:
     def _first_hit(self, word: tuple, budget: int) -> int | None:
         """The length of the first item that is ``word`` or a nonempty prefix
         of it, looked up among the drawn items, else sought by the one draw
-        loop among up to ``budget`` fresh ones; None if there is none."""
+        loop among up to ``budget`` fresh ones; None if there is none.
+
+        The draw loop numbers the items as it reads them, accepts an exact
+        :class:`Word` before it asks ``isinstance``, and compares an item with
+        the head of ``word`` only when the item is no longer than ``word``."""
+        size = len(word)
         hits = [(k, m) for m, first in self._first.items()
-                if 0 < m <= len(word) and (k := first.get(word[:m])) is not None]
+                if 0 < m <= size and (k := first.get(word[:m])) is not None]
         if hits or self.finished:
             return min(hits, default=(None, None))[1]
         cache, first, alphabet, start = self._cache, self._first, self.alphabet, len(self._cache)
-        for item in islice(self._source, budget):
-            if not isinstance(item, Word) or (
+        for k, item in enumerate(islice(self._source, budget), start):
+            if item.__class__ is not Word and not isinstance(item, Word) or (
                     item.alphabet is not alphabet and item.alphabet != alphabet):
                 raise ValueError(f"enumerator produced a malformed word: {item!r}")
             symbols = item.symbols
-            if (by_symbols := first.get(len(symbols))) is None:
-                by_symbols = first[len(symbols)] = {}
-            by_symbols.setdefault(symbols, len(cache))
+            m = len(symbols)
+            if (by_symbols := first.get(m)) is None:
+                by_symbols = first[m] = {}
+            by_symbols.setdefault(symbols, k)
             cache.append(item)
-            if symbols and word[:len(symbols)] == symbols:
-                return len(symbols)
+            if 0 < m <= size and word[:m] == symbols:
+                return m
         self.finished = len(cache) - start < budget
         return None
 
@@ -313,8 +322,10 @@ def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, 
     one-letter membership.
 
     The states are the distinct members ordered by size and then by their
-    words.  Returns the detector and the map from each member language to
-    the state realizing it.
+    words (:func:`_in_word_order`: by their first words, read together, and
+    by all their words only where size and first word tie).  Returns the
+    detector and the map from each member language to the state realizing
+    it.
     """
     members = list(c)
     if not members:
@@ -326,12 +337,24 @@ def universal_detector_for(c: Iterable[FiniteWordSet]) -> tuple[FiniteDetector, 
             f"family is not derivative-closed: derivative of {p!r} by {n!r} is missing"
         )
     alphabet = members[0].alphabet
-    order = sorted(range(len(distinct)), key=lambda i: (
-        len(distinct[i]), _sort_keys(alphabet, distinct[i]._key)))
+    order = _in_word_order(alphabet, distinct, sized=True)
     rank = {i: r for r, i in enumerate(order)}
     states = [distinct[i] for i in order]
     rows = [[t if t < 0 else rank[t] for t in rows[i]] for i in order]
     return _from_rows(alphabet, states, rows), {p: p for p in states}
+
+
+def _in_word_order(alphabet: Alphabet, sets: list, sized: bool = False) -> list:
+    """The places of ``sets`` in the order of their words, by size first
+    when ``sized``.  Sets are keyed by their first word, the keys of all
+    first words built in one :func:`~vigil.sequences._sort_keys` call, and
+    by all their words only where that ties: the first words decide the
+    order of two sets unless they are the same."""
+    firsts = _sort_keys(alphabet, [p._key[0] if p._key else () for p in sets])
+    firsts = [(len(p) if sized else bool(p._key), k) for p, k in zip(sets, firsts)]
+    ties = Counter(firsts)
+    whole = {i: _sort_keys(alphabet, p._key) for i, p in enumerate(sets) if ties[firsts[i]] > 1}
+    return sorted(range(len(sets)), key=lambda i: (firsts[i], whole.get(i, ())))
 
 
 def _family_steps(members: list) -> tuple[list, list, tuple | None]:
@@ -341,12 +364,18 @@ def _family_steps(members: list) -> tuple[list, list, tuple | None]:
     off the family, by the member's words, then by the alphabet, or None.
 
     Each member is split once (:func:`~vigil.sequences._split`) and checked
-    to hold no empty word and no one-letter word that a longer one extends,
-    so that its split counts each of its words once.
-    Then a closed family is prefix-free, by induction on the longest word:
-    a pair ``u``, ``uv`` with ``|u| >= 2`` in ``p`` is one in the derivative
-    of ``p`` by ``u[0]``, a member.  Otherwise the members are checked in
-    full, in order, as are those before a member over another alphabet.
+    locally: it holds no empty word and no one-letter word that a longer one
+    extends, so that its split counts each of its words once.  Such a member
+    is prefix-free exactly when each of its steps is: a pair ``u``, ``uv``
+    with ``|u| >= 2`` in ``p`` is one in the tails of ``u[0]``.  So a closed
+    family whose members all pass is valid, by induction on the longest
+    word.  Otherwise validity is decided by that induction, members taken
+    by increasing longest word: a member is valid when it passes its local
+    check and each step faults, lands on a valid member, or leaves the
+    family with tails that pass :func:`~vigil.sequences.is_prefix_free`.
+    Then the members found invalid, and only they, are checked in full, in
+    the order given, so that the first of them raises its own witness; so
+    are the members before one over another alphabet.
     """
     alphabet = members[0].alphabet
     number: dict = {}  # a member's words -> the number of its first occurrence
@@ -358,18 +387,28 @@ def _family_steps(members: list) -> tuple[list, list, tuple | None]:
             raise ValueError("family members must share one alphabet")
         if number.setdefault(p._members, len(distinct)) == len(distinct):
             distinct.append(p)
-    rows, local = [], True
+    rows, splits, local = [], [], []
     for p in distinct:
-        steps = _split(p).values()
-        local = local and len(p) == sum(1 if tails is None else len(tails) for tails in steps)
+        steps = list(_split(p).values())
+        splits.append(steps)
+        local.append(_counts_each_word(p, steps))
         rows.append([-1 if tails is None else number.get(frozenset(tails)) for tails in steps])
     missing = [i for i, row in enumerate(rows) if None in row]
-    if missing or not local:
+    if missing or not all(local):
+        longest = [len(p._key[-1]) if p._key else 0 for p in distinct]
+        valid = [False] * len(distinct)
+        for i in sorted(range(len(distinct)), key=longest.__getitem__):
+            # the empty set, valid, steps to itself
+            valid[i] = not distinct[i]._key or local[i] and all(
+                t == -1 or (valid[t] if t is not None else
+                            is_prefix_free(FiniteWordSet._of(alphabet, tails)))
+                for t, tails in zip(rows[i], splits[i]))
         for p in members:
-            require_prefix_free(p)
+            if not valid[number[p._members]]:
+                require_prefix_free(p)
     if not missing:
         return distinct, rows, None
-    i = min(missing, key=lambda i: _sort_keys(alphabet, distinct[i]._key))
+    i = missing[_in_word_order(alphabet, [distinct[i] for i in missing])[0]]
     return distinct, rows, (distinct[i], alphabet.symbols[rows[i].index(None)])
 
 

@@ -363,7 +363,7 @@ def slice_from(s, m: int):
     if m < 0:
         raise ValueError("slice offset must be nonnegative")
     if isinstance(s, Word):
-        return Word(s.alphabet, s.symbols[m:])
+        return _word(s.alphabet, s.symbols[m:])
     if isinstance(s, LassoStream):  # a suffix of a canonical lasso is canonical as it stands
         pre, per = s.prefix.symbols, s.period.symbols
         r = max(0, m - len(pre)) % len(per)
@@ -377,15 +377,26 @@ def slice_from(s, m: int):
 def slice_range(s, m: int, l: int) -> Word:
     """The word of positions ``m`` up to (excluding) ``l``, truncated to
     wherever ``s`` is defined.  ``slice_range(s, 0, m)`` is the length-m
-    prefix of a stream."""
+    prefix of a stream.
+
+    On a lasso the slice reads the period from its place at position
+    ``m``, taken modulo the period's length, so it costs time and memory in
+    ``l - m`` alone, however far out ``m`` lies."""
     if m < 0 or l < 0:
         raise ValueError("slice bounds must be nonnegative")
+    l = max(m, l)
     if isinstance(s, Word):
-        return Word(s.alphabet, s.symbols[m:max(m, l)])
+        return _word(s.alphabet, s.symbols[m:l])
     if isinstance(s, LassoStream):
         pre, per = s.prefix.symbols, s.period.symbols
-        turns = max(0, -((len(pre) - l) // len(per)))  # periods enough to reach position l
-        return Word(s.alphabet, (pre + per * turns)[m:max(m, l)])
+        start = max(m, len(pre))
+        body = pre[m:l]
+        if l > start:  # the rest lies in the period, from its place r on
+            r = (start - len(pre)) % len(per)
+            head = per[r:r + l - start]
+            rest = l - start - len(head)
+            body += head + per * (rest // len(per)) + per[:rest % len(per)]
+        return _word(s.alphabet, body)
     raise TypeError(f"cannot slice {type(s).__name__}")
 
 
@@ -438,6 +449,13 @@ def _split(a: FiniteWordSet) -> dict:
     for w in words[1:] if words and not words[0] else words:
         parts[w[0]].append(w[1:])
     return {n: None if tails and not tails[0] else tuple(tails) for n, tails in parts.items()}
+
+
+def _counts_each_word(a: FiniteWordSet, steps) -> bool:
+    """Whether ``steps``, the :func:`_split` of ``a``, count each of its words
+    once: ``a`` holds no empty word and no one-letter word that a longer one
+    extends.  Such a set is prefix-free exactly when each of its steps is."""
+    return len(a._key) == sum([1 if tails is None else len(tails) for tails in steps])
 
 
 def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:

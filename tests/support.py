@@ -9,9 +9,10 @@ frozensets, bisimilarity as identical canonical quotients, spec
 equivalence as identical canonical tables, fault distances as a search
 forward from each state, the pattern size guard as a depth walk plus a
 memoized recursive size, Moore's refinement started
-from the classes alone, and the spec parser over (kind, value, offset)
-tokens.  ``cold_start`` runs code in a fresh interpreter and reports the
-modules it loaded.
+from the classes alone, the spec parser over (kind, value, offset)
+tokens, and a lasso slice as a slice of the unrolled stream.
+``cold_start`` runs code in a fresh interpreter and reports the modules
+it loaded.
 """
 
 from __future__ import annotations
@@ -130,6 +131,17 @@ def oracle_fault_distances(rows: list) -> list:
 
 def lasso_symbols(s: LassoStream, count: int) -> tuple[str, ...]:
     return tuple(s.at(k) for k in range(count))
+
+
+def reference_slice_range(s, m: int, l: int) -> Word:
+    """The slice of positions ``m`` up to ``l`` as the library once built it:
+    a word sliced directly, a lasso unrolled from its start for periods
+    enough to reach ``l`` and then sliced."""
+    if isinstance(s, Word):
+        return Word(s.alphabet, s.symbols[m:max(m, l)])
+    pre, per = s.prefix.symbols, s.period.symbols
+    turns = max(0, -((len(pre) - l) // len(per)))
+    return Word(s.alphabet, (pre + per * turns)[m:max(m, l)])
 
 
 def prefix_free_tuples(alphabet: Alphabet, max_len: int):

@@ -39,6 +39,7 @@ from vigil.sequences import (
     Word,
     derivative_set,
     is_prefix_free,
+    require_prefix_free,
 )
 from vigil.speclang import ConstraintSpec, Lit, Seq, pattern_dfa, prefix_free_kernel
 from vigil.speclang import compile as compile_spec
@@ -54,8 +55,10 @@ from support import (
     oracle_minimal_words,
     random_ast,
     random_detector,
+    random_prefix_free,
     random_word,
     regex_matches,
+    word_set,
     unpruned_violation_words,
 )
 
@@ -799,6 +802,54 @@ class TestDetectorFromExplicitSet:
             detector_from_explicit_set(FiniteWordSet.from_texts(ab, ["a", "a b"]))
         with pytest.raises(EpsilonViolation):
             detector_from_explicit_set(FiniteWordSet.from_texts(ab, [""]))
+
+    def test_a_prefix_free_set_is_proved_by_its_walk(self, monkeypatch):
+        """On seeded prefix-free sets, from the empty set to a few hundred
+        words, the local checks of the walk prove the set valid, so the full
+        prefix-freeness check is never called."""
+        calls = []
+        monkeypatch.setattr("vigil.detector.require_prefix_free", calls.append)
+        rng = random.Random(71)
+        sizes = set()
+        for _ in range(80):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            p = random_prefix_free(rng, al, rng.randint(1, 9), tries=rng.choice([0, 5, 40, 400]))
+            det, init = detector_from_explicit_set(p)
+            assert init is p and det.states[0] is p
+            sizes.add(min(len(p), 50) // 25)
+        assert calls == [] and sizes == {0, 1, 2}
+
+    def test_an_invalid_set_raises_what_the_full_check_raises(self):
+        """On seeded sets that hold the empty word or a prefix pair, at the
+        top or deep inside, the error is the one ``require_prefix_free``
+        raises: its type, message and witness pair."""
+        def outcome(call, p):
+            try:
+                call(p)
+            except ValueError as error:
+                return error
+            return None
+
+        rng = random.Random(73)
+        seen = {"PrefixFreeViolation": 0, "EpsilonViolation": 0}
+        for _ in range(400):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            words = {random_word(rng, al, rng.randint(1, 6)).symbols
+                     for _ in range(rng.randint(1, 12))}
+            if rng.random() < 0.15:
+                words.add(())
+            w = rng.choice(sorted(words))
+            words.add(w[:rng.randint(0, len(w))] if rng.random() < 0.5 else w + ("a",))
+            p = word_set(al, words)
+            want = outcome(require_prefix_free, p)
+            if want is None:
+                continue
+            got = outcome(detector_from_explicit_set, p)
+            assert type(got) is type(want) and str(got) == str(want)
+            if isinstance(want, PrefixFreeViolation):
+                assert (got.shorter, got.longer) == (want.shorter, want.longer)
+            seen[type(want).__name__] += 1
+        assert min(seen.values()) >= 50, seen
 
     def test_stepping_commutes_with_language_step(self):
         """Each trie transition is exactly the language-level step of the

@@ -466,6 +466,42 @@ class TestReDetector:
                 consumed, handle = want, got
         assert min(seen.values()) >= 50, seen
 
+    def test_items_of_a_word_subclass_draw_as_the_scan(self):
+        """The draw loop accepts a plain :class:`Word` before it asks
+        ``isinstance``; items of a subclass of Word, mixed with plain ones,
+        give the scan's verdicts, UNKNOWN included, and items drawn, and
+        ``word_at`` hands back the item drawn."""
+
+        class Tagged(Word):
+            __slots__ = ()
+
+        rng = random.Random(137)
+        seen = {"fault": 0, "unknown": 0, "survive": 0}
+        for _ in range(150):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            pool = [random_word(rng, al, rng.randint(0, 4)) for _ in range(rng.randint(1, 12))]
+            pool += [Tagged(al, w.symbols) for w in pool]
+            items = [rng.choice(pool) for _ in range(rng.randint(0, 60))]
+            budget = rng.randint(1, 8)
+            ref_e, new_e = Enumerator(al, iter(items)), Enumerator(al, iter(items))
+            consumed, handle = (), re_detector(new_e, budget)
+            for n in (rng.choice(al.symbols) for _ in range(rng.randint(1, 10))):
+                want = UNKNOWN
+                while want is UNKNOWN:
+                    want = scan_enumerated_step(ref_e, consumed, n, budget)
+                    got = handle.step(n)
+                    assert new_e.drawn == ref_e.drawn
+                    if want is UNKNOWN or want is FAULT:
+                        assert got is want
+                    else:
+                        assert got.language.consumed.symbols == want
+                    seen[{UNKNOWN: "unknown", FAULT: "fault"}.get(want, "survive")] += 1
+                if want is FAULT:
+                    break
+                consumed, handle = want, got
+            assert all(new_e.word_at(k) is items[k] for k in range(new_e.drawn))
+        assert min(seen.values()) >= 50, seen
+
     def test_scan_agrees_on_malformed_items_ended_sources_and_budget_edges(self):
         """Against the scan, on seeded random enumerations: a malformed item
         raises the same ValueError at the same ``drawn``, before it is
@@ -723,7 +759,10 @@ class TestUniversalFamily:
         """Derivative closures of random sets, prefix-free or not: shuffled,
         with duplicates that are equal but distinct objects, with a member
         dropped, with a member that holds the empty word, and with a member
-        over another alphabet after them."""
+        over another alphabet after them; and open families with the empty
+        set among them, with a member that is not prefix-free placed after
+        valid ones, and with one whose step leaves the family on a set that
+        is not prefix-free."""
         rng = random.Random(3313)
         other = Alphabet(["x", "y"])
         seen = Counter()
@@ -743,6 +782,20 @@ class TestUniversalFamily:
             families.append(members[:1] + [empty] + members[1:])
             families += [f[:k] + [FiniteWordSet(other)] + f[k:] for f in families[-2:]
                          for k in {0, rng.randint(0, len(f))}]
+            # open families, proved by induction: with the empty set as a
+            # member, with a member that is not prefix-free after valid ones,
+            # and with a member whose step leaves the family on a set that
+            # is not prefix-free although the member passes its local check
+            drop = rng.randrange(len(members))
+            open_ = members[:drop] + members[drop + 1:] + [FiniteWordSet(al)]
+            rng.shuffle(open_)
+            u = random_word(rng, al, rng.randint(1, 3)).symbols
+            v = random_word(rng, al, rng.randint(1, 2)).symbols
+            n = rng.choice(al.symbols)
+            pair, deep = word_set(al, [u, u + v]), word_set(al, [(n,) + u, (n,) + u + v])
+            late = rng.randint(1, len(open_))
+            families += [open_, open_[:late] + [pair] + open_[late:],
+                         open_[:late] + [deep] + open_[late:], members + [deep]]
             for family in families:
                 seen[self.same_outcome(check_universal_family,
                                        reference_check_universal_family, family)] += 1
@@ -790,6 +843,68 @@ class TestUniversalFamily:
         det, _ = universal_detector_for(closure)
         assert len(det.states) == len(closure)
         assert calls["require_prefix_free"] == 0 and calls["_sort_keys"] <= len(closure)
+
+    def test_an_open_family_is_proved_without_full_checks(self, monkeypatch):
+        """On the closure of a 60-word set with one member left out, in turn
+        each, the closure check proves every member valid by induction, so
+        it runs the full prefix-freeness check on none, and it builds sort
+        keys once for the first words of the members whose step is missing,
+        and once more for each of them at most."""
+        rng = random.Random(3329)
+        al = Alphabet(["c", "a", "b"])
+        words: set = set()
+        while len(words) < 60:
+            w = tuple(rng.choices(al.symbols, k=rng.randint(3, 7)))
+            if not any(w[:len(v)] == v or v[:len(w)] == w for v in words):
+                words.add(w)
+        closure = list(tuple_closure(al, frozenset(words)))
+        members = [word_set(al, m) for m in closure]
+        calls = Counter()
+        for name in ("require_prefix_free", "_sort_keys"):
+            def counted(*args, _real=getattr(vigil.families, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(vigil.families, name, counted)
+        for drop, left_out in enumerate(closure):
+            kept = closure[:drop] + closure[drop + 1:]
+            missing = sum(any(tuple_final_step(n, m) == left_out for n in al) for m in kept)
+            calls.clear()
+            ok, witness = check_universal_family(members[:drop] + members[drop + 1:])
+            assert ok == (missing == 0) and (witness is None) == ok
+            assert calls["require_prefix_free"] == 0
+            assert calls["_sort_keys"] <= (1 + missing if missing else 0), (calls, missing)
+
+    def test_members_that_tie_on_size_and_first_word(self):
+        """Sets ``H . (C + E_h)``, ``C`` of two-letter words: each head ``h``
+        steps to ``C + E_h``, of one size and with the same first word, so those
+        members tie until their later words.  The universal detector orders
+        them as the reference does, by size and then by all their words,
+        with the same steps, on shuffled families with duplicates."""
+        rng = random.Random(3331)
+        ties = 0
+        for _ in range(40):
+            al = Alphabet(rng.sample(["c", "a", "b"], 3))
+            heads = tuple_set(random_prefix_free(rng, al, 2))
+            common = {tuple(rng.choices(al.symbols, k=2)) for _ in range(rng.randint(1, 3))}
+            extra = rng.randint(1, 3)
+            root = set()
+            for h in heads:
+                kept: list = []
+                while len(kept) < extra:
+                    w = random_word(rng, al, rng.randint(3, 5)).symbols
+                    if not any(w[:len(v)] == v for v in common) and not any(
+                            w[:len(v)] == v or v[:len(w)] == w for v in kept):
+                        kept.append(w)
+                root |= {h + t for t in common | set(kept)}
+            closure = list(tuple_closure(al, frozenset(root)))
+            rng.shuffle(closure)
+            members = [word_set(al, m) for m in closure]
+            family = members + [word_set(al, m) for m in closure[:3]]
+            assert self.same_outcome(universal_detector_for, reference_universal_detector_for,
+                                     family) == "detector"
+            firsts = Counter((len(p), p._key[:1]) for p in members)
+            ties += sum(count - 1 for count in firsts.values())
+        assert ties >= 40, ties
 
 
 def test_every_step_rejects_a_foreign_symbol_with_one_message(ab):

@@ -39,6 +39,8 @@ from support import (
     prefix_free_tuples,
     random_lasso,
     random_prefix_free,
+    random_word,
+    reference_slice_range,
     tuple_derivative,
     tuple_final_step,
     tuple_prefix_pair,
@@ -249,6 +251,47 @@ class TestSlicing:
             got = slice_range(s, m, l)
             assert got.alphabet == al
             assert got.symbols == lasso_symbols(s, max(m, l))[m:]
+
+    def test_slice_range_agrees_with_the_unrolled_stream(self):
+        """On seeded words and lassos, with bounds inside the prefix, in the
+        first turn of the period and many turns past it, and with ``l``
+        before ``m``: the same word as slicing the stream unrolled from its
+        start, the way the library once built it."""
+        rng = random.Random(19)
+        kinds = set()
+        for _ in range(800):
+            al = Alphabet(["a", "b", "c"][: rng.randint(2, 3)])
+            if rng.random() < 0.2:
+                s = random_word(rng, al, rng.randint(0, 8))
+            else:
+                s = random_lasso(rng, al, max_prefix=6, max_period=7)
+            m = rng.choice([rng.randint(0, 8), rng.randint(0, 300)])
+            l = max(0, m + rng.randint(-4, 25))
+            got, want = slice_range(s, m, l), reference_slice_range(s, m, l)
+            assert type(got) is Word and got.alphabet is al
+            assert got.symbols == want.symbols, (s, m, l)
+            if isinstance(s, LassoStream):
+                kinds.add((m < len(s.prefix), l - m > len(s.period)))
+        assert len(kinds) == 4, kinds
+
+    def test_slice_range_far_out_costs_only_its_length(self):
+        """Three positions 10^7 symbols out, in a child whose address space
+        is capped at 128 MiB: the slice reads the period in place, where
+        unrolling the stream that far takes about 160 MB."""
+        code = "\n".join([
+            "import resource, time",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))",
+            "from vigil.sequences import Alphabet, slice_range",
+            "s = Alphabet(['a', 'b', 'c']).lasso('a b ; c a b b a c b')",
+            "start = time.perf_counter()",
+            "w = slice_range(s, 10**7, 10**7 + 3)",
+            "wall = time.perf_counter() - start",
+            "assert w.symbols == tuple(s.at(k) for k in range(10**7, 10**7 + 3)), w",
+            "assert wall < 0.1, wall"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=20)
+        assert done.returncode == 0, done.stderr[-2000:]
 
     def test_negative_position_is_rejected(self, ab):
         s = LassoStream(ab, ab.word("b b"), ab.word("a"))

@@ -111,6 +111,25 @@ class TestBlockEdges:
     """Every block size cuts lines, tokens, CRLF pairs, comments and UTF-8
     sequences in different places; none of them may change the answer."""
 
+    def test_blocks_tokenize_as_the_whole_text(self, monkeypatch):
+        """On seeded traces, with comments that blocks cut anywhere, and
+        with reads that hold no '#': the tokens of all blocks together are
+        those of cutting every comment out of the whole text and splitting
+        the rest at whitespace."""
+        rng = random.Random(4201)
+        pieces = ["a", "bb", "ccc", " ", "\n", "\t", "# x y\n", "#", "#\n", "## a", " # b\n"]
+        seen = {"with comments": 0, "without": 0}
+        for block in (1, 2, 5, 16):
+            monkeypatch.setattr(cli, "TRACE_BLOCK", block)
+            for _ in range(200):
+                text = "".join(rng.choices(pieces[:6] if rng.random() < 0.3 else pieces,
+                                           k=rng.randint(0, 40)))
+                blocks = cli._trace_blocks(io.StringIO(text), longest=len(text) + 1)
+                got = [token for tokens in blocks for token in tokens]
+                assert got == cli._COMMENT.sub("", text).split(), (block, text)
+                seen["with comments" if "#" in text else "without"] += 1
+        assert min(seen.values()) >= 100, seen
+
     @pytest.mark.parametrize("block", [1, 3, 7, cli.TRACE_BLOCK])
     def test_against_oracle(self, block, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TRACE_BLOCK", block)
