@@ -20,15 +20,16 @@ is then not walked past: whole (:func:`~vigil.systems.reachable`) for the
 anamorphism into the automaton, the derivative-closure detector of an
 explicit set, the spec and machine compilers and the one minimizer; on
 demand (:func:`~vigil.systems.unfolding`) for language equality and the
-truncated violation words.  A finite detector is unfolded from its start
-state's number, so no state is hashed after it is built; a monitor links
-its rows as it walks them (:func:`~vigil.systems.lazy_rows`).
+truncated violation words (:func:`~vigil.systems._violation_words`), a
+handle's over the words it has read.  A finite detector is unfolded from
+its start state's number, so no state is hashed after it is built, and no
+handle is; a monitor links its rows as it walks them
+(:func:`~vigil.systems.lazy_rows`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from itertools import islice
 
 from .bisim import _minimal_rows, bisimilar
 from .sequences import (
@@ -44,7 +45,7 @@ from .sequences import (
     require_prefix_free,
 )
 from .systems import (FAULT, UNKNOWN, _check_states, _fault_distances, _require_total_map,
-                      reachable, unfolding)
+                      _violation_words, reachable)
 
 
 class BudgetExhausted(RuntimeError):
@@ -296,75 +297,37 @@ def minimal_violation_words(a, x, depth: int) -> FiniteWordSet:
 
     Words are grown breadth first and never past a fault, so the result is
     the set of minimal faulting words of length <= depth and is prefix-free
-    at every depth.  A finite detector's words are read off the unfold of
-    ``x`` (:func:`_violation_words`).  For a :class:`DetectorHandle` pass
-    ``x=None``; a handle that answers :data:`UNKNOWN` makes the truncation
-    undecidable and raises :class:`BudgetExhausted` instead of returning a
-    wrong set.
+    at every depth.  They are read off the unfold of ``x``
+    (:func:`~vigil.systems._violation_words`).  For a :class:`DetectorHandle`
+    pass ``x=None``: its unfold's states are the words read so far, each
+    one's handle kept unhashed until it is stepped.  A handle that answers
+    :data:`UNKNOWN` makes the truncation undecidable and raises
+    :class:`BudgetExhausted` instead of returning a wrong set.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if isinstance(a, FiniteDetector):
-        words = _violation_words(a.require_state(x), a._successors, a.alphabet.symbols, depth)
-        return FiniteWordSet._of(a.alphabet, tuple(words))
-    if not isinstance(a, DetectorHandle):
+        initial, expand = a.require_state(x), a._successors
+    elif not isinstance(a, DetectorHandle):
         raise TypeError(f"expected a FiniteDetector or DetectorHandle, got {type(a).__name__}")
-    if x is not None:
+    elif x is not None:
         raise ValueError("handles carry their own state; pass x=None")
-    alphabet = a.alphabet
-    frontier = [(a, ())]
-    found = []
-    for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
-        if not frontier:
-            break
-        nxt = []
-        for handle, syms in frontier:
-            for n in alphabet:
-                target = handle.step(n)
-                if target is FAULT:
-                    found.append(syms + (n,))
-                elif target is UNKNOWN:
+    else:
+        alphabet, initial, handles = a.alphabet, (), {(): a}
+
+        def expand(word: tuple) -> list:
+            handle, row = handles.pop(word), []
+            for n in alphabet.symbols:
+                grown, target = word + (n,), handle.step(n)
+                if target is UNKNOWN:
                     raise BudgetExhausted(
-                        f"cannot decide the step on {Word(alphabet, syms + (n,)).text()!r}"
-                    )
-                elif left:
-                    nxt.append((target, syms + (n,)))
-        frontier = nxt
-    return FiniteWordSet._of(alphabet, tuple(found))  # found shortest first, each length in order
-
-
-def _violation_words(initial, expand, symbols, depth: int) -> list:
-    """The minimal faulting words of length <= depth from ``initial``, as
-    symbol tuples, shortest first and each length in alphabet order.  Its
-    unfold (:func:`~vigil.systems.unfolding`) is read a level at a time, up
-    to the states within ``depth - 1`` steps or a level that adds no state;
-    fault distances on that ball (:func:`~vigil.systems._fault_distances`)
-    are exact up to the depth left, and a breadth-first walk grows a word
-    only while its state can still fault within it, so it ends once no word can."""
-    order = [initial]
-    walk = unfolding(order, expand)
-    rows = []
-    for _ in range(depth):
-        known = len(order)  # the states up to the level whose rows are read next
-        rows += islice(walk, known - len(rows))
-        if len(order) == known:  # the level added no state: the unfold is whole
-            break
-    rows += [[]] * (len(order) - len(rows))  # states first reached at depth: not read
-    distance = _fault_distances(rows)
-    frontier = [(0, ())]
-    found = []
-    for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
-        if not frontier:
-            break
-        nxt = []
-        for q, word in frontier:
-            for n, t in zip(symbols, rows[q]):
-                if t < 0:
-                    found.append(word + (n,))
-                elif 0 < distance[t] <= left:  # 0: no word faults from t
-                    nxt.append((t, word + (n,)))
-        frontier = nxt
-    return found
+                        f"cannot decide the step on {Word(alphabet, grown).text()!r}")
+                if target is not FAULT:
+                    handles[grown] = target
+                row.append(target if target is FAULT else grown)
+            return row
+    words = _violation_words(initial, expand, a.alphabet.symbols, depth)
+    return FiniteWordSet._of(a.alphabet, tuple(words))
 
 
 def anamorphism_regular(a: FiniteDetector, x) -> RegularPrefixFreeSet:

@@ -27,8 +27,9 @@ as a position automaton (one state per literal occurrence, no ε-moves)
 and determinizes it in one walk that never goes past a first match: the
 subsets walked are the states of a detector for the pattern's *kernel* —
 the words that match without any earlier match on the way, i.e. the
-minimal bad prefixes.  A pattern matching the empty word is rejected: the
-empty observation cannot be a violation.
+minimal bad prefixes, which the one words walk of :mod:`vigil.systems`
+reads off that walk to a depth.  A pattern matching the empty word is
+rejected: the empty observation cannot be a violation.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import re
 from collections.abc import Iterator
 from operator import or_
 
-# detector and bisim are imported where they are used: `vigil monitor` compiles neither
+# detector and bisim are imported where used: `vigil monitor` and `vigil words` need neither
 from .sequences import Alphabet, EpsilonViolation, _Record, _require_same_alphabet
-from .systems import FAULT, lazy_rows, reachable, unfolding
+from .systems import FAULT, _violation_words, lazy_rows, reachable, unfolding
 
 
 class SpecError(ValueError):
@@ -480,10 +481,8 @@ class SpecGraph:
         return row_of(self.initial), fault
 
     def words(self, depth: int) -> list:
-        """The minimal violation words up to length ``depth``, as symbol tuples, read
-        off the subsets within ``depth - 1`` steps (:func:`~vigil.detector._violation_words`)."""
-        from .detector import _violation_words
-
+        """The minimal violation words up to length ``depth``, as symbol tuples, read off
+        the subsets within ``depth - 1`` steps (:func:`~vigil.systems._violation_words`)."""
         return _violation_words(self.initial, self.expand, self.alphabet.symbols, depth)
 
 

@@ -15,15 +15,18 @@ the pair walk of ``bisimilar`` and ``vigil equiv`` stops where it decides
 and ``vigil words`` reads no deeper than its depth; :func:`reachable`,
 whole), and fault distances, which the minimizer, ``vigil words`` and a
 machine's prefix witness read, off one walk back over those rows
-(:func:`_fault_distances`).  Only monitors read linked rows, built on first
-visit (:func:`lazy_rows`) from a finite detector's numbered rows or a spec's
-subset graph, one run at a time; a lasso is fed to that monitor a turn at a time.
+(:func:`_fault_distances`).  One words walk truncates every violation language
+(:func:`_violation_words`): a finite detector's, a spec's, a handle's.  Only
+monitors read linked rows, built on first visit (:func:`lazy_rows`) from a
+finite detector's numbered rows or a spec's subset graph, one run at a time;
+a lasso is fed to that monitor a turn at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from itertools import islice
 
 from .sequences import Alphabet, LassoStream, Word, _Record, _require_same_alphabet, slice_from
 
@@ -209,6 +212,40 @@ def _fault_distances(rows: list) -> list:
                 distance[q] = d
                 queue.append(q)
     return distance
+
+
+def _violation_words(initial, expand, symbols, depth: int) -> list:
+    """The minimal faulting words of length <= depth from ``initial``, as
+    symbol tuples, shortest first and each length in alphabet order.  Its
+    unfold (:func:`~vigil.systems.unfolding`) is read a level at a time, up
+    to the states within ``depth - 1`` steps or a level that adds no state;
+    fault distances on that ball (:func:`~vigil.systems._fault_distances`)
+    are exact up to the depth left, and a breadth-first walk grows a word
+    only while its state can still fault within it, so it ends once no word can."""
+    order = [initial]
+    walk = unfolding(order, expand)
+    rows = []
+    for _ in range(depth):
+        known = len(order)  # the states up to the level whose rows are read next
+        rows += islice(walk, known - len(rows))
+        if len(order) == known:  # the level added no state: the unfold is whole
+            break
+    rows += [[]] * (len(order) - len(rows))  # states first reached at depth: not read
+    distance = _fault_distances(rows)
+    frontier = [(0, ())]
+    found = []
+    for left in range(depth - 1, -1, -1):  # the symbols a grown word may still take
+        if not frontier:
+            break
+        nxt = []
+        for q, word in frontier:
+            for n, t in zip(symbols, rows[q]):
+                if t < 0:
+                    found.append(word + (n,))
+                elif 0 < distance[t] <= left:  # 0: no word faults from t
+                    nxt.append((t, word + (n,)))
+        frontier = nxt
+    return found
 
 
 class LazyRow(dict):

@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from vigil.bisim import _minimal_rows
-from vigil.detector import FiniteDetector, final_step
+from vigil.detector import BudgetExhausted, DetectorHandle, FiniteDetector, final_step
 from vigil.families import EilenbergMachine, Enumerator
 from vigil.sequences import Alphabet, EpsilonViolation, FiniteWordSet, LassoStream, Word
 from vigil.sequences import _sort_keys, require_prefix_free
@@ -80,6 +80,46 @@ def unpruned_violation_words(det: FiniteDetector, state, depth: int) -> list[tup
     first, then in alphabet order), every word of each length tried."""
     return [w.symbols for w in all_words(det.alphabet, depth, min_len=1)
             if oracle_first_fault(det, state, w.symbols) == len(w)]
+
+
+def reference_handle_words(handle, depth: int):
+    """A handle's minimal faulting words of length <= depth, grown breadth
+    first with no unfold: each surviving word of a length below ``depth``
+    is stepped on every symbol, in alphabet order, through its own handle.
+    The words as symbol tuples in that order, or the type and message of
+    what a step raised (:class:`BudgetExhausted` at the first
+    :data:`UNKNOWN`)."""
+    alphabet, frontier, found = handle.alphabet, [(handle, ())], []
+    try:
+        for left in range(depth - 1, -1, -1):
+            nxt = []
+            for h, word in frontier:
+                for n in alphabet.symbols:
+                    target = h.step(n)
+                    if target is UNKNOWN:
+                        raise BudgetExhausted(
+                            f"cannot decide the step on {Word(alphabet, word + (n,)).text()!r}")
+                    if target is FAULT:
+                        found.append(word + (n,))
+                    elif left:
+                        nxt.append((target, word + (n,)))
+            frontier = nxt
+    except Exception as exc:
+        return type(exc), str(exc)
+    return found
+
+
+class CountedHandle(DetectorHandle):
+    """A handle that steps as ``inner`` does and adds each step taken
+    through it or any handle it leads to into ``steps[0]``."""
+
+    def __init__(self, inner, steps: list):
+        self.inner, self.steps, self.alphabet = inner, steps, inner.alphabet
+
+    def step(self, symbol: str):
+        self.steps[0] += 1
+        target = self.inner.step(symbol)
+        return target if target is FAULT or target is UNKNOWN else CountedHandle(target, self.steps)
 
 
 def quotient_bisimilar(a: FiniteDetector, x, b: FiniteDetector, y) -> bool:

@@ -13,6 +13,7 @@ from vigil.detector import (
     FAULT,
     UNKNOWN,
     BudgetExhausted,
+    DetectorHandle,
     FiniteDetector,
     FiniteDetectorHandle,
     RegularPrefixFreeSet,
@@ -29,6 +30,7 @@ from vigil.detector import (
     minimal_violation_words,
 )
 from vigil.bisim import _minimal_rows, bisimilar
+from vigil.families import DecisionProcedure, Enumerator, decidable_detector, re_detector
 from vigil.monitor import OK, FeedViolation, OnlineMonitor, Violation, monitor_lasso
 from vigil.sequences import (
     Alphabet,
@@ -46,6 +48,7 @@ from vigil.speclang import compile as compile_spec
 from vigil.systems import LazyRow, reachable
 
 from support import (
+    CountedHandle,
     all_detectors,
     all_words,
     binary,
@@ -57,6 +60,7 @@ from support import (
     random_detector,
     random_prefix_free,
     random_word,
+    reference_handle_words,
     regex_matches,
     word_set,
     unpruned_violation_words,
@@ -208,7 +212,8 @@ class TestMinimalViolationWords:
     def test_pruned_walk_agrees_with_growing_every_word(self):
         """The words of ``support.unpruned_violation_words``, in its order,
         at depths 1..8: on seeded random detectors, many with states far
-        from a fault or with none in reach, and on handles of them."""
+        from a fault or with none in reach, on handles of them, and on set
+        and predicate handles, audited or not, of their words up to 8."""
         rng = random.Random(47)
         sinks = 0
         for i in range(150):
@@ -216,11 +221,17 @@ class TestMinimalViolationWords:
             det = random_detector(rng, al, rng.randint(1, 8), rng.choice([0.02, 0.1, 0.3]))
             x = rng.choice(det.states)
             every = unpruned_violation_words(det, x, 8)
+            members = set(every)  # read for membership only
+            handles = [
+                [FiniteDetectorHandle(det, x)],
+                [SetHandle(word_set(al, every))],
+                [decidable_detector(DecisionProcedure(al, lambda w: w.symbols in members),
+                                    audit=audit) for audit in (False, True)],
+            ][i % 5] if i % 5 < 3 else []
             for depth in range(1, 9):
                 want = [w for w in every if len(w) <= depth]
                 assert [w.symbols for w in minimal_violation_words(det, x, depth)] == want
-                if i % 5 == 0:
-                    handle = FiniteDetectorHandle(det, x)
+                for handle in handles:
                     assert [w.symbols for w in minimal_violation_words(handle, None, depth)] == want
             live = {q for q in det.states if FAULT in det.row(q)}  # grown to a fixpoint
             while more := {q for q in det.states if live.intersection(det.row(q))} - live:
@@ -1038,9 +1049,50 @@ class TestHandles:
         with pytest.raises(ValueError, match="x=None"):
             minimal_violation_words(handle, "x", 3)
 
-    def test_budget_exhaustion_raises(self, ab):
-        from vigil.families import Enumerator, re_detector
+    @pytest.mark.parametrize("kind, outcomes", [
+        ("explicit", {list}), ("enumerated", {list, BudgetExhausted}),
+        ("predicate", {list}), ("audited", {list, PrefixFreeViolation}),
+    ], ids=["explicit", "enumerated", "predicate", "audited"])
+    def test_truncation_matches_the_reference(self, kind, outcomes):
+        """On seeded handles, :func:`minimal_violation_words` gives what
+        ``support.reference_handle_words`` gives: the same words in the same
+        order, or the same exception and message, after as many steps and,
+        for an enumeration, as many items drawn."""
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(225):
+            make, depth = seeded_handle(rng, kind), rng.randint(1, 5)
+            runs = []
+            for walk in (reference_handle_words, truncated):
+                handle, enumerator = make()
+                steps = [0]
+                runs.append((walk(CountedHandle(handle, steps), depth), steps[0],
+                             enumerator and enumerator.drawn))
+            assert runs[0] == runs[1], kind
+            seen.add(runs[1][0][0] if isinstance(runs[1][0], tuple) else list)
+        assert seen == outcomes
 
+    def test_a_handle_with_no_hash_truncates(self, ab):
+        """Handles are never hashed: one with value equality and so no hash
+        truncates as the reference grows it."""
+        class FirstB(DetectorHandle):
+            """Faults at the first ``b``; equal to another when the words read are."""
+
+            def __init__(self, word):
+                self.word, self.alphabet = word, ab
+
+            def __eq__(self, other):
+                return isinstance(other, FirstB) and self.word == other.word
+
+            def step(self, symbol):
+                return FAULT if symbol == "b" else FirstB(self.word + (symbol,))
+
+        assert FirstB.__hash__ is None
+        got = minimal_violation_words(FirstB(()), None, 3)
+        assert [w.symbols for w in got] == reference_handle_words(FirstB(()), 3) == [
+            ("b",), ("a", "b"), ("a", "a", "b")]
+
+    def test_budget_exhaustion_raises(self, ab):
         def chatter():
             while True:
                 yield ab.word("a a a a")
@@ -1048,6 +1100,47 @@ class TestHandles:
         handle = re_detector(Enumerator(ab, chatter()), budget=3)
         with pytest.raises(BudgetExhausted):
             minimal_violation_words(handle, None, 2)
+
+
+def seeded_handle(rng, kind: str):
+    """A maker of fresh ``(handle, enumerator or None)`` pairs for one
+    seeded language: an explicit prefix-free set; its words listed in a
+    shuffled order, some twice, under a budget of 1..6 items a step; or
+    six random words as a predicate, which for ``audited`` hides each
+    member the first time it is asked, so that the audit can catch it."""
+    al = Alphabet(["a", "b", "c"][: rng.choice([2, 3])])
+    if kind == "explicit":
+        p = random_prefix_free(rng, al, 5)
+        return lambda: (SetHandle(p), None)
+    if kind == "enumerated":
+        items = list(random_prefix_free(rng, al, 4).words)
+        items += [rng.choice(items) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(items)
+        budget = rng.randint(1, 6)
+
+        def make():
+            e = Enumerator(al, items)
+            return re_detector(e, budget), e
+        return make
+    members = [random_word(rng, al, rng.randint(1, 4)).symbols for _ in range(6)]
+
+    def make():
+        asked = []
+
+        def decides(w):
+            asked.append(w.symbols)
+            return w.symbols in members and (kind != "audited" or asked.count(w.symbols) > 1)
+        return decidable_detector(DecisionProcedure(al, decides), audit=kind == "audited"), None
+    return make
+
+
+def truncated(handle, depth: int):
+    """A handle's minimal violation words up to ``depth`` as symbol tuples,
+    or the type and message of what the truncation raised."""
+    try:
+        return [w.symbols for w in minimal_violation_words(handle, None, depth)]
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def test_unknown_singleton_repr():

@@ -255,7 +255,7 @@ def test_importing_the_package_loads_none_of_its_modules(tmp_path):
     (["monitor", "{tmp}/spec.vgl", "--trace", "{tmp}/trace.txt"], {"detector", "bisim", "families"}),
     (["monitor", "{tmp}/spec.vgl", "--lasso", "a ; a b"], {"detector", "bisim", "families"}),
     (["check", "{tmp}/spec.vgl"], {"families"}),
-    (["words", "{tmp}/spec.vgl", "--depth", "3"], {"families"}),
+    (["words", "{tmp}/spec.vgl", "--depth", "3"], {"detector", "bisim", "families"}),
     (["equiv", "{tmp}/spec.vgl", "{tmp}/spec.vgl"], {"detector", "families"}),
 ], ids=["monitor-trace", "monitor-lasso", "check", "words", "equiv"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
