@@ -17,14 +17,15 @@ detector states.
 Every route between a detector and its violation language goes through the
 one unfold, which numbers the states it finds and whose step may fault and
 is then not walked past: whole (:func:`~vigil.systems.reachable`) for the
-anamorphism into the automaton, the derivative-closure detector of an
-explicit set, the spec and machine compilers and the one minimizer; on
-demand (:func:`~vigil.systems.unfolding`) for language equality and the
-truncated violation words (:func:`~vigil.systems._violation_words`), a
-handle's over the words it has read.  A finite detector is unfolded from
-its start state's number, so no state is hashed after it is built, and no
-handle is; a monitor links its rows as it walks them
-(:func:`~vigil.systems.lazy_rows`).
+anamorphism into the automaton, the spec and machine compilers and the one
+minimizer; on demand (:func:`~vigil.systems.unfolding`) for language
+equality and the truncated violation words
+(:func:`~vigil.systems._violation_words`), a handle's over the words it has
+read.  A finite detector is unfolded from its start state's number, so no
+state is hashed after it is built, and no handle is; a monitor links its
+rows as it walks them (:func:`~vigil.systems.lazy_rows`).  Explicit word
+sets alone are numbered by their words, by one derivative walk
+(:func:`_derivative_walk`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .sequences import (
     EpsilonViolation,
     FiniteWordSet,
     Word,
-    _counts_each_word,
     _require_same_alphabet,
     _split,
     derivative_set,
@@ -430,32 +430,50 @@ def check_detector_morphism(f: Mapping, a: FiniteDetector, b: FiniteDetector) ->
                for x in a.states for t, u in zip(a.row(x), b.row(f[x])))
 
 
+def _derivative_walk(seeds: list) -> tuple[list, list, list]:
+    """The one walk over explicit word sets, stepping as :func:`final_step`
+    does: the distinct ``seeds`` in the order given, then the sets they
+    reach, breadth first, numbered by their words; their rows (a number per
+    symbol in alphabet order, -1 for a fault); and for each set whether its
+    split (:func:`~vigil.sequences._split`) counts each of its words once.
+
+    A set is a violation language exactly when no set it reaches fails that
+    local check: violation languages step only to violation languages, and
+    by induction on the longest word, a pair ``u``, ``uv`` with ``|u| >= 2``
+    in a set that passes is one in the tails of ``u[0]``."""
+    alphabet, number, sets, rows, local = seeds[0].alphabet, {}, [], [], []
+    for p in seeds:
+        if number.setdefault(p._members, len(sets)) == len(sets):
+            sets.append(p)
+    for q in sets:  # grows while it is walked
+        steps = list(_split(q).values())
+        local.append(len(q._key) == sum([1 if tails is None else len(tails) for tails in steps]))
+        row = [-1 if tails is None else number.get(frozenset(tails)) for tails in steps]
+        if None in row:  # build only the sets not numbered yet
+            for j, tails in enumerate(steps):
+                if row[j] is None:
+                    new = FiniteWordSet._of(alphabet, tails)
+                    row[j] = number.setdefault(new._members, len(sets))
+                    if row[j] == len(sets):
+                        sets.append(new)
+        rows.append(row)
+    return sets, rows, local
+
+
 def detector_from_explicit_set(p: FiniteWordSet) -> tuple[FiniteDetector, FiniteWordSet]:
     """The derivative-closure detector of a finite prefix-free set.
 
     States are the distinct iterated derivatives of ``p`` (the empty set
-    acts as the safe sink), each split once (:func:`~vigil.sequences._split`)
-    to step as by :func:`final_step`.  State 0's language is exactly ``p``.
-
-    The walk proves ``p`` valid as it goes: each state's split is checked
-    to count each of its words once (no empty word, no one-letter word that
-    a longer one extends), and the states are closed under their steps, so
-    if every state passes, ``p`` is prefix-free by induction on the longest
-    word.  Only when one fails does :func:`~vigil.sequences.require_prefix_free`
-    read ``p`` whole, to raise its witness.
+    acts as the safe sink) as the one derivative walk numbers and steps them
+    (:func:`_derivative_walk`); state 0's language is exactly ``p``.  Only
+    when a state fails the walk's local check does
+    :func:`~vigil.sequences.require_prefix_free` read ``p`` whole, to raise
+    its witness.
     """
-    alphabet, local = p.alphabet, True
-
-    def expand(q: FiniteWordSet) -> list:
-        nonlocal local
-        steps = list(_split(q).values())
-        local = local and _counts_each_word(q, steps)
-        return [FAULT if tails is None else FiniteWordSet._of(alphabet, tails) for tails in steps]
-
-    order, rows = reachable(p, expand)
-    if not local:
+    sets, rows, local = _derivative_walk([p])
+    if not all(local):
         require_prefix_free(p)
-    return _from_rows(alphabet, order, rows), p
+    return _from_rows(p.alphabet, sets, rows), p
 
 
 def canonical_form(a: FiniteDetector, init) -> tuple[FiniteDetector, str]:

@@ -22,13 +22,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 
 from .detector import (
     UNKNOWN,
     DetectorHandle,
     FiniteDetector,
     SetHandle,
+    _derivative_walk,
     _from_rows,
     first_prefix_pair,
 )
@@ -38,16 +39,13 @@ from .sequences import (
     FiniteWordSet,
     PrefixFreeViolation,
     Word,
-    _counts_each_word,
     _require_same_alphabet,
     _sort_keys,
-    _split,
     _word,
-    is_prefix_free,
     is_token,
     require_prefix_free,
 )
-from .systems import FAULT, reachable
+from .systems import FAULT, _fault_distances, reachable
 
 
 class EilenbergMachine:
@@ -226,6 +224,8 @@ class Enumerator:
     def word_at(self, k: int) -> Word | None:
         """The k-th enumerated word, or ``None`` once the enumeration is
         exhausted before reaching ``k``."""
+        if k < 0:
+            raise ValueError("enumeration index must be nonnegative")
         self._first_hit((), max(k + 1 - len(self._cache), 0))
         return self._cache[k] if k < len(self._cache) else None
 
@@ -310,6 +310,8 @@ def check_universal_family(c: Iterable[FiniteWordSet]):
     ``n`` is again in the family; otherwise ``(False, (p, n))`` with the
     least failing pair, by ``p``'s words, then by the alphabet.  The first
     member, in the order given, that is not a violation language raises.
+    It also walks the sets the members reach off the family, so its time is
+    linear in their whole derivative closure.
     """
     members = list(c)
     witness = _family_steps(members)[2] if members else None
@@ -363,49 +365,28 @@ def _family_steps(members: list) -> tuple[list, list, tuple | None]:
     there, -1 for :data:`FAULT`, None off the family), and the least step
     off the family, by the member's words, then by the alphabet, or None.
 
-    Each member is split once (:func:`~vigil.sequences._split`) and checked
-    locally: it holds no empty word and no one-letter word that a longer one
-    extends, so that its split counts each of its words once.  Such a member
-    is prefix-free exactly when each of its steps is: a pair ``u``, ``uv``
-    with ``|u| >= 2`` in ``p`` is one in the tails of ``u[0]``.  So a closed
-    family whose members all pass is valid, by induction on the longest
-    word.  Otherwise validity is decided by that induction, members taken
-    by increasing longest word: a member is valid when it passes its local
-    check and each step faults, lands on a valid member, or leaves the
-    family with tails that pass :func:`~vigil.sequences.is_prefix_free`.
-    Then the members found invalid, and only they, are checked in full, in
-    the order given, so that the first of them raises its own witness; so
-    are the members before one over another alphabet.
+    The derivative walk (:func:`~vigil.detector._derivative_walk`) runs from
+    every member and on past the family.  The members that reach a set that
+    fails its local check, found by one walk back over the rows
+    (:func:`~vigil.systems._fault_distances`), are the invalid ones, and only
+    they are checked in full, in the order given, so that the first raises
+    its own witness; so are the members before one over another alphabet.
     """
     alphabet = members[0].alphabet
-    number: dict = {}  # a member's words -> the number of its first occurrence
-    distinct = []
     for k, p in enumerate(members):
         if p.alphabet is not alphabet and p.alphabet != alphabet:
             for q in members[:k]:
                 require_prefix_free(q)
             raise ValueError("family members must share one alphabet")
-        if number.setdefault(p._members, len(distinct)) == len(distinct):
-            distinct.append(p)
-    rows, splits, local = [], [], []
-    for p in distinct:
-        steps = list(_split(p).values())
-        splits.append(steps)
-        local.append(_counts_each_word(p, steps))
-        rows.append([-1 if tails is None else number.get(frozenset(tails)) for tails in steps])
+    sets, rows, local = _derivative_walk(members)
+    size = len({p._members for p in members})
+    if not all(local):  # a failing set's row faults at once, and no other row does
+        reaches = _fault_distances([[t for t in row if t >= 0] if ok else [-1]
+                                    for row, ok in zip(rows, local)])
+        for p in compress(sets[:size], reaches):
+            require_prefix_free(p)
+    distinct, rows = sets[:size], [[t if t < size else None for t in row] for row in rows[:size]]
     missing = [i for i, row in enumerate(rows) if None in row]
-    if missing or not all(local):
-        longest = [len(p._key[-1]) if p._key else 0 for p in distinct]
-        valid = [False] * len(distinct)
-        for i in sorted(range(len(distinct)), key=longest.__getitem__):
-            # the empty set, valid, steps to itself
-            valid[i] = not distinct[i]._key or local[i] and all(
-                t == -1 or (valid[t] if t is not None else
-                            is_prefix_free(FiniteWordSet._of(alphabet, tails)))
-                for t, tails in zip(rows[i], splits[i]))
-        for p in members:
-            if not valid[number[p._members]]:
-                require_prefix_free(p)
     if not missing:
         return distinct, rows, None
     i = missing[_in_word_order(alphabet, [distinct[i] for i in missing])[0]]

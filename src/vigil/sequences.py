@@ -442,20 +442,13 @@ def _split(a: FiniteWordSet) -> dict:
     """The first-symbol split of ``a`` in one pass: each symbol, in alphabet
     order, steps to None if it is a one-letter member (in word order, before
     its extensions), else to the tails of the words it starts, in word order.
-    So the steps count each word once, but for the empty word and any word
-    that extends a one-letter member."""
+    So the steps count each word once (the derivative walk checks it) but
+    for the empty word and any word that extends a one-letter member."""
     parts = {n: [] for n in a.alphabet.symbols}
     words = a._key
     for w in words[1:] if words and not words[0] else words:
         parts[w[0]].append(w[1:])
     return {n: None if tails and not tails[0] else tuple(tails) for n, tails in parts.items()}
-
-
-def _counts_each_word(a: FiniteWordSet, steps) -> bool:
-    """Whether ``steps``, the :func:`_split` of ``a``, count each of its words
-    once: ``a`` holds no empty word and no one-letter word that a longer one
-    extends.  Such a set is prefix-free exactly when each of its steps is."""
-    return len(a._key) == sum([1 if tails is None else len(tails) for tails in steps])
 
 
 def decompose(p: FiniteWordSet) -> tuple[frozenset, dict]:

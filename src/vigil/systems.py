@@ -8,18 +8,21 @@ output token at every state and always steps on; its observable behaviour
 is the output stream, which on a finite carrier is always a lasso.
 
 Carriers are restricted to finite state sets so that behaviours are exactly
-computable: every behaviour in the package is read off one unfold, which
-numbers the states reachable from a start breadth first and gives each a
-row of successor numbers (:func:`unfolding`, row by row as a walk asks, so
-the pair walk of ``bisimilar`` and ``vigil equiv`` stops where it decides
-and ``vigil words`` reads no deeper than its depth; :func:`reachable`,
-whole), and fault distances, which the minimizer, ``vigil words`` and a
-machine's prefix witness read, off one walk back over those rows
-(:func:`_fault_distances`).  One words walk truncates every violation language
-(:func:`_violation_words`): a finite detector's, a spec's, a handle's.  Only
-monitors read linked rows, built on first visit (:func:`lazy_rows`) from a
-finite detector's numbered rows or a spec's subset graph, one run at a time;
-a lasso is fed to that monitor a turn at a time.
+computable: every behaviour in the package but an explicit word set's is
+read off one unfold, which numbers the states reachable from a start
+breadth first and gives each a row of successor numbers (:func:`unfolding`,
+row by row as a walk asks, so the pair walk of ``bisimilar`` and ``vigil
+equiv`` stops where it decides and ``vigil words`` reads no deeper than its
+depth; :func:`reachable`, whole), and fault distances, which the minimizer,
+``vigil words``, a machine's prefix witness and a word-set family's
+validity read, off one walk back over those rows (:func:`_fault_distances`).
+Word sets are numbered by their words, by a walk of their own
+(:func:`~vigil.detector._derivative_walk`).  One words walk truncates every
+violation language (:func:`_violation_words`): a finite detector's, a
+spec's, a handle's.  Only monitors read linked rows, built on first visit
+(:func:`lazy_rows`) from a finite detector's numbered rows or a spec's
+subset graph, one run at a time; a lasso is fed to that monitor a turn at a
+time.
 """
 
 from __future__ import annotations
@@ -153,17 +156,20 @@ class SSystem:
 
 def t_iterate(g: TSystem, x, k: int):
     """The k-fold fault-propagating iterate of ``g`` at ``x`` (k >= 1):
-    once a run faults it stays faulted."""
+    once a run faults it stays faulted.  Read off the orbit's unfold up to
+    ``k`` steps or its first repeat, a loop indexed modulo its length."""
     if k < 1:
         raise ValueError("iterate count starts at 1")
     if x not in g.step_table:
         raise ValueError(f"unknown state {x!r}")
-    cur = x
-    for _ in range(k):
-        cur = g.step(cur)
-        if cur is FAULT:
+    order = [x]
+    for i, (t,) in enumerate(unfolding(order, lambda y: [g.step_table[y]]), 1):
+        if t < 0:
             return FAULT
-    return cur
+        if t < i:  # step i returns to state t: the orbit loops on order[t:]
+            return order[t + (k - t) % (i - t)]
+        if i == k:
+            return order[k]
 
 
 def reachable(initial, expand) -> tuple[list, list]:

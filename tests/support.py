@@ -9,7 +9,8 @@ frozensets, bisimilarity as identical canonical quotients, spec
 equivalence as identical canonical tables, fault distances as a search
 forward from each state, the pattern size guard as a depth walk plus a
 memoized recursive size, Moore's refinement started
-from the classes alone, the spec parser over (kind, value, offset)
+from the classes alone, a word set's detector as the one unfold of its
+final steps, a system's iterate as that many steps, the spec parser over (kind, value, offset)
 tokens, and a lasso slice as a slice of the unrolled stream.
 ``cold_start`` runs code in a fresh interpreter and reports the modules
 it loaded.
@@ -33,7 +34,7 @@ from vigil.sequences import _sort_keys, require_prefix_free
 from vigil.speclang import MAX_NESTING, MAX_PATTERN_SIZE, _MAX_DEPTH, _children
 from vigil.speclang import Alt, ConstraintSpec, Lit, Opt, Plus, Seq, SpecError, Star
 from vigil.speclang import compile as compile_spec
-from vigil.systems import FAULT, UNKNOWN, SSystem, reachable
+from vigil.systems import FAULT, UNKNOWN, SSystem, TSystem, reachable
 
 
 def binary() -> Alphabet:
@@ -167,6 +168,15 @@ def oracle_fault_distances(rows: list) -> list:
             level = below
         distances.append(found)
     return distances
+
+
+def oracle_t_iterate(g: TSystem, x, k: int):
+    """``systems.t_iterate`` one step at a time, ``k`` steps or up to a fault."""
+    for _ in range(k):
+        x = g.step(x)
+        if x is FAULT:
+            return FAULT
+    return x
 
 
 def lasso_symbols(s: LassoStream, count: int) -> tuple[str, ...]:
@@ -478,6 +488,18 @@ def tuple_closure(alphabet: Alphabet, members: frozenset) -> set[frozenset]:
                 seen.add(step)
                 todo.append(step)
     return seen
+
+
+def reference_explicit_detector(p: FiniteWordSet) -> tuple[FiniteDetector, FiniteWordSet]:
+    """Reference for ``detector.detector_from_explicit_set``: ``p`` checked in
+    full, then its unfold (:func:`~vigil.systems.reachable`), each state
+    stepped by :func:`~vigil.detector.final_step`, into a checked table."""
+    require_prefix_free(p)
+    symbols = p.alphabet.symbols
+    order, rows = reachable(p, lambda q: [final_step(q, n) for n in symbols])
+    table = {(q, n): FAULT if t < 0 else order[t]
+             for q, row in zip(order, rows) for n, t in zip(symbols, row)}
+    return FiniteDetector(p.alphabet, order, table), p
 
 
 def reference_family_steps(members: list) -> tuple[list, dict, tuple | None]:

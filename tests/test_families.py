@@ -610,6 +610,17 @@ class TestReDetector:
         with pytest.raises(ValueError, match="at least 1"):
             re_detector(Enumerator(ab, iter([])), 0)
 
+    def test_word_at_rejects_a_negative_index(self, ab):
+        """Neither the last word drawn nor an IndexError: a negative index
+        raises ValueError and draws nothing, before and after draws."""
+        e = Enumerator(ab, iter([ab.word("a"), ab.word("b a")]))
+        for drawn in (0, 2):
+            for k in (-1, -2, -3):
+                with pytest.raises(ValueError, match="^enumeration index must be nonnegative$"):
+                    e.word_at(k)
+                assert e.drawn == drawn
+            assert e.word_at(1) == ab.word("b a")
+
     def test_consumed_word_over_another_alphabet_is_rejected(self, ab):
         """A step builds the longer word without checking its alphabet
         again, so a consumed word over another alphabet fails at once."""
@@ -762,7 +773,7 @@ class TestUniversalFamily:
         over another alphabet after them; and open families with the empty
         set among them, with a member that is not prefix-free placed after
         valid ones, and with one whose step leaves the family on a set that
-        is not prefix-free."""
+        is not prefix-free, or whose prefix pair lies 2-3 symbols below it."""
         rng = random.Random(3313)
         other = Alphabet(["x", "y"])
         seen = Counter()
@@ -794,8 +805,12 @@ class TestUniversalFamily:
             n = rng.choice(al.symbols)
             pair, deep = word_set(al, [u, u + v]), word_set(al, [(n,) + u, (n,) + u + v])
             late = rng.randint(1, len(open_))
+            # a pair 2-3 symbols below a member: its reach crosses several steps
+            head = random_word(rng, al, rng.randint(2, 3)).symbols
+            below = word_set(al, rng.choice(closure) | {head + u, head + u + v})
             families += [open_, open_[:late] + [pair] + open_[late:],
-                         open_[:late] + [deep] + open_[late:], members + [deep]]
+                         open_[:late] + [deep] + open_[late:], members + [deep],
+                         open_[:late] + [below] + open_[late:], members + [below]]
             for family in families:
                 seen[self.same_outcome(check_universal_family,
                                        reference_check_universal_family, family)] += 1
@@ -845,34 +860,42 @@ class TestUniversalFamily:
         assert calls["require_prefix_free"] == 0 and calls["_sort_keys"] <= len(closure)
 
     def test_an_open_family_is_proved_without_full_checks(self, monkeypatch):
-        """On the closure of a 60-word set with one member left out, in turn
-        each, the closure check proves every member valid by induction, so
-        it runs the full prefix-freeness check on none, and it builds sort
-        keys once for the first words of the members whose step is missing,
-        and once more for each of them at most."""
-        rng = random.Random(3329)
-        al = Alphabet(["c", "a", "b"])
-        words: set = set()
-        while len(words) < 60:
-            w = tuple(rng.choices(al.symbols, k=rng.randint(3, 7)))
-            if not any(w[:len(v)] == v or v[:len(w)] == w for v in words):
-                words.add(w)
-        closure = list(tuple_closure(al, frozenset(words)))
-        members = [word_set(al, m) for m in closure]
+        """On the closures of seeded 60-word sets with one member left out,
+        in turn each, and on the family of each set alone, the closure check
+        proves every member valid by its walk, so no set is checked for
+        prefix-freeness in full (``is_prefix_free`` or ``require_prefix_free``),
+        and it builds sort keys once for the first words of the members whose
+        step is missing, and once more for each of them at most."""
         calls = Counter()
-        for name in ("require_prefix_free", "_sort_keys"):
-            def counted(*args, _real=getattr(vigil.families, name), _name=name):
+        for module, name in ((vigil.sequences, "_find_prefix_pair"),
+                             (vigil.families, "require_prefix_free"),
+                             (vigil.families, "_sort_keys")):
+            def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(vigil.families, name, counted)
-        for drop, left_out in enumerate(closure):
-            kept = closure[:drop] + closure[drop + 1:]
-            missing = sum(any(tuple_final_step(n, m) == left_out for n in al) for m in kept)
+            monkeypatch.setattr(module, name, counted)
+        for seed in (3329, 3331, 3343):
+            rng = random.Random(seed)
+            al = Alphabet(["c", "a", "b"])
+            words: set = set()
+            while len(words) < 60:
+                w = tuple(rng.choices(al.symbols, k=rng.randint(3, 7)))
+                if not any(w[:len(v)] == v or v[:len(w)] == w for v in words):
+                    words.add(w)
+            closure = list(tuple_closure(al, frozenset(words)))
+            members = [word_set(al, m) for m in closure]
+            for drop, left_out in enumerate(closure):
+                kept = closure[:drop] + closure[drop + 1:]
+                missing = sum(any(tuple_final_step(n, m) == left_out for n in al) for m in kept)
+                calls.clear()
+                ok, witness = check_universal_family(members[:drop] + members[drop + 1:])
+                assert ok == (missing == 0) and (witness is None) == ok
+                assert calls["_find_prefix_pair"] == calls["require_prefix_free"] == 0
+                assert calls["_sort_keys"] <= (1 + missing if missing else 0), (calls, missing)
             calls.clear()
-            ok, witness = check_universal_family(members[:drop] + members[drop + 1:])
-            assert ok == (missing == 0) and (witness is None) == ok
-            assert calls["require_prefix_free"] == 0
-            assert calls["_sort_keys"] <= (1 + missing if missing else 0), (calls, missing)
+            ok, witness = check_universal_family([word_set(al, words)])
+            assert not ok and tuple_set(witness[0]) == frozenset(words)
+            assert calls["_find_prefix_pair"] == calls["require_prefix_free"] == 0
 
     def test_members_that_tie_on_size_and_first_word(self):
         """Sets ``H . (C + E_h)``, ``C`` of two-letter words: each head ``h``

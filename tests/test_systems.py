@@ -1,11 +1,16 @@
 """Systems with termination and with output, and their exact behaviours."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import vigil
+from vigil.monitor import join
 from vigil.sequences import Alphabet, LassoStream, Word
 from vigil.systems import (
     FAULT,
@@ -22,7 +27,15 @@ from vigil.systems import (
     t_iterate,
 )
 
-from support import binary, inflate_ssystem, oracle_fault_distances, random_lasso, random_ssystem
+from support import (
+    binary,
+    inflate_ssystem,
+    oracle_fault_distances,
+    oracle_t_iterate,
+    random_detector,
+    random_lasso,
+    random_ssystem,
+)
 
 
 def chain(*targets) -> TSystem:
@@ -53,6 +66,48 @@ class TestTIterate:
     def test_unknown_state(self):
         with pytest.raises(ValueError, match="unknown state"):
             t_iterate(chain(FAULT), "nope", 1)
+
+    def test_agrees_with_stepping_on_seeded_systems(self):
+        """Against that many steps, for every state and every k up to three
+        times the carrier: random systems, and products of random lassos
+        with random detectors (``join``)."""
+        rng = random.Random(151)
+        al = binary()
+        systems = []
+        for _ in range(60):
+            states = [f"c{i}" for i in range(rng.randint(1, 8))]
+            targets = [FAULT, *states]
+            systems.append(TSystem(states, {x: rng.choice(targets) for x in states}))
+            sigma, _ = stream_system(random_lasso(rng, al))
+            systems.append(join(sigma, random_detector(rng, al, rng.randint(1, 3), 0.15)))
+        loops = 0
+        for g in systems:
+            for x in g.states:
+                loops += t_anamorphism(g, x) == INFINITE
+                for k in range(1, 3 * len(g.states) + 1):
+                    assert t_iterate(g, x, k) == oracle_t_iterate(g, x, k), (x, k)
+        assert loops >= 200, loops
+
+    def test_a_huge_count_answers_at_once(self):
+        """k = 10**18 on a 1,000-state cycle and on a 1,000-state chain into the
+        fault, in a child: stepping k times would take years."""
+        code = "\n".join([
+            "import time",
+            "from vigil.systems import FAULT, TSystem, t_iterate",
+            "n, k = 1000, 10**18",
+            "states = [f'c{i}' for i in range(n)]",
+            "cycle = TSystem(states, {x: states[(i + 1) % n] for i, x in enumerate(states)})",
+            "chain = TSystem(states, {x: states[i + 1] if i + 1 < n else FAULT",
+            "                         for i, x in enumerate(states)})",
+            "start = time.perf_counter()",
+            "assert t_iterate(cycle, 'c7', k) == states[(7 + k) % n]",
+            "assert t_iterate(chain, 'c0', k) is FAULT",
+            "print(time.perf_counter() - start)"])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vigil.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert float(done.stdout) < 2.0, done.stdout
 
 
 class TestTAnamorphism:
